@@ -1,8 +1,7 @@
-// Fleet design throughput gate: workers-designed-per-second for the
-// scalar reference batch (AoS), the vectorized batch (AoS out), and the
-// SoA fleet path (SIMD and forced-portable), on a steady-state fleet
-// whose class tables are already cached — the serve/stackelberg redesign
-// hot path this PR optimizes.
+// Fleet design throughput gate: workers designed per second by
+// design_contracts_batch — the one fleet-design path every caller runs —
+// on a steady-state fleet whose class tables are already cached (the
+// serve/stackelberg redesign hot path), on one thread.
 //
 // This binary *refuses to publish numbers from non-Release builds*: the
 // library it links must have been compiled with CMAKE_BUILD_TYPE=Release
@@ -12,12 +11,11 @@
 // instead. `force=1` overrides for local poking; the JSON still records
 // the real build type so a forced run can never masquerade as a gate.
 //
-// Exit codes: 0 gate passed, 1 gate failed (ratio/floor/bitwise check),
+// Exit codes: 0 gate passed, 1 gate failed (floor or bitwise check),
 // 2 bad usage, 3 non-release build.
 //
 // Usage: bench_throughput [workers=20000] [classes=6] [intervals=20]
-//                         [min_ratio=2.0] [min_scalar_wps=0]
-//                         [out=BENCH_throughput.json] [force=0]
+//                         [min_wps=0] [out=BENCH_throughput.json] [force=0]
 #include <algorithm>
 #include <bit>
 #include <chrono>
@@ -30,7 +28,6 @@
 
 #include "contract/design_cache.hpp"
 #include "contract/designer.hpp"
-#include "contract/fleet_soa.hpp"
 #include "contract/ksweep.hpp"
 #include "util/thread_pool.hpp"
 
@@ -86,14 +83,48 @@ bool same_bits(double a, double b) {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::equal(a.begin(), a.end(), b.begin(),
+                    [](double x, double y) { return same_bits(x, y); });
+}
+
+bool same_contract(const contract::Contract& a, const contract::Contract& b) {
+  if (a.intervals() != b.intervals() || !same_bits(a.delta(), b.delta())) {
+    return false;
+  }
+  for (std::size_t l = 0; !a.is_zero() && l <= a.intervals(); ++l) {
+    if (!same_bits(a.knot(l), b.knot(l)) ||
+        !same_bits(a.payment(l), b.payment(l))) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Every DesignResult field, compared by bit pattern.
+bool bitwise_equal(const contract::DesignResult& a,
+                   const contract::DesignResult& b) {
+  return same_contract(a.contract, b.contract) && a.k_opt == b.k_opt &&
+         same_bits(a.response.effort, b.response.effort) &&
+         same_bits(a.response.utility, b.response.utility) &&
+         same_bits(a.response.feedback, b.response.feedback) &&
+         same_bits(a.response.compensation, b.response.compensation) &&
+         a.response.interval == b.response.interval &&
+         same_bits(a.requester_utility, b.requester_utility) &&
+         same_bits(a.upper_bound, b.upper_bound) &&
+         same_bits(a.lower_bound, b.lower_bound) &&
+         same_bits(a.utility_by_k, b.utility_by_k) &&
+         same_bits(a.pay_by_k, b.pay_by_k) && a.excluded == b.excluded;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   std::size_t workers = 20000;
   std::size_t classes = 6;
   std::size_t intervals = 20;
-  double min_ratio = 2.0;
-  double min_scalar_wps = 0.0;
+  double min_wps = 0.0;
   std::string out_path = "BENCH_throughput.json";
   bool force = false;
   for (int a = 1; a < argc; ++a) {
@@ -108,8 +139,7 @@ int main(int argc, char** argv) {
     if (key == "workers") workers = std::strtoull(value.c_str(), nullptr, 10);
     else if (key == "classes") classes = std::strtoull(value.c_str(), nullptr, 10);
     else if (key == "intervals") intervals = std::strtoull(value.c_str(), nullptr, 10);
-    else if (key == "min_ratio") min_ratio = std::strtod(value.c_str(), nullptr);
-    else if (key == "min_scalar_wps") min_scalar_wps = std::strtod(value.c_str(), nullptr);
+    else if (key == "min_wps") min_wps = std::strtod(value.c_str(), nullptr);
     else if (key == "out") out_path = value;
     else if (key == "force") force = value != "0";
     else { std::fprintf(stderr, "unknown key: %s\n", key.c_str()); return 2; }
@@ -137,72 +167,26 @@ int main(int argc, char** argv) {
     cache.table_for(specs[c]);
   }
 
-  contract::BatchOptions scalar_opts;
-  scalar_opts.pool = &pool;
-  scalar_opts.cache = &cache;
-  scalar_opts.kernel = contract::SweepKernel::kScalar;
-  std::vector<contract::DesignResult> scalar_results;
-  const double scalar_wps = best_wps(workers, [&] {
-    scalar_results = contract::design_contracts_batch(specs, scalar_opts);
+  contract::BatchOptions options;
+  options.pool = &pool;
+  options.cache = &cache;
+  std::vector<contract::DesignResult> results;
+  const double wps = best_wps(workers, [&] {
+    results = contract::design_contracts_batch(specs, options);
   });
 
-  contract::BatchOptions simd_opts = scalar_opts;
-  simd_opts.kernel = contract::SweepKernel::kSimd;
-  std::vector<contract::DesignResult> simd_results;
-  const double simd_batch_wps = best_wps(workers, [&] {
-    simd_results = contract::design_contracts_batch(specs, simd_opts);
-  });
-
-  const contract::FleetSoA fleet = contract::FleetSoA::from_specs(specs);
-  contract::FleetOptions fleet_opts;
-  fleet_opts.pool = &pool;
-  fleet_opts.cache = &cache;
-  contract::FleetDesignResult fleet_result;
-  const double fleet_simd_wps = best_wps(workers, [&] {
-    fleet_result = contract::design_fleet(fleet, fleet_opts);
-  });
-
-  contract::FleetOptions portable_opts = fleet_opts;
-  portable_opts.force_portable = true;
-  contract::FleetDesignResult portable_result;
-  const double fleet_portable_wps = best_wps(workers, [&] {
-    portable_result = contract::design_fleet(fleet, portable_opts);
-  });
-
-  // Self-check on a subsample: the scalar batch must be bitwise-identical
-  // to the uncached design_contract reference; the SIMD fleet result is
-  // compared bitwise too and reported (expected identical on this
-  // machine's no-contraction build; only the scalar flag gates).
-  bool scalar_bitwise = true;
-  bool simd_bitwise = true;
+  // Self-check on a subsample: every field of the batch result must be
+  // bitwise-identical to the uncached design_contract reference.
+  bool bitwise = true;
   const std::size_t stride = std::max<std::size_t>(1, workers / 64);
   for (std::size_t i = 0; i < workers; i += stride) {
-    const contract::DesignResult reference =
-        contract::design_contract(specs[i]);
-    const contract::DesignResult& s = scalar_results[i];
-    scalar_bitwise =
-        scalar_bitwise && s.k_opt == reference.k_opt &&
-        same_bits(s.requester_utility, reference.requester_utility) &&
-        same_bits(s.upper_bound, reference.upper_bound) &&
-        same_bits(s.lower_bound, reference.lower_bound) &&
-        same_bits(s.response.effort, reference.response.effort) &&
-        same_bits(s.response.compensation, reference.response.compensation);
-    simd_bitwise =
-        simd_bitwise && fleet_result.k_opt[i] == reference.k_opt &&
-        same_bits(fleet_result.requester_utility[i],
-                  reference.requester_utility) &&
-        same_bits(fleet_result.upper_bound[i], reference.upper_bound) &&
-        same_bits(fleet_result.lower_bound[i], reference.lower_bound) &&
-        same_bits(fleet_result.effort[i], reference.response.effort) &&
-        same_bits(fleet_result.compensation[i],
-                  reference.response.compensation);
+    bitwise = bitwise &&
+              bitwise_equal(results[i], contract::design_contract(specs[i]));
   }
 
-  const double ratio = scalar_wps > 0.0 ? fleet_simd_wps / scalar_wps : 0.0;
-  const bool ratio_ok = ratio >= min_ratio;
-  const bool floor_ok = scalar_wps >= min_scalar_wps;
+  const bool floor_ok = wps >= min_wps;
   const bool release = build_type == "release";
-  const bool pass = release && ratio_ok && floor_ok && scalar_bitwise;
+  const bool pass = release && floor_ok && bitwise;
 
   std::FILE* out = std::fopen(out_path.c_str(), "w");
   if (out == nullptr) {
@@ -216,28 +200,18 @@ int main(int argc, char** argv) {
   std::fprintf(out, "  \"workers\": %zu,\n", workers);
   std::fprintf(out, "  \"classes\": %zu,\n", classes);
   std::fprintf(out, "  \"intervals\": %zu,\n", intervals);
-  std::fprintf(out, "  \"scalar_batch_wps\": %.1f,\n", scalar_wps);
-  std::fprintf(out, "  \"simd_batch_wps\": %.1f,\n", simd_batch_wps);
-  std::fprintf(out, "  \"fleet_simd_wps\": %.1f,\n", fleet_simd_wps);
-  std::fprintf(out, "  \"fleet_portable_wps\": %.1f,\n", fleet_portable_wps);
-  std::fprintf(out, "  \"simd_over_scalar_ratio\": %.3f,\n", ratio);
-  std::fprintf(out, "  \"min_ratio\": %.3f,\n", min_ratio);
-  std::fprintf(out, "  \"min_scalar_wps\": %.1f,\n", min_scalar_wps);
-  std::fprintf(out, "  \"scalar_bitwise_vs_reference\": %s,\n",
-               scalar_bitwise ? "true" : "false");
-  std::fprintf(out, "  \"simd_bitwise_vs_reference\": %s,\n",
-               simd_bitwise ? "true" : "false");
+  std::fprintf(out, "  \"batch_wps\": %.1f,\n", wps);
+  std::fprintf(out, "  \"min_wps\": %.1f,\n", min_wps);
+  std::fprintf(out, "  \"bitwise_vs_reference\": %s,\n",
+               bitwise ? "true" : "false");
   std::fprintf(out, "  \"pass\": %s\n", pass ? "true" : "false");
   std::fprintf(out, "}\n");
   std::fclose(out);
 
   std::printf(
-      "bench_throughput (%s, simd=%s): scalar %.0f w/s, simd batch %.0f "
-      "w/s, fleet simd %.0f w/s, fleet portable %.0f w/s, ratio %.2fx "
-      "(need >= %.2fx), scalar bitwise %s, simd bitwise %s -> %s\n",
-      build_type.c_str(), contract::simd_kernel_name().c_str(), scalar_wps,
-      simd_batch_wps, fleet_simd_wps, fleet_portable_wps, ratio, min_ratio,
-      scalar_bitwise ? "ok" : "FAIL", simd_bitwise ? "ok" : "differs",
-      pass ? "PASS" : "FAIL");
+      "bench_throughput (%s, simd=%s): batch %.0f w/s (need >= %.0f), "
+      "bitwise %s -> %s\n",
+      build_type.c_str(), contract::simd_kernel_name().c_str(), wps, min_wps,
+      bitwise ? "ok" : "FAIL", pass ? "PASS" : "FAIL");
   return pass ? 0 : 1;
 }

@@ -191,8 +191,6 @@ void DesignCache::record(const DesignCacheStats& delta) {
   CacheMetrics::get().add(delta);
 }
 
-// design_contracts_batch lives in fleet_soa.cpp: it is reimplemented on
-// the FleetSoA grouping and shares its table-acquisition and stats
-// accounting with design_fleet.
+// design_contracts_batch lives in fleet_soa.cpp, on the FleetSoA grouping.
 
 }  // namespace ccd::contract

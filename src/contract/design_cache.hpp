@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "contract/designer.hpp"
-#include "contract/ksweep.hpp"
 #include "util/metrics.hpp"
 
 namespace ccd::util {
@@ -34,10 +33,6 @@ class ThreadPool;
 }
 
 namespace ccd::contract {
-
-struct FleetSoA;
-struct FleetOptions;
-struct FleetDesignResult;
 
 /// Canonical cache key: every SubproblemSpec field the k-sweep reads —
 /// i.e. everything except `weight`. The effort domain is stored resolved,
@@ -120,8 +115,6 @@ class DesignCache {
   friend std::vector<DesignResult> design_contracts_batch(
       const std::vector<SubproblemSpec>&, const struct BatchOptions&,
       DesignCacheStats*);
-  friend FleetDesignResult design_fleet(const FleetSoA&, const FleetOptions&,
-                                        DesignCacheStats*);
 
   void record(const DesignCacheStats& delta);
 
@@ -144,27 +137,23 @@ struct BatchOptions {
   /// magnitude cheaper than a sweep and the clock reads would dominate.
   util::metrics::Histogram* sweep_histogram = nullptr;
   /// Cooperative cancellation (null runs to completion). Polled between
-  /// k-sweeps and per resolved worker; after cancellation the batch
-  /// returns with the remaining results left default-constructed. Callers
-  /// use `resolved` to tell completed entries apart.
+  /// k-sweeps and between classes during resolve; after cancellation the
+  /// batch returns with the remaining results left default-constructed.
+  /// Callers use `resolved` to tell completed entries apart.
   const util::CancellationToken* cancel = nullptr;
   /// When non-null, resized to specs.size(); (*resolved)[i] is 1 iff
   /// results[i] was actually designed (always all-ones unless cancelled).
   std::vector<std::uint8_t>* resolved = nullptr;
-  /// Per-worker resolve kernel. Defaults to the scalar reference path,
-  /// which is bitwise-identical to design_contract on every build — the
-  /// batch API's documented contract (checkpoint/resume and the wire
-  /// protocol replay against it). kSimd/kAuto select the vectorized
-  /// tableau resolve (see ksweep.hpp): identical results on builds without
-  /// floating-point contraction, last-ulp differences possible with it.
-  SweepKernel kernel = SweepKernel::kScalar;
 };
 
-/// Design contracts for a whole fleet: one k-sweep per distinct spec
-/// (computed in parallel), then a parallel per-worker resolve. Output
-/// order matches `specs`, and results[i] is bitwise-identical to
-/// design_contract(specs[i]) regardless of thread count or cache state.
-/// `stats`, when non-null, receives this call's counters (prior contents
+/// Design contracts for a whole fleet — the one fleet-design path every
+/// caller uses: one k-sweep per distinct spec class (computed in
+/// parallel), then one vectorized resolve_class pass per class (see
+/// ksweep.hpp and fleet_soa.hpp). Output order matches `specs`, and
+/// results[i] is bitwise-identical to design_contract(specs[i]) regardless
+/// of thread count, cache state, or which kernel the CPU runs. Runs the
+/// "contract.design" fault point once per positive-weight spec. `stats`,
+/// when non-null, receives this call's counters (prior contents
 /// overwritten).
 std::vector<DesignResult> design_contracts_batch(
     const std::vector<SubproblemSpec>& specs,

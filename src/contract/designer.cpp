@@ -46,12 +46,12 @@ DesignResult excluded_result(const SubproblemSpec& spec) {
   return result;
 }
 
-/// Stable per-spec key for fault injection: a deterministic mix over the
-/// bit patterns of *every* field that distinguishes one subproblem from
-/// another. The former key folded in only weight, mu, and intervals, so
-/// specs differing only in psi, beta, or omega (e.g. the per-class fits of
-/// one fleet) collided on the same injection site key and could not be
-/// targeted independently.
+}  // namespace
+
+// A deterministic mix over the bit patterns of *every* field that
+// distinguishes one subproblem from another, so specs differing only in
+// psi, beta, or omega (e.g. the per-class fits of one fleet) can be
+// targeted independently.
 std::uint64_t fault_key(const SubproblemSpec& spec) {
   std::uint64_t h = 0x9e3779b97f4a7c15ULL;
   const auto mix = [&h](std::uint64_t v) {
@@ -75,8 +75,6 @@ std::uint64_t fault_key(const SubproblemSpec& spec) {
   mix_double(spec.effort_domain);
   return h;
 }
-
-}  // namespace
 
 DesignTable build_design_table(const SubproblemSpec& spec) {
   spec.validate();

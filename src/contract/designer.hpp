@@ -21,6 +21,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -102,5 +103,9 @@ DesignResult resolve_design(const SubproblemSpec& spec,
 
 /// Solve one subproblem end to end (build_design_table + resolve_design).
 DesignResult design_contract(const SubproblemSpec& spec);
+
+/// Key of the "contract.design" fault-injection site, which every design
+/// path runs once per positive-weight subproblem.
+std::uint64_t fault_key(const SubproblemSpec& spec);
 
 }  // namespace ccd::contract

@@ -1,10 +1,15 @@
 #include "contract/fleet_soa.hpp"
 
 #include <atomic>
+#include <memory>
+#include <optional>
 #include <unordered_map>
-#include <utility>
 
+#include "contract/arena.hpp"
+#include "contract/design_cache.hpp"
+#include "contract/ksweep.hpp"
 #include "util/error.hpp"
+#include "util/fault_injection.hpp"
 #include "util/thread_pool.hpp"
 
 namespace ccd::contract {
@@ -72,17 +77,22 @@ SubproblemSpec FleetSoA::class_spec(std::size_t c) const {
   return spec;
 }
 
-SubproblemSpec FleetSoA::worker_spec(std::size_t i) const {
-  SubproblemSpec spec = class_spec(class_of[i]);
-  spec.weight = weight[i];
-  return spec;
-}
+namespace {
 
-FleetTableSet acquire_fleet_tables(
-    const FleetSoA& fleet, DesignCache& cache, util::ThreadPool& pool,
-    util::metrics::Histogram* sweep_histogram,
-    const util::CancellationToken* cancel,
-    const std::vector<SubproblemSpec>* original_specs) {
+// Per-class table acquisition: one cache.table_for per class that has a
+// positive-weight worker, distinct classes in parallel. The representative
+// is the caller's own spec object, so what reaches the cache is the exact
+// bit pattern the caller passed.
+struct FleetTableSet {
+  std::vector<std::shared_ptr<const DesignTable>> tables;  ///< per class
+  std::size_t sweeps_computed = 0;
+  std::uint64_t sweep_steps_computed = 0;
+};
+
+FleetTableSet acquire_fleet_tables(const FleetSoA& fleet,
+                                   const std::vector<SubproblemSpec>& specs,
+                                   DesignCache& cache, util::ThreadPool& pool,
+                                   const BatchOptions& options) {
   FleetTableSet ts;
   ts.tables.assign(fleet.classes(), nullptr);
 
@@ -96,44 +106,25 @@ FleetTableSet acquire_fleet_tables(
   std::atomic<std::uint64_t> steps_computed{0};
   pool.parallel_for(cacheable.size(), [&](std::size_t g) {
     const std::size_t c = cacheable[g];
-    const std::size_t rep = fleet.first_positive[c];
     bool was_hit = false;
     {
       // Span of this class's design (see BatchOptions::sweep_histogram; a
       // cache hit records the cheap lookup instead of a sweep).
-      util::metrics::ScopedTimer timer(sweep_histogram);
-      if (original_specs != nullptr) {
-        ts.tables[c] = cache.table_for((*original_specs)[rep], &was_hit);
-      } else {
-        ts.tables[c] = cache.table_for(fleet.worker_spec(rep), &was_hit);
-      }
+      util::metrics::ScopedTimer timer(options.sweep_histogram);
+      ts.tables[c] = cache.table_for(specs[fleet.first_positive[c]], &was_hit);
     }
     if (!was_hit) {
       computed.fetch_add(1, std::memory_order_relaxed);
       steps_computed.fetch_add(fleet.intervals[c], std::memory_order_relaxed);
     }
-  }, cancel);
+  }, options.cancel);
   ts.sweeps_computed = computed.load();
   ts.sweep_steps_computed = steps_computed.load();
   return ts;
 }
 
-namespace {
-
-// Both epilogues scatter a worker's BestResponse fields into the SoA
-// output.
-void write_response(FleetDesignResult& out, std::size_t i,
-                    const BestResponse& response) {
-  out.effort[i] = response.effort;
-  out.worker_utility[i] = response.utility;
-  out.feedback[i] = response.feedback;
-  out.compensation[i] = response.compensation;
-  out.response_interval[i] = response.interval;
-}
-
-// design_contracts_batch's per-call accounting, computed from the fleet
-// arrays (see that function's comments for the rationale). Returns the
-// per-call snapshot and the `extra` delta the caller records into the
+// The batch's per-call accounting, computed from the fleet arrays. Returns
+// the per-call snapshot and the `extra` delta the caller records into the
 // cache for per-worker resolutions served without touching the map.
 struct FleetCallStats {
   DesignCacheStats call;
@@ -178,134 +169,15 @@ FleetCallStats fleet_call_stats(const FleetSoA& fleet,
   return out;
 }
 
+// Resolve scratch, one per thread and reused across classes and calls, so
+// a fleet of many small classes (an ingest refit: one class per worker)
+// pays no per-class heap allocation.
+struct ResolveScratch {
+  ScratchArena arena;
+  std::vector<std::size_t> k_opt;
+};
+
 }  // namespace
-
-DesignResult FleetDesignResult::result_at(const FleetSoA& fleet,
-                                          std::size_t i) const {
-  const SubproblemSpec spec = fleet.worker_spec(i);
-  if (spec.weight <= 0.0) {
-    const DesignTable empty;
-    return resolve_design(spec, empty);
-  }
-  const std::shared_ptr<const DesignTable>& table = tables[fleet.class_of[i]];
-  CCD_CHECK_MSG(table != nullptr,
-                "result_at: worker's class sweep was skipped (cancelled)");
-  return resolve_design(spec, *table);
-}
-
-FleetDesignResult design_fleet(const FleetSoA& fleet,
-                               const FleetOptions& options,
-                               DesignCacheStats* stats) {
-  DesignCache local_cache;
-  DesignCache& cache = options.cache ? *options.cache : local_cache;
-  util::ThreadPool& pool = options.pool ? *options.pool : util::shared_pool();
-  const std::size_t n = fleet.workers();
-
-  FleetDesignResult out;
-  out.k_opt.assign(n, 0);
-  out.requester_utility.assign(n, 0.0);
-  out.upper_bound.assign(n, 0.0);
-  out.lower_bound.assign(n, 0.0);
-  out.effort.assign(n, 0.0);
-  out.worker_utility.assign(n, 0.0);
-  out.feedback.assign(n, 0.0);
-  out.compensation.assign(n, 0.0);
-  out.response_interval.assign(n, 0);
-  out.excluded.assign(n, 0);
-  out.resolved.assign(n, 0);
-
-  FleetTableSet ts = acquire_fleet_tables(fleet, cache, pool,
-                                          options.sweep_histogram,
-                                          options.cancel);
-  out.tables = ts.tables;
-
-  if (resolve_kernel(options.kernel) == SweepKernel::kScalar) {
-    // Reference epilogue: one resolve_design per worker, scattered into
-    // the SoA arrays. Bitwise design_contract semantics on every build.
-    pool.parallel_for(n, [&](std::size_t i) {
-      const SubproblemSpec spec = fleet.worker_spec(i);
-      DesignResult result;
-      if (spec.weight <= 0.0) {
-        const DesignTable empty;
-        result = resolve_design(spec, empty);
-      } else if (ts.tables[fleet.class_of[i]] != nullptr) {
-        result = resolve_design(spec, *ts.tables[fleet.class_of[i]]);
-      } else {
-        return;  // class sweep skipped by cancellation
-      }
-      out.k_opt[i] = result.k_opt;
-      out.requester_utility[i] = result.requester_utility;
-      out.upper_bound[i] = result.upper_bound;
-      out.lower_bound[i] = result.lower_bound;
-      write_response(out, i, result.response);
-      out.excluded[i] = result.excluded ? 1 : 0;
-      out.resolved[i] = 1;
-    }, options.cancel);
-  } else {
-    // Vectorized epilogue: per class, build the tableau once and resolve
-    // the class's contiguous weight slice in one kernel pass. Classes
-    // write disjoint output indices, so they parallelize freely.
-    pool.parallel_for(fleet.classes(), [&](std::size_t c) {
-      const std::size_t begin = fleet.class_begin[c];
-      const std::size_t count = fleet.class_begin[c + 1] - begin;
-      if (count == 0) return;
-      const std::shared_ptr<const DesignTable>& table = ts.tables[c];
-      const bool has_positive = fleet.first_positive[c] != FleetSoA::npos;
-      if (table == nullptr && has_positive) {
-        return;  // sweep skipped by cancellation: workers stay unresolved
-      }
-      const SubproblemSpec cls = fleet.class_spec(c);
-
-      if (table == nullptr) {
-        // Every member is weight-excluded: the §V zero contract, whose
-        // best response is class-wide (computed once, not per worker).
-        const BestResponse zero =
-            best_response(Contract(), cls.psi, cls.incentives);
-        for (std::size_t j = 0; j < count; ++j) {
-          const std::size_t i = fleet.order[begin + j];
-          write_response(out, i, zero);
-          out.excluded[i] = 1;
-          out.resolved[i] = 1;
-        }
-        return;
-      }
-
-      ScratchArena arena;
-      const ClassTableau tableau = build_class_tableau(cls, *table, arena);
-      double* utility = arena.doubles(count);
-      double* upper = arena.doubles(count);
-      std::vector<std::size_t> k_opt(count);
-      resolve_class(tableau, fleet.grouped_weight.data() + begin, count,
-                    ResolveOut{k_opt.data(), utility, upper},
-                    options.force_portable);
-
-      for (std::size_t j = 0; j < count; ++j) {
-        const std::size_t i = fleet.order[begin + j];
-        const double w = fleet.grouped_weight[begin + j];
-        if (w <= 0.0 || utility[j] < 0.0) {
-          // Weight exclusion or the §V max_k utility < 0 fallback; the
-          // zero-contract response is shared class-wide.
-          write_response(out, i, tableau.zero_response);
-          out.excluded[i] = 1;
-        } else {
-          const std::size_t k = k_opt[j];
-          write_response(out, i, table->candidates[k - 1].response);
-          out.k_opt[i] = k;
-          out.requester_utility[i] = utility[j];
-          out.upper_bound[i] = upper[j];
-          out.lower_bound[i] = w * tableau.lb_feedback[k - 1] -
-                               tableau.mu * tableau.lb_pay[k - 1];
-        }
-        out.resolved[i] = 1;
-      }
-    }, options.cancel);
-  }
-
-  const FleetCallStats fcs = fleet_call_stats(fleet, out.resolved, ts);
-  if (stats) *stats = fcs.call;
-  cache.record(fcs.extra);
-  return out;
-}
 
 std::vector<DesignResult> design_contracts_batch(
     const std::vector<SubproblemSpec>& specs, const BatchOptions& options,
@@ -325,107 +197,84 @@ std::vector<DesignResult> design_contracts_batch(
   // first-occurrence order, with each class's workers gathered into a
   // contiguous CSR slice. Validates every spec in input order.
   const FleetSoA fleet = FleetSoA::from_specs(specs);
+  const FleetTableSet ts =
+      acquire_fleet_tables(fleet, specs, cache, pool, options);
 
-  // One k-sweep per class that has a positive-weight worker, distinct
-  // classes in parallel. The representative specs are the caller's own
-  // objects, so what reaches cache.table_for is unchanged from the
-  // pre-SoA batch (bit patterns and all).
-  const FleetTableSet ts = acquire_fleet_tables(fleet, cache, pool,
-                                                options.sweep_histogram,
-                                                options.cancel, &specs);
+  // One kernel pass per class, materialized to AoS DesignResults with the
+  // per-k diagnostics rebuilt from the tableau columns via the scalar
+  // expressions. Classes write disjoint results, so they parallelize
+  // freely.
+  pool.parallel_for(fleet.classes(), [&](std::size_t c) {
+    const std::size_t begin = fleet.class_begin[c];
+    const std::size_t count = fleet.class_begin[c + 1] - begin;
+    const std::shared_ptr<const DesignTable>& table = ts.tables[c];
+    if (table == nullptr && fleet.first_positive[c] != FleetSoA::npos) {
+      return;  // sweep skipped by cancellation: workers stay unresolved
+    }
+    const SubproblemSpec cls = fleet.class_spec(c);
 
-  if (resolve_kernel(options.kernel) == SweepKernel::kScalar) {
-    // Reference epilogue: per-worker resolve_design on the original spec,
-    // bitwise-identical to design_contract(specs[i]) on every build.
-    // Classes whose sweep was skipped by cancellation have a null table;
-    // their workers stay unresolved (results default-constructed).
-    static const DesignTable kEmptyTable{};
-    pool.parallel_for(n, [&](std::size_t i) {
-      if (specs[i].weight <= 0.0) {
-        // resolve_design never reads the table when weight <= 0.
-        results[i] = resolve_design(specs[i], kEmptyTable);
-      } else if (ts.tables[fleet.class_of[i]] != nullptr) {
-        results[i] = resolve_design(specs[i], *ts.tables[fleet.class_of[i]]);
-      } else {
-        return;
-      }
-      resolved[i] = 1;
-    }, options.cancel);
-  } else {
-    // Vectorized epilogue: one kernel pass per class, materialized back to
-    // AoS DesignResults with the per-k diagnostics rebuilt from the
-    // tableau columns via the scalar expressions. No fault point on this
-    // path (see ksweep.hpp).
-    pool.parallel_for(fleet.classes(), [&](std::size_t c) {
-      const std::size_t begin = fleet.class_begin[c];
-      const std::size_t count = fleet.class_begin[c + 1] - begin;
-      if (count == 0) return;
-      const bool has_positive = fleet.first_positive[c] != FleetSoA::npos;
-      const std::shared_ptr<const DesignTable>& table = ts.tables[c];
-      if (table == nullptr && has_positive) {
-        return;  // sweep skipped by cancellation: workers stay unresolved
-      }
-      const SubproblemSpec cls = fleet.class_spec(c);
-
-      if (table == nullptr) {
-        // Every member is weight-excluded; the zero-contract response is
-        // class-wide (weight-independent), computed once.
-        const BestResponse zero =
-            best_response(Contract(), cls.psi, cls.incentives);
-        for (std::size_t j = 0; j < count; ++j) {
-          const std::size_t i = fleet.order[begin + j];
-          results[i].excluded = true;
-          results[i].response = zero;
-          resolved[i] = 1;
-        }
-        return;
-      }
-
-      ScratchArena arena;
-      const ClassTableau tableau = build_class_tableau(cls, *table, arena);
-      const std::size_t m = tableau.m;
-      double* utility = arena.doubles(count);
-      double* upper = arena.doubles(count);
-      std::vector<std::size_t> k_opt(count);
-      resolve_class(tableau, fleet.grouped_weight.data() + begin, count,
-                    ResolveOut{k_opt.data(), utility, upper});
-
+    // The §V zero-contract response is weight-independent: computed once
+    // per class, and only when a member is excluded. Weight exclusion
+    // carries no per-k diagnostics (matching resolve_design).
+    std::optional<BestResponse> zero;
+    const auto exclude = [&](DesignResult& result) {
+      if (!zero) zero = best_response(Contract(), cls.psi, cls.incentives);
+      result.excluded = true;
+      result.response = *zero;
+    };
+    if (table == nullptr) {
       for (std::size_t j = 0; j < count; ++j) {
         const std::size_t i = fleet.order[begin + j];
-        const double w = fleet.grouped_weight[begin + j];
-        DesignResult& result = results[i];
-        if (w <= 0.0) {
-          // Weight exclusion carries no per-k diagnostics (matching
-          // resolve_design); contract stays the default zero contract.
-          result.excluded = true;
-          result.response = tableau.zero_response;
-        } else {
-          result.utility_by_k.resize(m);
-          result.pay_by_k.assign(tableau.pay, tableau.pay + m);
-          for (std::size_t kk = 0; kk < m; ++kk) {
-            result.utility_by_k[kk] =
-                w * tableau.feedback[kk] - tableau.mu * tableau.pay[kk];
-          }
-          if (utility[j] < 0.0) {
-            // §V fallback: zero contract, diagnostics kept.
-            result.excluded = true;
-            result.response = tableau.zero_response;
-          } else {
-            const std::size_t k = k_opt[j];
-            const CandidateOutcome& candidate = table->candidates[k - 1];
-            result.contract = candidate.contract;
-            result.response = candidate.response;
-            result.k_opt = k;
-            result.requester_utility = utility[j];
-            result.upper_bound = upper[j];
-            result.lower_bound = w * tableau.lb_feedback[k - 1] -
-                                 tableau.mu * tableau.lb_pay[k - 1];
-          }
-        }
+        exclude(results[i]);
         resolved[i] = 1;
       }
-    }, options.cancel);
-  }
+      return;
+    }
+
+    thread_local ResolveScratch scratch;
+    scratch.arena.reset();
+    const ClassTableau tableau =
+        build_class_tableau(cls, *table, scratch.arena);
+    const std::size_t m = tableau.m;
+    double* utility = scratch.arena.doubles(count);
+    double* upper = scratch.arena.doubles(count);
+    scratch.k_opt.resize(count);
+    resolve_class(tableau, fleet.grouped_weight.data() + begin, count,
+                  ResolveOut{scratch.k_opt.data(), utility, upper});
+
+    const double delta = cls.delta();
+    for (std::size_t j = 0; j < count; ++j) {
+      const std::size_t i = fleet.order[begin + j];
+      const double w = fleet.grouped_weight[begin + j];
+      DesignResult& result = results[i];
+      if (w <= 0.0) {
+        exclude(result);
+        resolved[i] = 1;
+        continue;
+      }
+      CCD_FAULT_POINT("contract.design", fault_key(specs[i]), ContractError);
+      result.utility_by_k.resize(m);
+      result.pay_by_k.assign(tableau.pay, tableau.pay + m);
+      for (std::size_t kk = 0; kk < m; ++kk) {
+        result.utility_by_k[kk] =
+            w * tableau.feedback[kk] - tableau.mu * tableau.pay[kk];
+      }
+      if (utility[j] < 0.0) {
+        exclude(result);  // §V fallback: zero contract, diagnostics kept
+      } else {
+        const std::size_t k = scratch.k_opt[j];
+        const CandidateOutcome& candidate = table->candidates[k - 1];
+        result.contract = candidate.contract;
+        result.response = candidate.response;
+        result.k_opt = k;
+        result.requester_utility = utility[j];
+        result.upper_bound = upper[j];
+        result.lower_bound = theorem41_lower_bound(
+            cls.psi, w, cls.mu, cls.incentives.beta, delta, k);
+      }
+      resolved[i] = 1;
+    }
+  }, options.cancel);
 
   const FleetCallStats fcs = fleet_call_stats(fleet, resolved, ts);
   if (stats) *stats = fcs.call;

@@ -1,34 +1,17 @@
-// Structure-of-arrays fleet layout for batch contract design.
+// Structure-of-arrays fleet layout behind design_contracts_batch.
 //
-// design_contracts_batch takes an array-of-structs (vector<SubproblemSpec>)
-// and regroups it on every call; FleetSoA is that grouping made into a
-// first-class, reusable layout. Workers are bucketed by spec class (the
-// weight-excluded DesignCacheKey — same canonicalization, so a class is
-// exactly a cache entry) with the per-class scalar fields in contiguous
-// arrays and the per-worker weights gathered contiguously per class (CSR).
-// One class then designs with a single k-sweep and one vectorized
-// resolve_class pass over its weight slice (see ksweep.hpp), and the
-// results land in SoA output arrays with no per-worker heap allocation.
-//
-// design_fleet is the fleet-native front end; design_contracts_batch is
-// reimplemented on top of the same grouping and remains the
-// AoS-compatible, bitwise-reference entry point.
+// Workers are bucketed by spec class (the weight-excluded DesignCacheKey —
+// same canonicalization, so a class is exactly a cache entry) with the
+// per-class scalar fields in contiguous arrays and the per-worker weights
+// gathered contiguously per class (CSR). One class then designs with a
+// single k-sweep and one vectorized resolve_class pass over its weight
+// slice (see ksweep.hpp).
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "contract/design_cache.hpp"
 #include "contract/designer.hpp"
-#include "contract/ksweep.hpp"
-#include "util/metrics.hpp"
-
-namespace ccd::util {
-class CancellationToken;
-class ThreadPool;
-}
 
 namespace ccd::contract {
 
@@ -69,99 +52,13 @@ struct FleetSoA {
   std::size_t classes() const { return intervals.size(); }
 
   /// Validate and group specs. Throws what SubproblemSpec::validate()
-  /// throws, on the first invalid spec (in input order, matching the
-  /// batch path's sequential validation).
+  /// throws, on the first invalid spec (in input order).
   static FleetSoA from_specs(const std::vector<SubproblemSpec>& specs);
 
   /// Reconstruct the class's spec with weight 1. Equal (as values) to any
   /// member spec of the class; bitwise-equal except where canonicalization
   /// flipped a -0.0 field or resolved a defaulted domain.
   SubproblemSpec class_spec(std::size_t c) const;
-
-  /// class_spec(class_of[i]) with the worker's own weight.
-  SubproblemSpec worker_spec(std::size_t i) const;
 };
-
-struct FleetOptions {
-  /// Pool for the per-class sweep fan-out; null uses util::shared_pool().
-  util::ThreadPool* pool = nullptr;
-  /// Cache reused across calls; null gives the call a private cache.
-  DesignCache* cache = nullptr;
-  /// When non-null, each class's k-sweep records its wall time here.
-  util::metrics::Histogram* sweep_histogram = nullptr;
-  /// Cooperative cancellation: polled between sweeps and between classes
-  /// during resolve. Workers skipped by cancellation have resolved[i] == 0.
-  const util::CancellationToken* cancel = nullptr;
-  /// kAuto lets the library pick (vectorized); kScalar forces the
-  /// per-worker resolve_design reference path.
-  SweepKernel kernel = SweepKernel::kAuto;
-  /// Benchmark/test hook: with the vectorized kernel, run the portable
-  /// fallback loop even when AVX2 is available.
-  bool force_portable = false;
-};
-
-/// Fleet design output, SoA. All per-worker arrays are indexed by the
-/// *original* worker index and have length fleet.workers(). Excluded
-/// workers (weight <= 0, or §V fallback when max_k utility < 0) carry the
-/// zero contract: k_opt 0, utility/bounds 0, the zero-contract best
-/// response, excluded 1.
-struct FleetDesignResult {
-  std::vector<std::size_t> k_opt;  ///< 1-based; 0 when excluded
-  std::vector<double> requester_utility;
-  std::vector<double> upper_bound;
-  std::vector<double> lower_bound;
-  // Worker best-response fields (BestResponse scalarized).
-  std::vector<double> effort;
-  std::vector<double> worker_utility;
-  std::vector<double> feedback;
-  std::vector<double> compensation;
-  std::vector<std::size_t> response_interval;
-  std::vector<std::uint8_t> excluded;
-  /// 1 iff the worker was actually designed (all-ones unless cancelled).
-  std::vector<std::uint8_t> resolved;
-  /// Per-class design tables (null for all-excluded classes and classes
-  /// skipped by cancellation). Contracts are not materialized per worker:
-  /// worker i's contract is tables[fleet.class_of[i]]->candidates
-  /// [k_opt[i] - 1].contract, shared across the class.
-  std::vector<std::shared_ptr<const DesignTable>> tables;
-
-  std::size_t workers() const { return k_opt.size(); }
-
-  /// Scalarize worker i to the AoS DesignResult by re-resolving against
-  /// the class table (interop/diagnostics, not the hot path). Bitwise-
-  /// identical to design_contract(fleet.worker_spec(i)).
-  DesignResult result_at(const FleetSoA& fleet, std::size_t i) const;
-};
-
-/// Per-class table acquisition shared by design_fleet and
-/// design_contracts_batch: one cache.table_for per class that has a
-/// positive-weight worker, distinct classes in parallel. `original_specs`,
-/// when non-null, supplies the representative spec objects verbatim (the
-/// batch path passes the caller's specs so a pre-existing cache keyed on
-/// non-canonical bit patterns behaves exactly as before); otherwise the
-/// representative is fleet.worker_spec(first_positive[c]).
-struct FleetTableSet {
-  std::vector<std::shared_ptr<const DesignTable>> tables;  ///< per class
-  std::size_t sweeps_computed = 0;
-  std::uint64_t sweep_steps_computed = 0;
-};
-
-FleetTableSet acquire_fleet_tables(
-    const FleetSoA& fleet, DesignCache& cache, util::ThreadPool& pool,
-    util::metrics::Histogram* sweep_histogram,
-    const util::CancellationToken* cancel,
-    const std::vector<SubproblemSpec>* original_specs = nullptr);
-
-/// Design the whole fleet: per-class k-sweeps through the cache, then a
-/// vectorized (or scalar-reference, per options.kernel) per-worker
-/// resolve straight into SoA outputs. Scalar-kernel results are bitwise-
-/// identical to design_contract on each worker_spec; the SIMD kernel is
-/// bitwise-identical on builds without floating-point contraction (see
-/// ksweep.hpp) and value-identical otherwise. `stats`, when non-null,
-/// receives this call's cache counters (same accounting as
-/// design_contracts_batch).
-FleetDesignResult design_fleet(const FleetSoA& fleet,
-                               const FleetOptions& options = {},
-                               DesignCacheStats* stats = nullptr);
 
 }  // namespace ccd::contract

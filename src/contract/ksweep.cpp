@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "contract/bounds.hpp"
-#include "contract/worker_response.hpp"
 #include "util/error.hpp"
 
 namespace ccd::contract {
@@ -19,14 +18,6 @@ bool simd_available() {
 
 std::string simd_kernel_name() {
   return simd_available() ? "avx2" : "portable";
-}
-
-SweepKernel resolve_kernel(SweepKernel kernel) {
-  // kAuto currently always picks the vectorized path: even without AVX2 it
-  // is the allocation-free tableau loop, strictly cheaper than per-worker
-  // resolve_design. Callers that need the bitwise reference semantics ask
-  // for kScalar explicitly.
-  return kernel == SweepKernel::kAuto ? SweepKernel::kSimd : kernel;
 }
 
 ClassTableau build_class_tableau(const SubproblemSpec& spec,
@@ -46,26 +37,19 @@ ClassTableau build_class_tableau(const SubproblemSpec& spec,
   double* pay = arena.doubles(m);
   double* ub_feedback = arena.doubles(m);
   double* ub_pay = arena.doubles(m);
-  double* lb_feedback = arena.doubles(m);
-  double* lb_pay = arena.doubles(m);
   for (std::size_t k = 1; k <= m; ++k) {
     const BestResponse& response = table.candidates[k - 1].response;
     feedback[k - 1] = response.feedback;
     pay[k - 1] = response.compensation;
-    // Same expressions as theorem41_upper_bound (l-loop operand) and
-    // theorem41_lower_bound, so w * column - mu * column reproduces the
-    // scalar bounds exactly.
+    // Same expressions as theorem41_upper_bound's l-loop operand, so
+    // w * column - mu * column reproduces the scalar bound exactly.
     ub_feedback[k - 1] = spec.psi(delta * static_cast<double>(k));
     ub_pay[k - 1] = lemma43_compensation_lower(spec.psi, beta, delta, k, omega);
-    lb_feedback[k - 1] = spec.psi(delta * (static_cast<double>(k) - 1.0));
-    lb_pay[k - 1] = lemma42_compensation_upper(spec.psi, beta, delta, k);
   }
   t.feedback = feedback;
   t.pay = pay;
   t.ub_feedback = ub_feedback;
   t.ub_pay = ub_pay;
-  t.lb_feedback = lb_feedback;
-  t.lb_pay = lb_pay;
   if (omega > 0.0) {
     t.has_free_ride = true;
     const double y_free =
@@ -73,7 +57,6 @@ ClassTableau build_class_tableau(const SubproblemSpec& spec,
                    spec.psi.y_peak());
     t.free_ride_feedback = spec.psi(y_free);
   }
-  t.zero_response = best_response(Contract(), spec.psi, spec.incentives);
   return t;
 }
 
@@ -115,16 +98,13 @@ void resolve_class_portable(const ClassTableau& tableau, const double* weights,
 }  // namespace detail
 
 void resolve_class(const ClassTableau& tableau, const double* weights,
-                   std::size_t count, const ResolveOut& out,
-                   bool force_portable) {
+                   std::size_t count, const ResolveOut& out) {
   if (count == 0) return;
 #ifdef CCD_KSWEEP_HAVE_AVX2
-  if (!force_portable && simd_available()) {
+  if (simd_available()) {
     detail::resolve_class_avx2(tableau, weights, count, out);
     return;
   }
-#else
-  (void)force_portable;
 #endif
   detail::resolve_class_portable(tableau, weights, count, out);
 }

@@ -534,7 +534,6 @@ PipelineResult run_pipeline(const data::ReviewTrace& trace,
           batch.sweep_histogram = &solve_spans;
           batch.cancel = cancel;
           batch.resolved = &task_done;
-          batch.kernel = config.sweep_kernel;
           std::vector<contract::DesignResult> designs =
               contract::design_contracts_batch(specs, batch,
                                                &result.design_cache);

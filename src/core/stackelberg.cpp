@@ -170,9 +170,10 @@ StepStatus StackelbergSimulator::step(std::size_t max_rounds,
 
     // --- Requester: the policy backend posts this round's contracts -----
     // BiP re-solves the bilevel program on redesign rounds only (one
-    // cached k-sweep per distinct spec, scalar kernel: checkpointed runs
-    // replay redesign rounds and must reproduce contracts bitwise across
-    // machines and builds). Learning backends post fresh arms every round.
+    // cached k-sweep per distinct spec; checkpointed runs replay redesign
+    // rounds and reproduce contracts bitwise, since the batch is bitwise-
+    // equal to design_contract on every build). Learning backends post
+    // fresh arms every round.
     const bool redesign_round = t % config_.redesign_every == 0;
     const bool learning = policy_->learns();
     std::vector<policy::WorkerView> views;

@@ -11,56 +11,6 @@ constexpr double kSingularEps = 1e-12;
 
 }  // namespace
 
-std::vector<double> solve_lu(const Matrix& a, const std::vector<double>& b) {
-  CCD_CHECK_MSG(a.rows() == a.cols(), "solve_lu requires a square matrix");
-  CCD_CHECK_MSG(a.rows() == b.size(), "solve_lu rhs size mismatch");
-  const std::size_t n = a.rows();
-
-  Matrix lu = a;
-  std::vector<double> x = b;
-  std::vector<std::size_t> perm(n);
-  for (std::size_t i = 0; i < n; ++i) perm[i] = i;
-
-  for (std::size_t col = 0; col < n; ++col) {
-    // Partial pivot: largest magnitude in the column at/below the diagonal.
-    std::size_t pivot = col;
-    double best = std::abs(lu(col, col));
-    for (std::size_t r = col + 1; r < n; ++r) {
-      const double mag = std::abs(lu(r, col));
-      if (mag > best) {
-        best = mag;
-        pivot = r;
-      }
-    }
-    if (best < kSingularEps) {
-      throw MathError("solve_lu: matrix is singular to working precision");
-    }
-    if (pivot != col) {
-      for (std::size_t c = 0; c < n; ++c) {
-        std::swap(lu(pivot, c), lu(col, c));
-      }
-      std::swap(x[pivot], x[col]);
-    }
-    for (std::size_t r = col + 1; r < n; ++r) {
-      const double factor = lu(r, col) / lu(col, col);
-      lu(r, col) = factor;
-      for (std::size_t c = col + 1; c < n; ++c) {
-        lu(r, c) -= factor * lu(col, c);
-      }
-      x[r] -= factor * x[col];
-    }
-  }
-
-  // Back substitution on the upper-triangular factor.
-  for (std::size_t ri = n; ri > 0; --ri) {
-    const std::size_t r = ri - 1;
-    double acc = x[r];
-    for (std::size_t c = r + 1; c < n; ++c) acc -= lu(r, c) * x[c];
-    x[r] = acc / lu(r, r);
-  }
-  return x;
-}
-
 LeastSquaresResult solve_least_squares(const Matrix& a,
                                        const std::vector<double>& b) {
   CCD_CHECK_MSG(a.rows() >= a.cols(),
@@ -137,34 +87,6 @@ LeastSquaresResult solve_least_squares(const Matrix& a,
   for (std::size_t row = n; row < m; ++row) tail += qtb[row] * qtb[row];
   result.residual_norm = std::sqrt(tail);
   return result;
-}
-
-double determinant(Matrix a) {
-  CCD_CHECK_MSG(a.rows() == a.cols(), "determinant requires a square matrix");
-  const std::size_t n = a.rows();
-  double det = 1.0;
-  for (std::size_t col = 0; col < n; ++col) {
-    std::size_t pivot = col;
-    double best = std::abs(a(col, col));
-    for (std::size_t r = col + 1; r < n; ++r) {
-      const double mag = std::abs(a(r, col));
-      if (mag > best) {
-        best = mag;
-        pivot = r;
-      }
-    }
-    if (best < kSingularEps) return 0.0;
-    if (pivot != col) {
-      for (std::size_t c = 0; c < n; ++c) std::swap(a(pivot, c), a(col, c));
-      det = -det;
-    }
-    det *= a(col, col);
-    for (std::size_t r = col + 1; r < n; ++r) {
-      const double factor = a(r, col) / a(col, col);
-      for (std::size_t c = col; c < n; ++c) a(r, c) -= factor * a(col, c);
-    }
-  }
-  return det;
 }
 
 }  // namespace ccd::math

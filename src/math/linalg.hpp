@@ -1,4 +1,4 @@
-// Direct solvers: LU with partial pivoting and Householder QR least squares.
+// Householder QR least squares.
 #pragma once
 
 #include <vector>
@@ -6,10 +6,6 @@
 #include "math/matrix.hpp"
 
 namespace ccd::math {
-
-/// Solve the square system A x = b via LU with partial pivoting.
-/// Throws ccd::MathError if A is (numerically) singular.
-std::vector<double> solve_lu(const Matrix& a, const std::vector<double>& b);
 
 /// Result of a least-squares solve.
 struct LeastSquaresResult {
@@ -21,8 +17,5 @@ struct LeastSquaresResult {
 /// full column rank (throws ccd::MathError otherwise).
 LeastSquaresResult solve_least_squares(const Matrix& a,
                                        const std::vector<double>& b);
-
-/// Determinant via LU (square matrices).
-double determinant(Matrix a);
 
 }  // namespace ccd::math

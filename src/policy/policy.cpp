@@ -136,7 +136,6 @@ bool BipPolicy::post(std::size_t round, bool redesign,
   options.pool = env.pool;
   options.cache = env.cache;
   options.cancel = env.cancel;
-  options.kernel = contract::SweepKernel::kScalar;
   std::vector<std::uint8_t> resolved;
   options.resolved = &resolved;
   auto results = contract::design_contracts_batch(specs, options);

@@ -5,10 +5,10 @@
 #include <cstdio>
 #include <utility>
 
-#include "contract/design_cache.hpp"
 #include "core/checkpoint.hpp"
 #include "core/requester.hpp"
 #include "effort/fitting.hpp"
+#include "policy/policy.hpp"
 #include "util/atomic_file.hpp"
 #include "util/error.hpp"
 
@@ -248,18 +248,12 @@ bool Session::ingest(const std::vector<IngestObservation>& observations,
       weighted_feedback - state.requester.mu * total_pay;
   state.round += 1;
 
+  // BiP re-solves on refit rounds only; learners post fresh arms every
+  // round and consume the re-fit effort curves through their views.
+  const bool refit_round = state.round % state.refit_every == 0;
+  if (refit_round) ingest_refit();
   bool redesigned = false;
-  if (state.round % state.refit_every == 0) {
-    if (learner) {
-      // Learners consume the re-fit effort curves through their next
-      // post(); the BiP redesign below would overwrite their arms.
-      ingest_refit();
-    } else {
-      ingest_redesign(cancel);
-      redesigned = cancel == nullptr || !cancel->cancelled();
-    }
-  }
-  if (learner) redesigned = ingest_post(cancel);
+  if (refit_round || learner) redesigned = ingest_post(refit_round, cancel);
   if (!env_.checkpoint_dir.empty() &&
       state.round % env_.checkpoint_every == 0) {
     ingest_checkpoint();
@@ -283,48 +277,8 @@ void Session::ingest_refit() {
   }
 }
 
-void Session::ingest_redesign(const util::CancellationToken* cancel) {
-  ingest_refit();
-  IngestState& state = *ingest_;
-  const std::size_t n = state.workers();
-
-  std::vector<contract::SubproblemSpec> specs(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    contract::SubproblemSpec& spec = specs[i];
-    spec.psi = state.psi[i];
-    spec.incentives.beta = state.requester.beta;
-    spec.incentives.omega =
-        state.est_malicious[i] >= state.suspicion_threshold
-            ? state.requester.omega_malicious
-            : 0.0;
-    spec.weight = core::feedback_weight(state.requester, state.est_accuracy[i],
-                                        state.est_malicious[i], 0);
-    spec.mu = state.requester.mu;
-    spec.intervals = state.requester.intervals;
-  }
-  contract::BatchOptions options;
-  options.cache = env_.cache;
-  options.cancel = cancel;
-  // Scalar kernel deliberately: session snapshots and replays promise
-  // bitwise-stable contracts, which only the scalar path guarantees
-  // across builds.
-  options.kernel = contract::SweepKernel::kScalar;
-  std::vector<std::uint8_t> resolved;
-  options.resolved = &resolved;
-  std::vector<contract::DesignResult> designs =
-      contract::design_contracts_batch(specs, options);
-  if (cancel != nullptr && cancel->cancelled()) {
-    // Cut short: keep the previous contracts posted; the next refit round
-    // redesigns from scratch.
-    return;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    CCD_CHECK_MSG(resolved[i] != 0, "redesign batch left a worker unsolved");
-    state.contracts[i] = std::move(designs[i].contract);
-  }
-}
-
-bool Session::ingest_post(const util::CancellationToken* cancel) {
+bool Session::ingest_post(bool redesign,
+                          const util::CancellationToken* cancel) {
   IngestState& state = *ingest_;
   const std::size_t n = state.workers();
   std::vector<policy::WorkerView> views(n);
@@ -344,9 +298,9 @@ bool Session::ingest_post(const util::CancellationToken* cancel) {
   policy::PostEnv env;
   env.cache = env_.cache;
   env.cancel = cancel;
-  // A cancelled post keeps the previous contracts; the learner re-posts on
-  // the next ingested round.
-  return state.policy->post(state.round, true, views, state.contracts,
+  // A cancelled post keeps the previous contracts: a learner re-posts on
+  // the next ingested round, BiP redesigns on the next refit round.
+  return state.policy->post(state.round, redesign, views, state.contracts,
                             state.rng, env);
 }
 

@@ -135,8 +135,7 @@ class Session {
   Session(std::string id, Env env, SessionMode mode);
   void ingest_checkpoint() const;
   void ingest_refit();
-  void ingest_redesign(const util::CancellationToken* cancel);
-  bool ingest_post(const util::CancellationToken* cancel);
+  bool ingest_post(bool redesign, const util::CancellationToken* cancel);
   static std::unique_ptr<IngestState> decode_ingest_payload(
       const std::string& payload, std::uint32_t version);
 

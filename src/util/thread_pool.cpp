@@ -51,7 +51,6 @@ void ThreadPool::worker_loop() {
   tls_current_pool = this;
   while (true) {
     std::function<void()> task;
-    std::size_t depth;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
@@ -61,9 +60,10 @@ void ThreadPool::worker_loop() {
       }
       task = std::move(queue_.front());
       queue_.pop();
-      depth = queue_.size();
+      // Under the lock, like submit(): a store made after unlocking could
+      // land after a newer one and leave a stale depth behind.
+      queue_depth_->set(static_cast<double>(queue_.size()));
     }
-    queue_depth_->set(static_cast<double>(depth));
     busy_workers_->add(1.0);
     {
       metrics::ScopedTimer timer(task_us_);

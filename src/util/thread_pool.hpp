@@ -70,14 +70,13 @@ class ThreadPool {
     using R = std::invoke_result_t<F>;
     auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
     std::future<R> result = task->get_future();
-    std::size_t depth;
     {
       const std::lock_guard<std::mutex> lock(mutex_);
       if (stopping_) throw std::runtime_error("ThreadPool: submit after stop");
       queue_.emplace([task] { (*task)(); });
-      depth = queue_.size();
+      // Stored under the lock, so the last store is the current depth.
+      queue_depth_->set(static_cast<double>(queue_.size()));
     }
-    queue_depth_->set(static_cast<double>(depth));
     cv_.notify_one();
     return result;
   }

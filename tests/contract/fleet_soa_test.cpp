@@ -2,14 +2,23 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <iterator>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "contract/arena.hpp"
 #include "contract/design_cache.hpp"
 #include "contract/ksweep.hpp"
+#include "util/cancellation.hpp"
+#include "util/error.hpp"
+#include "util/fault_injection.hpp"
+#include "util/metrics.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -74,30 +83,121 @@ std::vector<SubproblemSpec> tricky_specs() {
   return specs;
 }
 
-void expect_fleet_matches_reference(const FleetSoA& fleet,
-                                    const FleetDesignResult& result,
-                                    const std::vector<SubproblemSpec>& specs) {
-  ASSERT_EQ(result.workers(), specs.size());
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    const DesignResult reference = design_contract(specs[i]);
-    EXPECT_EQ(result.resolved[i], 1) << "worker " << i;
-    EXPECT_EQ(result.excluded[i] != 0, reference.excluded) << "worker " << i;
-    EXPECT_EQ(result.k_opt[i], reference.k_opt) << "worker " << i;
-    EXPECT_EQ(result.requester_utility[i], reference.requester_utility)
-        << "worker " << i;
-    EXPECT_EQ(result.upper_bound[i], reference.upper_bound) << "worker " << i;
-    EXPECT_EQ(result.lower_bound[i], reference.lower_bound) << "worker " << i;
-    EXPECT_EQ(result.effort[i], reference.response.effort) << "worker " << i;
-    EXPECT_EQ(result.worker_utility[i], reference.response.utility)
-        << "worker " << i;
-    EXPECT_EQ(result.feedback[i], reference.response.feedback)
-        << "worker " << i;
-    EXPECT_EQ(result.compensation[i], reference.response.compensation)
-        << "worker " << i;
-    EXPECT_EQ(result.response_interval[i], reference.response.interval)
-        << "worker " << i;
+// One worker per class, as in an ingest refit: every spec carries its own
+// fitted curve, so the batch runs one k-sweep and one resolve per worker.
+std::vector<SubproblemSpec> one_worker_per_class(std::size_t n,
+                                                 std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<SubproblemSpec> specs(n);
+  for (SubproblemSpec& spec : specs) {
+    spec.psi = effort::QuadraticEffort(rng.uniform(-1.2, -0.8),
+                                       rng.uniform(6.0, 9.0),
+                                       rng.uniform(0.5, 2.5));
+    spec.incentives = {1.0, rng.uniform(0.0, 1.0) < 0.3 ? 0.4 : 0.0};
+    spec.weight = rng.uniform(-0.2, 3.0);
   }
-  (void)fleet;
+  return specs;
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (!same_bits(a[i], b[i])) return false;
+  }
+  return true;
+}
+
+bool same_contract(const Contract& a, const Contract& b) {
+  if (a.is_zero() != b.is_zero() || a.intervals() != b.intervals() ||
+      !same_bits(a.delta(), b.delta())) {
+    return false;
+  }
+  if (a.is_zero()) return true;
+  for (std::size_t l = 0; l <= a.intervals(); ++l) {
+    if (!same_bits(a.knot(l), b.knot(l)) ||
+        !same_bits(a.payment(l), b.payment(l))) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Every DesignResult field, compared by bit pattern (so -0.0 != +0.0).
+void expect_bitwise(const DesignResult& got, const DesignResult& want,
+                    const std::string& where) {
+  EXPECT_TRUE(same_contract(got.contract, want.contract)) << where;
+  EXPECT_EQ(got.k_opt, want.k_opt) << where;
+  EXPECT_TRUE(same_bits(got.response.effort, want.response.effort)) << where;
+  EXPECT_TRUE(same_bits(got.response.utility, want.response.utility))
+      << where;
+  EXPECT_TRUE(same_bits(got.response.feedback, want.response.feedback))
+      << where;
+  EXPECT_TRUE(same_bits(got.response.compensation,
+                        want.response.compensation))
+      << where;
+  EXPECT_EQ(got.response.interval, want.response.interval) << where;
+  EXPECT_TRUE(same_bits(got.requester_utility, want.requester_utility))
+      << where;
+  EXPECT_TRUE(same_bits(got.upper_bound, want.upper_bound)) << where;
+  EXPECT_TRUE(same_bits(got.lower_bound, want.lower_bound)) << where;
+  EXPECT_TRUE(same_bits(got.utility_by_k, want.utility_by_k)) << where;
+  EXPECT_TRUE(same_bits(got.pay_by_k, want.pay_by_k)) << where;
+  EXPECT_EQ(got.excluded, want.excluded) << where;
+}
+
+void expect_same_stats(const DesignCacheStats& got,
+                       const DesignCacheStats& want, const char* where) {
+  EXPECT_EQ(got.lookups, want.lookups) << where;
+  EXPECT_EQ(got.hits, want.hits) << where;
+  EXPECT_EQ(got.misses, want.misses) << where;
+  EXPECT_EQ(got.sweep_steps_computed, want.sweep_steps_computed) << where;
+  EXPECT_EQ(got.sweep_steps_avoided, want.sweep_steps_avoided) << where;
+}
+
+// Per-worker outputs of one resolve_class call.
+struct Resolved {
+  std::vector<std::size_t> k_opt;
+  std::vector<double> utility;
+  std::vector<double> upper;
+};
+
+template <typename Kernel>
+Resolved run_kernel(Kernel kernel, const ClassTableau& tableau,
+                    const double* weights, std::size_t count) {
+  Resolved r{std::vector<std::size_t>(count), std::vector<double>(count),
+             std::vector<double>(count)};
+  kernel(tableau, weights, count,
+         ResolveOut{r.k_opt.data(), r.utility.data(), r.upper.data()});
+  return r;
+}
+
+void expect_same_resolve(const Resolved& got, const Resolved& want,
+                         const std::string& where) {
+  ASSERT_EQ(got.k_opt.size(), want.k_opt.size()) << where;
+  for (std::size_t j = 0; j < got.k_opt.size(); ++j) {
+    EXPECT_EQ(got.k_opt[j], want.k_opt[j]) << where << " worker " << j;
+    EXPECT_TRUE(same_bits(got.utility[j], want.utility[j]))
+        << where << " worker " << j;
+    EXPECT_TRUE(same_bits(got.upper[j], want.upper[j]))
+        << where << " worker " << j;
+  }
+}
+
+/// RAII guard: a test that arms the process-wide injector leaves it off.
+struct InjectorGuard {
+  ~InjectorGuard() { util::FaultInjector::instance().disable(); }
+};
+
+void arm_design_site(double rate, std::uint64_t seed) {
+  util::FaultInjectorConfig chaos;
+  chaos.enabled = true;
+  chaos.seed = seed;
+  chaos.site_rates["contract.design"] = rate;  // every other site at 0
+  util::FaultInjector::instance().configure(chaos);
 }
 
 TEST(ScratchArenaTest, PointersStableAndCapacityRetained) {
@@ -146,9 +246,6 @@ TEST(FleetSoATest, GroupsWorkersByCanonicalClass) {
   EXPECT_EQ(fleet.order[2], 3u);
   EXPECT_EQ(fleet.order[3], 2u);
   EXPECT_EQ(fleet.grouped_weight[2], specs[3].weight);
-  // worker_spec round-trips the per-worker view.
-  EXPECT_EQ(fleet.worker_spec(1).weight, specs[1].weight);
-  EXPECT_EQ(fleet.worker_spec(1).intervals, specs[1].intervals);
 }
 
 TEST(FleetSoATest, AllExcludedClassHasNoRepresentative) {
@@ -164,147 +261,351 @@ TEST(FleetSoATest, AllExcludedClassHasNoRepresentative) {
   EXPECT_EQ(fleet.first_positive[fleet.class_of[2]], FleetSoA::npos);
 }
 
-TEST(FleetDesignTest, ScalarKernelMatchesDesignContract) {
-  const std::vector<SubproblemSpec> specs = random_fleet(150, 42);
-  const FleetSoA fleet = FleetSoA::from_specs(specs);
-  FleetOptions options;
-  options.kernel = SweepKernel::kScalar;
-  const FleetDesignResult result = design_fleet(fleet, options);
-  expect_fleet_matches_reference(fleet, result, specs);
-}
-
-TEST(FleetDesignTest, SimdKernelMatchesDesignContract) {
-  // The SIMD/portable kernels use only mul/sub/compare — no FMA — so on
-  // this repo's default builds (no -ffast-math, no forced contraction in
-  // the kernels) every lane performs the scalar rounding sequence and the
-  // comparison is exact, including the tricky -0.0/denormal classes.
-  std::vector<SubproblemSpec> specs = random_fleet(150, 43);
+// The one fleet-design path against the reference, field by field and bit
+// for bit: cold and warm cache, one and four threads, cached per-spec
+// design too. The vectorized kernels use only mul/sub/compare and
+// ccd_contract is built without FMA contraction, so every lane performs
+// the scalar rounding sequence, including on the -0.0/denormal classes.
+TEST(FleetDesignTest, BatchMatchesDesignContractBitwise) {
   const std::vector<SubproblemSpec> tricky = tricky_specs();
-  specs.insert(specs.end(), tricky.begin(), tricky.end());
-  const FleetSoA fleet = FleetSoA::from_specs(specs);
-  FleetOptions options;
-  options.kernel = SweepKernel::kSimd;
-  const FleetDesignResult result = design_fleet(fleet, options);
-  expect_fleet_matches_reference(fleet, result, specs);
-}
-
-TEST(FleetDesignTest, PortableFallbackMatchesSimd) {
-  const std::vector<SubproblemSpec> specs = random_fleet(100, 44);
-  const FleetSoA fleet = FleetSoA::from_specs(specs);
-  FleetOptions simd;
-  FleetOptions portable;
-  portable.force_portable = true;
-  const FleetDesignResult a = design_fleet(fleet, simd);
-  const FleetDesignResult b = design_fleet(fleet, portable);
-  ASSERT_EQ(a.workers(), b.workers());
-  for (std::size_t i = 0; i < a.workers(); ++i) {
-    EXPECT_EQ(a.k_opt[i], b.k_opt[i]) << "worker " << i;
-    EXPECT_EQ(a.requester_utility[i], b.requester_utility[i])
-        << "worker " << i;
-    EXPECT_EQ(a.upper_bound[i], b.upper_bound[i]) << "worker " << i;
-    EXPECT_EQ(a.lower_bound[i], b.lower_bound[i]) << "worker " << i;
-    EXPECT_EQ(a.excluded[i], b.excluded[i]) << "worker " << i;
+  std::vector<std::vector<SubproblemSpec>> fleets = {
+      random_fleet(150, 42), random_fleet(150, 43), random_fleet(100, 44),
+      random_fleet(60, 45),  random_fleet(80, 1),   random_fleet(80, 7),
+      random_fleet(80, 1234)};
+  for (const std::size_t f : {1, 4, 5, 6}) {
+    fleets[f].insert(fleets[f].end(), tricky.begin(), tricky.end());
   }
-}
+  // A sign-of-zero twin in the §V fallback (weight too small to pay for):
+  // its exclusion response comes from the canonical class spec.
+  SubproblemSpec twin = tricky[1];
+  twin.weight = 1e-4;
+  const DesignResult twin_reference = design_contract(twin);
+  ASSERT_TRUE(twin_reference.excluded);
+  ASSERT_FALSE(twin_reference.utility_by_k.empty());
+  fleets[1].push_back(twin);
+  fleets.push_back(one_worker_per_class(60, 46));
 
-TEST(FleetDesignTest, ResultAtMatchesDesignContract) {
-  const std::vector<SubproblemSpec> specs = random_fleet(60, 45);
-  const FleetSoA fleet = FleetSoA::from_specs(specs);
-  const FleetDesignResult result = design_fleet(fleet);
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    const DesignResult scalarized = result.result_at(fleet, i);
-    const DesignResult reference = design_contract(fleet.worker_spec(i));
-    EXPECT_EQ(scalarized.k_opt, reference.k_opt) << "worker " << i;
-    EXPECT_EQ(scalarized.requester_utility, reference.requester_utility)
-        << "worker " << i;
-    EXPECT_EQ(scalarized.utility_by_k, reference.utility_by_k)
-        << "worker " << i;
-    EXPECT_EQ(scalarized.pay_by_k, reference.pay_by_k) << "worker " << i;
-    EXPECT_EQ(scalarized.excluded, reference.excluded) << "worker " << i;
-  }
-}
-
-TEST(FleetDesignTest, StatsMatchBatchAccounting) {
-  const std::vector<SubproblemSpec> specs = random_fleet(120, 46);
-  DesignCacheStats batch_stats;
-  design_contracts_batch(specs, {}, &batch_stats);
-  DesignCacheStats fleet_stats;
-  design_fleet(FleetSoA::from_specs(specs), {}, &fleet_stats);
-  EXPECT_EQ(fleet_stats.lookups, batch_stats.lookups);
-  EXPECT_EQ(fleet_stats.hits, batch_stats.hits);
-  EXPECT_EQ(fleet_stats.misses, batch_stats.misses);
-  EXPECT_EQ(fleet_stats.sweep_steps_computed,
-            batch_stats.sweep_steps_computed);
-  EXPECT_EQ(fleet_stats.sweep_steps_avoided, batch_stats.sweep_steps_avoided);
-}
-
-// The randomized property the PR's bug fixes pin down: cached, uncached,
-// SoA-batched (scalar kernel), and SIMD designs agree for every worker —
-// bitwise on the scalar paths (EXPECT_EQ on doubles is exact equality) —
-// across fleets that include -0.0 and denormal spec fields.
-TEST(FleetDesignTest, CachedUncachedBatchedAndSimdAgreeProperty) {
-  for (const std::uint64_t seed : {1ull, 7ull, 1234ull}) {
-    std::vector<SubproblemSpec> specs = random_fleet(80, seed);
-    const std::vector<SubproblemSpec> tricky = tricky_specs();
-    specs.insert(specs.end(), tricky.begin(), tricky.end());
-
+  util::ThreadPool one(1);
+  util::ThreadPool four(4);
+  for (std::size_t f = 0; f < fleets.size(); ++f) {
+    const std::vector<SubproblemSpec>& specs = fleets[f];
     DesignCache cache;
-    BatchOptions batch_options;
-    batch_options.cache = &cache;
-    const std::vector<DesignResult> batched =
-        design_contracts_batch(specs, batch_options);
-
-    BatchOptions simd_options = batch_options;
-    simd_options.kernel = SweepKernel::kSimd;
-    const std::vector<DesignResult> simd =
-        design_contracts_batch(specs, simd_options);
-
-    const FleetSoA fleet = FleetSoA::from_specs(specs);
-    FleetOptions fleet_options;
-    fleet_options.cache = &cache;
-    const FleetDesignResult soa = design_fleet(fleet, fleet_options);
-
+    BatchOptions options;
+    options.pool = &one;
+    options.cache = &cache;
+    std::vector<std::uint8_t> resolved;
+    options.resolved = &resolved;
+    const std::vector<DesignResult> cold =
+        design_contracts_batch(specs, options);
+    EXPECT_EQ(resolved, std::vector<std::uint8_t>(specs.size(), 1));
+    options.pool = &four;
+    const std::vector<DesignResult> warm =
+        design_contracts_batch(specs, options);
     for (std::size_t i = 0; i < specs.size(); ++i) {
-      const DesignResult uncached = design_contract(specs[i]);
-      const DesignResult cached = cache.design(specs[i]);
-      EXPECT_EQ(cached.k_opt, uncached.k_opt) << "seed " << seed << " " << i;
-      EXPECT_EQ(cached.requester_utility, uncached.requester_utility)
-          << "seed " << seed << " " << i;
-      EXPECT_EQ(batched[i].k_opt, uncached.k_opt)
-          << "seed " << seed << " " << i;
-      EXPECT_EQ(batched[i].requester_utility, uncached.requester_utility)
-          << "seed " << seed << " " << i;
-      EXPECT_EQ(batched[i].upper_bound, uncached.upper_bound)
-          << "seed " << seed << " " << i;
-      EXPECT_EQ(batched[i].lower_bound, uncached.lower_bound)
-          << "seed " << seed << " " << i;
-      EXPECT_EQ(batched[i].utility_by_k, uncached.utility_by_k)
-          << "seed " << seed << " " << i;
-      EXPECT_EQ(batched[i].pay_by_k, uncached.pay_by_k)
-          << "seed " << seed << " " << i;
-      EXPECT_EQ(simd[i].k_opt, uncached.k_opt) << "seed " << seed << " " << i;
-      EXPECT_EQ(simd[i].requester_utility, uncached.requester_utility)
-          << "seed " << seed << " " << i;
-      EXPECT_EQ(simd[i].upper_bound, uncached.upper_bound)
-          << "seed " << seed << " " << i;
-      EXPECT_EQ(simd[i].lower_bound, uncached.lower_bound)
-          << "seed " << seed << " " << i;
-      EXPECT_EQ(simd[i].utility_by_k, uncached.utility_by_k)
-          << "seed " << seed << " " << i;
-      EXPECT_EQ(simd[i].excluded, uncached.excluded)
-          << "seed " << seed << " " << i;
-      EXPECT_EQ(soa.k_opt[i], uncached.k_opt) << "seed " << seed << " " << i;
-      EXPECT_EQ(soa.requester_utility[i], uncached.requester_utility)
-          << "seed " << seed << " " << i;
-      EXPECT_EQ(soa.compensation[i], uncached.response.compensation)
-          << "seed " << seed << " " << i;
+      const std::string where =
+          "fleet " + std::to_string(f) + " worker " + std::to_string(i);
+      const DesignResult reference = design_contract(specs[i]);
+      expect_bitwise(cold[i], reference, where + " (cold)");
+      expect_bitwise(warm[i], reference, where + " (warm)");
+      expect_bitwise(cache.design(specs[i]), reference, where + " (cached)");
     }
   }
 }
 
+// Each class's table is built from its first positive-weight member, so
+// the input order decides which sign-of-zero twin reaches the cache.
+// Reversing the fleet changes every representative and the class order;
+// no result may change.
+TEST(FleetDesignTest, InputOrderDoesNotChangeAnyResult) {
+  std::vector<SubproblemSpec> specs = random_fleet(90, 50);
+  const std::vector<SubproblemSpec> tricky = tricky_specs();
+  specs.insert(specs.end(), tricky.begin(), tricky.end());
+  SubproblemSpec twin = tricky[1];
+  twin.weight = 1e-4;  // §V fallback member of the twins' class
+  specs.push_back(twin);
+  const std::vector<SubproblemSpec> reversed(specs.rbegin(), specs.rend());
+
+  const std::vector<DesignResult> forward = design_contracts_batch(specs);
+  const std::vector<DesignResult> backward = design_contracts_batch(reversed);
+  ASSERT_EQ(backward.size(), forward.size());
+  const std::size_t n = specs.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::string where = "worker " + std::to_string(i);
+    expect_bitwise(backward[n - 1 - i], forward[i], where + " (reversed)");
+    expect_bitwise(forward[i], design_contract(specs[i]), where);
+  }
+}
+
+// Resolve scratch is one arena per pool thread, reused across classes and
+// calls. On one thread every class goes through the same arena, while m
+// and the class size shrink and grow between classes; a 2,500-worker
+// class spills the arena past its first block before small classes reuse
+// it. Every result still matches the per-spec reference bit for bit.
+TEST(FleetDesignTest, ScratchReuseAcrossClassSizesStaysBitwise) {
+  const struct {
+    std::size_t intervals;
+    std::size_t members;
+  } shapes[] = {{64, 1}, {1, 300}, {200, 2}, {3, 2500}, {20, 5},
+                {128, 1}, {2, 64}, {40, 9}, {8, 1}};
+  util::Rng rng(51);
+  std::vector<SubproblemSpec> specs;
+  for (std::size_t s = 0; s < std::size(shapes); ++s) {
+    SubproblemSpec cls;
+    cls.psi = effort::QuadraticEffort(rng.uniform(-1.2, -0.8),
+                                      rng.uniform(6.0, 9.0),
+                                      rng.uniform(0.5, 2.5));
+    cls.incentives = {1.0, s % 3 == 0 ? 0.4 : 0.0};
+    cls.intervals = shapes[s].intervals;
+    for (std::size_t j = 0; j < shapes[s].members; ++j) {
+      cls.weight = rng.uniform(-0.2, 3.0);
+      specs.push_back(cls);
+    }
+  }
+  // Interleave the classes so grouping, not input order, makes the slices.
+  std::vector<SubproblemSpec> shuffled = specs;
+  for (std::size_t i = shuffled.size(); i > 1; --i) {
+    std::swap(shuffled[i - 1], shuffled[rng.next_u64() % i]);
+  }
+
+  util::ThreadPool one(1);
+  BatchOptions options;
+  options.pool = &one;
+  for (const std::vector<SubproblemSpec>* fleet : {&specs, &shuffled}) {
+    const std::vector<DesignResult> results =
+        design_contracts_batch(*fleet, options);
+    ASSERT_EQ(results.size(), fleet->size());
+    DesignCache reference;  // resolve_design over one table per class
+    for (std::size_t i = 0; i < fleet->size(); ++i) {
+      expect_bitwise(results[i], reference.design((*fleet)[i]),
+                     "worker " + std::to_string(i));
+    }
+  }
+}
+
+// Portable and AVX2 kernels over every class of random fleets, including
+// the ±0.0/denormal classes and both sides of the §V exclusion boundary.
+// The batch runs whichever kernel the CPU supports, so on an AVX2 machine
+// this is the only fleet-wide check of the portable loop (on other CPUs
+// both sides run the portable loop).
+TEST(FleetDesignTest, PortableFallbackMatchesSimd) {
+  for (const std::uint64_t seed : {44ull, 49ull}) {
+    std::vector<SubproblemSpec> specs = random_fleet(100, seed);
+    const std::vector<SubproblemSpec> tricky = tricky_specs();
+    specs.insert(specs.end(), tricky.begin(), tricky.end());
+    const FleetSoA fleet = FleetSoA::from_specs(specs);
+    std::size_t classes_checked = 0;
+    for (std::size_t c = 0; c < fleet.classes(); ++c) {
+      if (fleet.first_positive[c] == FleetSoA::npos) continue;
+      const SubproblemSpec cls = fleet.class_spec(c);
+      const DesignTable table = build_design_table(cls);
+      ScratchArena arena;
+      const ClassTableau tableau = build_class_tableau(cls, table, arena);
+      const std::size_t begin = fleet.class_begin[c];
+      const std::size_t count = fleet.class_begin[c + 1] - begin;
+      const double* weights = fleet.grouped_weight.data() + begin;
+      expect_same_resolve(run_kernel(resolve_class, tableau, weights, count),
+                          run_kernel(detail::resolve_class_portable, tableau,
+                                     weights, count),
+                          "seed " + std::to_string(seed) + " class " +
+                              std::to_string(c));
+      ++classes_checked;
+    }
+    EXPECT_GE(classes_checked, 5u) << "seed " << seed;
+  }
+}
+
+// The batch's computed per-call counters and the cache's cumulative ones
+// must equal what the per-spec path (DesignCache::design, the lenient
+// solve's per-task route) records for the same fleet, cold and warm: one
+// lookup per positive-weight worker, one miss per distinct class.
+TEST(FleetDesignTest, StatsMatchBatchAccounting) {
+  std::vector<SubproblemSpec> specs = random_fleet(120, 46);
+  const std::vector<SubproblemSpec> tricky = tricky_specs();
+  specs.insert(specs.end(), tricky.begin(), tricky.end());
+
+  DesignCache per_spec;
+  DesignCache batched;
+  BatchOptions options;
+  options.cache = &batched;
+  DesignCacheStats before;
+  for (const char* pass : {"cold", "warm"}) {
+    for (const SubproblemSpec& spec : specs) per_spec.design(spec);
+    const DesignCacheStats total = per_spec.stats();
+    DesignCacheStats expected_call = total;
+    expected_call.lookups -= before.lookups;
+    expected_call.hits -= before.hits;
+    expected_call.misses -= before.misses;
+    expected_call.sweep_steps_computed -= before.sweep_steps_computed;
+    expected_call.sweep_steps_avoided -= before.sweep_steps_avoided;
+
+    DesignCacheStats call;
+    design_contracts_batch(specs, options, &call);
+    expect_same_stats(call, expected_call, pass);
+    expect_same_stats(batched.stats(), total, pass);
+    EXPECT_EQ(batched.size(), per_spec.size()) << pass;
+    before = total;
+  }
+  EXPECT_EQ(before.misses, per_spec.size());
+}
+
+TEST(FleetDesignTest, EmptyFleetDesignsNothing) {
+  DesignCache cache;
+  BatchOptions options;
+  options.cache = &cache;
+  std::vector<std::uint8_t> resolved = {1, 1};
+  options.resolved = &resolved;
+  DesignCacheStats stats;
+  stats.lookups = stats.hits = 9;  // overwritten, not accumulated
+  const std::vector<DesignResult> results =
+      design_contracts_batch({}, options, &stats);
+  EXPECT_TRUE(results.empty());
+  EXPECT_TRUE(resolved.empty());
+  expect_same_stats(stats, DesignCacheStats{}, "call");
+  expect_same_stats(cache.stats(), DesignCacheStats{}, "cache");
+  EXPECT_EQ(cache.size(), 0u);
+}
+
+// Every spec is validated, in input order, before any k-sweep runs: an
+// invalid spec anywhere in the fleet throws and leaves the cache empty.
+TEST(FleetDesignTest, InvalidSpecThrowsBeforeAnySweep) {
+  std::vector<SubproblemSpec> specs = random_fleet(30, 52);
+  DesignCache cache;
+  BatchOptions options;
+  options.cache = &cache;
+  for (const std::size_t bad : {0ul, 17ul, 29ul}) {
+    std::vector<SubproblemSpec> fleet = specs;
+    fleet[bad].mu = 0.0;
+    EXPECT_THROW(design_contracts_batch(fleet, options), Error) << bad;
+    fleet = specs;
+    fleet[bad].intervals = 0;
+    EXPECT_THROW(design_contracts_batch(fleet, options), Error) << bad;
+  }
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.stats().lookups, 0u);
+}
+
+// A token cancelled before the call: no sweep and no resolve runs, every
+// entry stays unresolved and default-constructed, and nothing is counted.
+TEST(FleetDesignTest, PreCancelledBatchResolvesNothing) {
+  const std::vector<SubproblemSpec> specs = random_fleet(60, 53);
+  util::CancellationToken token;
+  token.request_cancel();
+  DesignCache cache;
+  BatchOptions options;
+  options.cache = &cache;
+  options.cancel = &token;
+  std::vector<std::uint8_t> resolved;
+  options.resolved = &resolved;
+  DesignCacheStats stats;
+  const std::vector<DesignResult> results =
+      design_contracts_batch(specs, options, &stats);
+  ASSERT_EQ(results.size(), specs.size());
+  EXPECT_EQ(resolved, std::vector<std::uint8_t>(specs.size(), 0));
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    EXPECT_FALSE(results[i].excluded) << "worker " << i;
+    EXPECT_EQ(results[i].k_opt, 0u) << "worker " << i;
+    EXPECT_TRUE(results[i].contract.is_zero()) << "worker " << i;
+    EXPECT_TRUE(results[i].utility_by_k.empty()) << "worker " << i;
+  }
+  expect_same_stats(stats, DesignCacheStats{}, "call");
+  EXPECT_EQ(cache.size(), 0u);
+}
+
+#ifndef CCD_NO_METRICS
+// sweep_histogram gets one span per class with a positive-weight member:
+// the k-sweep on a miss, the table lookup on a hit. Weight-excluded-only
+// classes and per-worker resolves record nothing.
+TEST(FleetDesignTest, SweepHistogramRecordsOneSpanPerClass) {
+  std::vector<SubproblemSpec> specs = random_fleet(120, 54);
+  SubproblemSpec idle = specs[0];  // a class whose members are all excluded
+  idle.incentives.beta = 3.0;
+  idle.weight = 0.0;
+  specs.push_back(idle);
+  idle.weight = -1.0;
+  specs.push_back(idle);
+
+  const FleetSoA fleet = FleetSoA::from_specs(specs);
+  std::size_t with_positive = 0;
+  for (std::size_t c = 0; c < fleet.classes(); ++c) {
+    if (fleet.first_positive[c] != FleetSoA::npos) ++with_positive;
+  }
+  ASSERT_LT(with_positive, fleet.classes());
+
+  util::metrics::Histogram spans;
+  DesignCache cache;
+  BatchOptions options;
+  options.cache = &cache;
+  options.sweep_histogram = &spans;
+  design_contracts_batch(specs, options);
+  EXPECT_EQ(spans.count(), with_positive);
+  design_contracts_batch(specs, options);  // warm: lookups only
+  EXPECT_EQ(spans.count(), 2 * with_positive);
+}
+#endif
+
+// The batch runs the "contract.design" site with the key resolve_design
+// uses, so under any seed and rate a spec faults in the batch exactly when
+// it faults on its own through design_contract.
+TEST(FleetDesignTest, DesignFaultElectsTheSameSpecsAsDesignContract) {
+  InjectorGuard guard;
+  arm_design_site(0.5, 11);
+  std::vector<SubproblemSpec> specs = one_worker_per_class(40, 55);
+  const std::vector<SubproblemSpec> tricky = tricky_specs();
+  specs.insert(specs.end(), tricky.begin(), tricky.end());
+  std::size_t faulted = 0;
+  std::size_t clean = 0;
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    bool reference_faults = false;
+    try {
+      design_contract(specs[i]);
+    } catch (const ContractError&) {
+      reference_faults = true;
+    }
+    bool batch_faults = false;
+    try {
+      design_contracts_batch({specs[i]});
+    } catch (const ContractError&) {
+      batch_faults = true;
+    }
+    EXPECT_EQ(batch_faults, reference_faults) << "worker " << i;
+    if (reference_faults) {
+      ++faulted;
+    } else {
+      ++clean;
+    }
+  }
+  // The seed elects some specs and spares others.
+  EXPECT_GT(faulted, 0u);
+  EXPECT_GT(clean, 0u);
+}
+
+// Weight-excluded workers never reach the site: armed at rate 1.0, a fleet
+// with no positive weight designs cleanly, and one positive-weight worker
+// is enough to fail the whole batch.
+TEST(FleetDesignTest, WeightExcludedWorkersNeverReachTheFaultSite) {
+  InjectorGuard guard;
+  arm_design_site(1.0, 12);
+  std::vector<SubproblemSpec> specs = random_fleet(50, 56);
+  for (SubproblemSpec& spec : specs) spec.weight = -std::abs(spec.weight);
+  specs[7].weight = 0.0;
+  specs[8].weight = -0.0;
+
+  const std::vector<DesignResult> results = design_contracts_batch(specs);
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    EXPECT_TRUE(results[i].excluded) << "worker " << i;
+    expect_bitwise(results[i], design_contract(specs[i]),
+                   "worker " + std::to_string(i));
+  }
+  EXPECT_EQ(util::FaultInjector::instance().injected("contract.design"), 0u);
+
+  specs[20].weight = 1.0;
+  EXPECT_THROW(design_contracts_batch(specs), ContractError);
+  EXPECT_GT(util::FaultInjector::instance().injected("contract.design"), 0u);
+}
+
 TEST(KSweepTest, ResolveClassMatchesResolveDesign) {
-  // Direct kernel-level check on one class: portable and AVX2 (when
-  // available) against resolve_design over a weight sweep that crosses
+  // Direct kernel-level check on one class: portable and AVX2 (when this
+  // CPU has it) against resolve_design over a weight sweep that crosses
   // the §V exclusion boundary.
   SubproblemSpec spec;
   spec.psi = effort::QuadraticEffort(-1.0, 8.0, 2.0);
@@ -319,25 +620,117 @@ TEST(KSweepTest, ResolveClassMatchesResolveDesign) {
   }
   ScratchArena arena;
   const ClassTableau tableau = build_class_tableau(spec, table, arena);
-  std::vector<std::size_t> k_opt(weights.size());
-  std::vector<double> utility(weights.size());
-  std::vector<double> upper(weights.size());
-  for (const bool force_portable : {true, false}) {
-    resolve_class(tableau, weights.data(), weights.size(),
-                  ResolveOut{k_opt.data(), utility.data(), upper.data()},
-                  force_portable);
+  const auto check = [&](auto kernel, const char* name) {
+    std::vector<std::size_t> k_opt(weights.size());
+    std::vector<double> utility(weights.size());
+    std::vector<double> upper(weights.size());
+    kernel(tableau, weights.data(), weights.size(),
+           ResolveOut{k_opt.data(), utility.data(), upper.data()});
     for (std::size_t i = 0; i < weights.size(); ++i) {
       SubproblemSpec worker = spec;
       worker.weight = weights[i];
       const DesignResult reference = resolve_design(worker, table);
       if (reference.excluded) {
-        EXPECT_LT(utility[i], 0.0) << "worker " << i;
+        EXPECT_LT(utility[i], 0.0) << name << " worker " << i;
       } else {
-        EXPECT_EQ(k_opt[i], reference.k_opt) << "worker " << i;
-        EXPECT_EQ(utility[i], reference.requester_utility) << "worker " << i;
-        EXPECT_EQ(upper[i], reference.upper_bound) << "worker " << i;
+        EXPECT_EQ(k_opt[i], reference.k_opt) << name << " worker " << i;
+        EXPECT_TRUE(same_bits(utility[i], reference.requester_utility))
+            << name << " worker " << i;
+        EXPECT_TRUE(same_bits(upper[i], reference.upper_bound))
+            << name << " worker " << i;
       }
     }
+  };
+  check(detail::resolve_class_portable, "portable");
+#ifdef CCD_KSWEEP_HAVE_AVX2
+  if (simd_available()) check(detail::resolve_class_avx2, "avx2");
+#endif
+}
+
+// The AVX2 kernel resolves four workers per instruction and finishes the
+// slice with a scalar tail. Every slice length from 0 to 13 and every start
+// offset 0..3 (so the weights are not vector-aligned) must match the
+// portable loop, and a worker must resolve the same alone as in a slice.
+TEST(KSweepTest, EverySliceLengthAndOffsetMatchesPortable) {
+  SubproblemSpec spec;
+  spec.psi = effort::QuadraticEffort(-0.9, 7.0, 1.0);
+  spec.incentives = {1.0, 0.2};
+  spec.mu = 0.8;
+  spec.intervals = 24;
+  const DesignTable table = build_design_table(spec);
+  ScratchArena arena;
+  const ClassTableau tableau = build_class_tableau(spec, table, arena);
+
+  std::vector<double> weights;
+  for (int i = 0; i < 17; ++i) {
+    weights.push_back(-0.1 + 0.19 * static_cast<double>(i));
+  }
+  for (std::size_t offset = 0; offset < 4; ++offset) {
+    for (std::size_t count = 0; offset + count <= 17 && count <= 13;
+         ++count) {
+      const double* slice = weights.data() + offset;
+      const Resolved got = run_kernel(resolve_class, tableau, slice, count);
+      expect_same_resolve(
+          got,
+          run_kernel(detail::resolve_class_portable, tableau, slice, count),
+          "offset " + std::to_string(offset) + " count " +
+              std::to_string(count));
+      for (std::size_t j = 0; j < count; ++j) {
+        const Resolved alone = run_kernel(resolve_class, tableau, slice + j, 1);
+        EXPECT_EQ(alone.k_opt[0], got.k_opt[j]);
+        EXPECT_TRUE(same_bits(alone.utility[0], got.utility[j]));
+        EXPECT_TRUE(same_bits(alone.upper[0], got.upper[j]));
+      }
+    }
+  }
+
+  // An empty slice writes nothing.
+  std::size_t k_sentinel = 77;
+  double u_sentinel = 1.5;
+  double ub_sentinel = 2.5;
+  resolve_class(tableau, weights.data(), 0,
+                ResolveOut{&k_sentinel, &u_sentinel, &ub_sentinel});
+  EXPECT_EQ(k_sentinel, 77u);
+  EXPECT_EQ(u_sentinel, 1.5);
+  EXPECT_EQ(ub_sentinel, 2.5);
+}
+
+// The tableau holds the design table's per-k responses verbatim, the
+// free-ride column exists exactly when the class has omega > 0, and a
+// table built for another m is refused rather than read past its end.
+TEST(KSweepTest, TableauMustMatchItsTable) {
+  for (const double omega : {0.0, 0.3}) {
+    SubproblemSpec spec;
+    spec.psi = effort::QuadraticEffort(-1.1, 8.5, 0.5);
+    spec.incentives = {1.4, omega};
+    spec.mu = 2.0;
+    spec.intervals = 12;
+    const DesignTable table = build_design_table(spec);
+    ScratchArena arena;
+    const ClassTableau tableau = build_class_tableau(spec, table, arena);
+    ASSERT_EQ(tableau.m, spec.intervals);
+    EXPECT_TRUE(same_bits(tableau.mu, spec.mu));
+    const double delta = spec.delta();
+    for (std::size_t k = 1; k <= tableau.m; ++k) {
+      const BestResponse& response = table.candidates[k - 1].response;
+      EXPECT_TRUE(same_bits(tableau.feedback[k - 1], response.feedback))
+          << "k " << k;
+      EXPECT_TRUE(same_bits(tableau.pay[k - 1], response.compensation))
+          << "k " << k;
+      EXPECT_TRUE(same_bits(tableau.ub_feedback[k - 1],
+                            spec.psi(delta * static_cast<double>(k))))
+          << "k " << k;
+    }
+    EXPECT_EQ(tableau.has_free_ride, omega > 0.0);
+    if (tableau.has_free_ride) {
+      EXPECT_GE(tableau.free_ride_feedback, spec.psi(0.0));
+    } else {
+      EXPECT_EQ(tableau.free_ride_feedback, 0.0);
+    }
+
+    SubproblemSpec finer = spec;
+    finer.intervals = spec.intervals + 1;
+    EXPECT_THROW(build_class_tableau(finer, table, arena), Error);
   }
 }
 

@@ -11,6 +11,7 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "data/generator.hpp"
@@ -169,6 +170,75 @@ TEST_F(PipelineFaultTest, FailFastThrowsOnNaNScoreWithContext) {
               std::string::npos)
         << e.what();
   }
+}
+
+// The batch solve runs the "contract.design" site once per positive-weight
+// subproblem: armed alone at rate 1.0, it must fail a fail-fast run.
+TEST_F(PipelineFaultTest, FailFastThrowsOnInjectedDesignFault) {
+  InjectorGuard guard;
+  util::FaultInjectorConfig chaos;
+  chaos.enabled = true;
+  chaos.seed = 3;
+  chaos.site_rates["contract.design"] = 1.0;
+  util::FaultInjector::instance().configure(chaos);
+  PipelineConfig config;  // default: all stages fail-fast
+  try {
+    run_pipeline(*trace_, config);
+    FAIL() << "should have thrown";
+  } catch (const ContractError& e) {
+    EXPECT_EQ(e.context().stage, "solve");
+    EXPECT_NE(std::string(e.what()).find("contract.design"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_GT(util::FaultInjector::instance().injected("contract.design"), 0u);
+  EXPECT_EQ(util::FaultInjector::instance().total_injected(),
+            util::FaultInjector::instance().injected("contract.design"));
+}
+
+// The lenient solve designs each subproblem on its own through the cache,
+// so the same site armed alone at rate 1.0 quarantines every subproblem
+// that reaches it, one solve event each. Under the exclude-malicious
+// strategy the suspected subproblems are designed at weight 0: they never
+// reach the site and keep their zero-contract design.
+TEST_F(PipelineFaultTest, QuarantineIsolatesEveryInjectedDesignFault) {
+  InjectorGuard guard;
+  util::FaultInjectorConfig chaos;
+  chaos.enabled = true;
+  chaos.seed = 3;
+  chaos.site_rates["contract.design"] = 1.0;
+  util::FaultInjector::instance().configure(chaos);
+  PipelineConfig config;
+  config.faults = FaultPolicy::quarantine();
+  config.strategy = PricingStrategy::kExcludeMalicious;
+  const PipelineResult r = run_pipeline(*trace_, config);
+  expect_invariants(r, trace_->workers().size());
+
+  std::size_t quarantined = 0;
+  std::size_t spared = 0;
+  for (const SubproblemOutcome& sub : r.subproblems) {
+    EXPECT_FALSE(sub.fallback);
+    if (sub.quarantined) {
+      ++quarantined;
+    } else {
+      EXPECT_TRUE(sub.design.excluded);
+      EXPECT_TRUE(sub.design.contract.is_zero());
+      ++spared;
+    }
+  }
+  ASSERT_GT(quarantined, 0u);
+  EXPECT_GT(spared, 0u);
+  EXPECT_EQ(util::FaultInjector::instance().injected("contract.design"),
+            quarantined);
+  std::size_t solve_events = 0;
+  for (const DegradationEvent& ev : r.health.events) {
+    if (ev.stage != PipelineStage::kSolve) continue;
+    ++solve_events;
+    EXPECT_EQ(ev.action, StageMode::kQuarantine);
+    EXPECT_NE(ev.detail.find("contract.design"), std::string::npos)
+        << ev.detail;
+  }
+  EXPECT_EQ(solve_events, quarantined);
 }
 
 TEST_F(PipelineFaultTest, QuarantinePolicyAbsorbsNaNScore) {

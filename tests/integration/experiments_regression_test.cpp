@@ -8,10 +8,11 @@
 
 #include <cmath>
 #include <cstddef>
+#include <vector>
 
 #include "contract/baselines.hpp"
+#include "contract/design_cache.hpp"
 #include "contract/designer.hpp"
-#include "contract/fleet_soa.hpp"
 #include "core/pipeline.hpp"
 #include "data/generator.hpp"
 #include "detect/collusion.hpp"
@@ -103,45 +104,56 @@ TEST(Fig8cRegression, DynamicBeatsFixedPaymentAcrossMu) {
   }
 }
 
-// The vectorized k-sweep must reproduce the golden shapes, not just match
-// the scalar path on random fleets: Fig. 6's monotone m-sweep through
-// design_fleet with the SIMD kernel...
+// Fig. 8(c)'s dynamic numbers come from the pipeline's one fleet-design
+// path; on the same trace every subproblem it solved must equal the
+// per-subproblem reference design_contract of its spec, bit for bit.
+TEST(Fig8cRegression, SolveStageMatchesPerSubproblemDesign) {
+  const data::ReviewTrace trace =
+      data::generate_trace(data::GeneratorParams::medium());
+  for (const double mu : {1.0, 0.8}) {
+    core::PipelineConfig config;
+    config.requester.mu = mu;
+    const core::PipelineResult result = core::run_pipeline(trace, config);
+    ASSERT_FALSE(result.subproblems.empty());
+    std::size_t solved = 0;
+    for (std::size_t i = 0; i < result.subproblems.size(); ++i) {
+      const core::SubproblemOutcome& sub = result.subproblems[i];
+      ASSERT_FALSE(sub.quarantined) << "mu=" << mu << " subproblem " << i;
+      const contract::DesignResult want = contract::design_contract(sub.spec);
+      const contract::DesignResult& got = sub.design;
+      EXPECT_EQ(got.excluded, want.excluded) << "mu=" << mu << " " << i;
+      EXPECT_EQ(got.k_opt, want.k_opt) << "mu=" << mu << " " << i;
+      EXPECT_EQ(got.requester_utility, want.requester_utility)
+          << "mu=" << mu << " " << i;
+      EXPECT_EQ(got.upper_bound, want.upper_bound) << "mu=" << mu << " " << i;
+      EXPECT_EQ(got.lower_bound, want.lower_bound) << "mu=" << mu << " " << i;
+      EXPECT_EQ(got.response.compensation, want.response.compensation)
+          << "mu=" << mu << " " << i;
+      EXPECT_EQ(got.response.feedback, want.response.feedback)
+          << "mu=" << mu << " " << i;
+      if (!got.excluded) ++solved;
+    }
+    EXPECT_GT(solved, result.subproblems.size() / 2) << "mu=" << mu;
+  }
+}
+
+// The vectorized fleet path must reproduce the golden shapes, not just
+// match design_contract on random fleets: Fig. 6's monotone m-sweep
+// through design_contracts_batch. (Fig. 8c's pipeline tests above already
+// run the solve stage on it.)
 TEST_F(Fig6Regression, SimdFleetPathReproducesMonotoneShape) {
   contract::SubproblemSpec s = spec();
   double prev = -std::numeric_limits<double>::infinity();
   for (const std::size_t m : {2ul, 4ul, 8ul, 16ul, 32ul, 64ul, 128ul}) {
     s.intervals = m;
-    const contract::FleetSoA fleet = contract::FleetSoA::from_specs({s});
-    contract::FleetOptions options;
-    options.kernel = contract::SweepKernel::kSimd;
-    const contract::FleetDesignResult d = contract::design_fleet(fleet, options);
-    ASSERT_EQ(d.workers(), 1u);
-    EXPECT_GE(d.requester_utility[0], prev - 1e-12) << "m=" << m;
-    EXPECT_LE(d.requester_utility[0], d.upper_bound[0] + 1e-9) << "m=" << m;
-    EXPECT_GE(d.requester_utility[0], d.lower_bound[0] - 1e-9) << "m=" << m;
-    prev = d.requester_utility[0];
-  }
-}
-
-// ...and Fig. 8(c)'s dynamic-beats-fixed shape with the whole pipeline
-// running the vectorized solve stage (sweep_kernel = kAuto).
-TEST(Fig8cRegression, DynamicBeatsFixedPaymentWithSimdSolveStage) {
-  const data::ReviewTrace trace =
-      data::generate_trace(data::GeneratorParams::medium());
-  for (const double mu : {1.0, 0.9, 0.8}) {
-    core::PipelineConfig dynamic;
-    dynamic.requester.mu = mu;
-    dynamic.sweep_kernel = contract::SweepKernel::kAuto;
-    core::PipelineConfig fixed = dynamic;
-    fixed.strategy = core::PricingStrategy::kFixedPayment;
-    fixed.fixed_payment = 2.0;
-    fixed.fixed_threshold_effort = 1.0;
-
-    const double u_dynamic =
-        core::run_pipeline(trace, dynamic).total_requester_utility;
-    const double u_fixed =
-        core::run_pipeline(trace, fixed).total_requester_utility;
-    EXPECT_GT(u_dynamic, u_fixed) << "mu=" << mu;
+    const std::vector<contract::DesignResult> batch =
+        contract::design_contracts_batch({s});
+    ASSERT_EQ(batch.size(), 1u);
+    const contract::DesignResult& d = batch[0];
+    EXPECT_GE(d.requester_utility, prev - 1e-12) << "m=" << m;
+    EXPECT_LE(d.requester_utility, d.upper_bound + 1e-9) << "m=" << m;
+    EXPECT_GE(d.requester_utility, d.lower_bound - 1e-9) << "m=" << m;
+    prev = d.requester_utility;
   }
 }
 

@@ -10,51 +10,6 @@
 namespace ccd::math {
 namespace {
 
-TEST(SolveLuTest, SolvesKnownSystem) {
-  const Matrix a{{2.0, 1.0}, {1.0, 3.0}};
-  const std::vector<double> b = {5.0, 10.0};
-  const std::vector<double> x = solve_lu(a, b);
-  EXPECT_NEAR(x[0], 1.0, 1e-12);
-  EXPECT_NEAR(x[1], 3.0, 1e-12);
-}
-
-TEST(SolveLuTest, RequiresPivoting) {
-  // Leading zero forces a row swap.
-  const Matrix a{{0.0, 1.0}, {1.0, 0.0}};
-  const std::vector<double> x = solve_lu(a, {2.0, 3.0});
-  EXPECT_NEAR(x[0], 3.0, 1e-12);
-  EXPECT_NEAR(x[1], 2.0, 1e-12);
-}
-
-TEST(SolveLuTest, SingularMatrixThrows) {
-  const Matrix a{{1.0, 2.0}, {2.0, 4.0}};
-  EXPECT_THROW(solve_lu(a, {1.0, 2.0}), MathError);
-}
-
-TEST(SolveLuTest, ShapeChecks) {
-  EXPECT_THROW(solve_lu(Matrix(2, 3), {1.0, 2.0}), Error);
-  EXPECT_THROW(solve_lu(Matrix(2, 2), {1.0}), Error);
-}
-
-TEST(SolveLuTest, RandomSystemsRoundTrip) {
-  util::Rng rng(99);
-  for (int trial = 0; trial < 20; ++trial) {
-    const std::size_t n = 1 + static_cast<std::size_t>(rng.uniform_int(1, 6));
-    Matrix a(n, n);
-    for (std::size_t r = 0; r < n; ++r) {
-      for (std::size_t c = 0; c < n; ++c) a(r, c) = rng.normal();
-      a(r, r) += 5.0;  // diagonally dominant => well conditioned
-    }
-    std::vector<double> x_true(n);
-    for (double& v : x_true) v = rng.normal();
-    const std::vector<double> b = a * x_true;
-    const std::vector<double> x = solve_lu(a, b);
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_NEAR(x[i], x_true[i], 1e-9);
-    }
-  }
-}
-
 TEST(LeastSquaresTest, ExactSystemHasZeroResidual) {
   const Matrix a{{1.0, 0.0}, {0.0, 1.0}, {1.0, 1.0}};
   const std::vector<double> b = {2.0, 3.0, 5.0};  // consistent
@@ -100,20 +55,58 @@ TEST(LeastSquaresTest, UnderdeterminedThrows) {
   EXPECT_THROW(solve_least_squares(Matrix(2, 3), {1.0, 2.0}), Error);
 }
 
-TEST(DeterminantTest, KnownValues) {
-  EXPECT_DOUBLE_EQ(determinant(Matrix{{2.0}}), 2.0);
-  EXPECT_DOUBLE_EQ(determinant(Matrix{{1.0, 2.0}, {3.0, 4.0}}), -2.0);
-  EXPECT_DOUBLE_EQ(determinant(Matrix::identity(4)), 1.0);
+// Square full-rank systems are the rows == cols case of the QR solve: the
+// solution is exact and the residual vanishes.
+TEST(LeastSquaresTest, SquareSystemSolvesExactly) {
+  const Matrix a{{2.0, 1.0}, {1.0, 3.0}};
+  const LeastSquaresResult r = solve_least_squares(a, {5.0, 10.0});
+  ASSERT_EQ(r.coefficients.size(), 2u);
+  EXPECT_NEAR(r.coefficients[0], 1.0, 1e-12);
+  EXPECT_NEAR(r.coefficients[1], 3.0, 1e-12);
+  EXPECT_NEAR(r.residual_norm, 0.0, 1e-12);
 }
 
-TEST(DeterminantTest, SingularIsZero) {
-  EXPECT_DOUBLE_EQ(determinant(Matrix{{1.0, 2.0}, {2.0, 4.0}}), 0.0);
+// A zero on the diagonal needs no row swap: the Householder reflection of
+// the first column handles it.
+TEST(LeastSquaresTest, ZeroLeadingEntryNeedsNoPivoting) {
+  const Matrix a{{0.0, 1.0}, {1.0, 0.0}};
+  const LeastSquaresResult r = solve_least_squares(a, {2.0, 3.0});
+  EXPECT_NEAR(r.coefficients[0], 3.0, 1e-12);
+  EXPECT_NEAR(r.coefficients[1], 2.0, 1e-12);
 }
 
-TEST(DeterminantTest, SwapChangesSign) {
-  // Permutation matrix with one swap has determinant -1.
-  const Matrix p{{0.0, 1.0}, {1.0, 0.0}};
-  EXPECT_DOUBLE_EQ(determinant(p), -1.0);
+TEST(LeastSquaresTest, SingularSquareSystemThrows) {
+  const Matrix a{{1.0, 2.0}, {2.0, 4.0}};
+  EXPECT_THROW(solve_least_squares(a, {1.0, 2.0}), MathError);
+}
+
+TEST(LeastSquaresTest, RightHandSideLengthMustMatchRows) {
+  EXPECT_THROW(solve_least_squares(Matrix::identity(3), {1.0, 2.0}), Error);
+  EXPECT_THROW(solve_least_squares(Matrix::identity(2), {1.0, 2.0, 3.0}),
+               Error);
+}
+
+// Random well-conditioned systems, square and tall: the solver recovers
+// the planted coefficients when b is in the column space.
+TEST(LeastSquaresTest, RandomConsistentSystemsRoundTrip) {
+  util::Rng rng(99);
+  for (int trial = 0; trial < 20; ++trial) {
+    const std::size_t n = static_cast<std::size_t>(rng.uniform_int(1, 6));
+    const std::size_t rows = n + static_cast<std::size_t>(trial % 3);
+    Matrix a(rows, n);
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (std::size_t c = 0; c < n; ++c) a(r, c) = rng.normal();
+    }
+    for (std::size_t d = 0; d < n; ++d) a(d, d) += 5.0;  // well conditioned
+    std::vector<double> x_true(n);
+    for (double& v : x_true) v = rng.normal();
+    const LeastSquaresResult r = solve_least_squares(a, a * x_true);
+    ASSERT_EQ(r.coefficients.size(), n) << "trial " << trial;
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_NEAR(r.coefficients[i], x_true[i], 1e-9) << "trial " << trial;
+    }
+    EXPECT_NEAR(r.residual_norm, 0.0, 1e-9) << "trial " << trial;
+  }
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include "contract/designer.hpp"
 #include "contract/worker_response.hpp"
 #include "policy/policy.hpp"
+#include "util/cancellation.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -153,6 +154,56 @@ TEST(BipPolicyTest, MatchesTheBatchDesignerBitwise) {
   std::vector<contract::Contract> kept = contracts;
   ASSERT_TRUE(bip->post(1, false, toy_views(), kept, rng, env));
   expect_contracts_bitwise_equal(kept, expected);
+}
+
+// Ingest sessions and the simulator hand BiP a token; a post cut short
+// reports false and leaves the posted contracts as they were, so the
+// caller keeps them until its next refit round.
+TEST(BipPolicyTest, CancelledPostKeepsPreviousContracts) {
+  PolicyConfig config;
+  const std::unique_ptr<Policy> bip = make_policy(config);
+  util::Rng rng(7);
+  std::vector<contract::Contract> contracts(toy_specs().size());
+  ASSERT_TRUE(bip->post(0, true, toy_views(), contracts, rng, PostEnv{}));
+  const std::vector<contract::Contract> posted = contracts;
+
+  std::vector<WorkerView> shifted = toy_views();
+  for (WorkerView& view : shifted) view.mu *= 2.0;  // would redesign all
+  util::CancellationToken token;
+  token.request_cancel();
+  PostEnv env;
+  env.cancel = &token;
+  EXPECT_FALSE(bip->post(1, true, shifted, contracts, rng, env));
+  expect_contracts_bitwise_equal(contracts, posted);
+
+  // Uncancelled, the same views do redesign: the kept contracts above
+  // are the cancellation's doing, not an unchanged design.
+  ASSERT_TRUE(bip->post(2, true, shifted, contracts, rng, PostEnv{}));
+  bool changed = false;
+  for (std::size_t i = 0; i < contracts.size(); ++i) {
+    for (const double feedback : {5.0, 10.0, 15.0}) {
+      if (contracts[i].pay(feedback) != posted[i].pay(feedback)) {
+        changed = true;
+      }
+    }
+  }
+  EXPECT_TRUE(changed);
+}
+
+// BiP is deterministic given its views and draws nothing from the caller's
+// generator: posting through it leaves an ingest session's checkpointed
+// RNG stream untouched, on refit rounds and on the rounds between.
+TEST(BipPolicyTest, DrawsNothingFromTheRng) {
+  PolicyConfig config;
+  const std::unique_ptr<Policy> bip = make_policy(config);
+  util::Rng rng(99);
+  util::Rng untouched(99);
+  std::vector<contract::Contract> contracts(toy_specs().size());
+  for (std::size_t round = 0; round < 3; ++round) {
+    ASSERT_TRUE(
+        bip->post(round, round != 1, toy_views(), contracts, rng, PostEnv{}));
+  }
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(rng.next_u64(), untouched.next_u64());
 }
 
 TEST(BipPolicyTest, StateIsEmptyAndLoadAcceptsIt) {

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <future>
 #include <latch>
 #include <numeric>
 #include <stdexcept>
@@ -200,6 +201,39 @@ TEST(ThreadPoolTest, ShutdownIsIdempotentAndDegradesToInline) {
   EXPECT_EQ(counter.load(), 10);
   EXPECT_THROW(pool.submit([] { return 1; }), std::runtime_error);
 }
+
+#ifndef CCD_NO_METRICS
+double gauge_value(const std::string& name) {
+  for (const metrics::MetricSnapshot& m : metrics::registry().snapshot()) {
+    if (m.name == name) return m.gauge;
+  }
+  return -1.0;
+}
+
+// submit() and the popping worker both store ccd.pool.queue_depth under
+// the queue lock, so the gauge always holds the depth after the latest
+// queue change: the backlog while the only worker is blocked, zero once
+// every queued task has been taken.
+TEST(ThreadPoolTest, QueueDepthGaugeTracksBacklog) {
+  ThreadPool pool(1);
+  std::latch started(1);
+  std::latch release(1);
+  std::future<void> blocker = pool.submit([&] {
+    started.count_down();
+    release.wait();
+  });
+  started.wait();  // the worker has taken the blocker: the queue is empty
+  std::vector<std::future<void>> queued;
+  for (int i = 1; i <= 5; ++i) {
+    queued.push_back(pool.submit([] {}));
+    EXPECT_EQ(gauge_value("ccd.pool.queue_depth"), static_cast<double>(i));
+  }
+  release.count_down();
+  blocker.get();
+  for (std::future<void>& f : queued) f.get();
+  EXPECT_EQ(gauge_value("ccd.pool.queue_depth"), 0.0);
+}
+#endif
 
 TEST(SharedPoolTest, IsAProcessWideSingleton) {
   EXPECT_EQ(&shared_pool(), &shared_pool());
