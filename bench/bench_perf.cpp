@@ -1,7 +1,8 @@
 // Performance microbenchmarks (google-benchmark): subproblem solve cost vs
-// partition density, pipeline throughput vs thread count (the paper's
-// motivation for decomposing the bilevel program), clustering cost, and the
-// overhead of the util::metrics instrumentation (armed vs disarmed).
+// partition density, effort-curve fitting, pipeline throughput vs thread
+// count (the paper's motivation for decomposing the bilevel program),
+// clustering cost, and the overhead of the util::metrics instrumentation
+// (armed vs disarmed).
 //
 // Unless the caller passes its own --benchmark_out, results are written as
 // machine-readable JSON to BENCH_perf.json in the working directory (CI
@@ -28,8 +29,11 @@
 #include "core/pipeline.hpp"
 #include "data/generator.hpp"
 #include "detect/collusion.hpp"
+#include "effort/fitting.hpp"
+#include "math/polyfit.hpp"
 #include "util/cancellation.hpp"
 #include "util/metrics.hpp"
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace {
@@ -66,6 +70,49 @@ void BM_BestResponse(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BestResponse)->RangeMultiplier(4)->Range(4, 256);
+
+// ---------------------------------------------------------------------------
+// Effort fitting (§IV-B): the least-squares quadratic behind every class,
+// community and ingest-refit curve. 256 samples is one ingest session's
+// window; 101,835 is the honest class of the amazon2015-sized trace.
+
+std::vector<ccd::data::EffortSample> effort_samples(std::size_t n) {
+  ccd::util::Rng rng(7);
+  std::vector<ccd::data::EffortSample> samples(n);
+  for (ccd::data::EffortSample& s : samples) {
+    s.effort = rng.uniform(0.3, 3.5);
+    s.feedback =
+        -0.9 * s.effort * s.effort + 7.0 * s.effort + 1.5 + 0.8 * rng.normal();
+  }
+  return samples;
+}
+
+void BM_PolyFit(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  std::vector<double> xs, ys;
+  for (const ccd::data::EffortSample& s : effort_samples(n)) {
+    xs.push_back(s.effort);
+    ys.push_back(s.feedback);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ccd::math::polyfit(xs, ys, 2));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * n));
+}
+BENCHMARK(BM_PolyFit)->Arg(256)->Arg(101835)->Unit(benchmark::kMicrosecond);
+
+// The full per-worker fit: sample split, quadratic fit and, when needed,
+// the projection onto concave and rising curves.
+void BM_FitEffortFunction(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const std::vector<ccd::data::EffortSample> samples = effort_samples(n);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ccd::effort::fit_effort_function(samples));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * n));
+}
+BENCHMARK(BM_FitEffortFunction)->Arg(256)->Arg(101835)
+    ->Unit(benchmark::kMicrosecond);
 
 // A fleet with the pipeline's solve-stage shape: every worker of a
 // detected class shares one weight-independent spec, only the Eq. 5

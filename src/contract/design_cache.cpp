@@ -106,6 +106,10 @@ DesignCacheStats& DesignCacheStats::operator+=(const DesignCacheStats& other) {
   return *this;
 }
 
+DesignCache::~DesignCache() {
+  CacheMetrics::get().evictions.add(tables_.size());
+}
+
 DesignResult DesignCache::design(const SubproblemSpec& spec) {
   spec.validate();
   if (spec.weight <= 0.0) return resolve_design(spec, kEmptyTable);

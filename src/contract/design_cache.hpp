@@ -96,6 +96,11 @@ struct DesignCacheStats {
 /// deterministic.
 class DesignCache {
  public:
+  /// Adds the tables still held to `ccd.cache.evictions`, as clear() does,
+  /// so `ccd.cache.misses - ccd.cache.evictions` counts the tables alive
+  /// in the process.
+  ~DesignCache();
+
   /// Design one contract through the cache. Equivalent (bitwise) to
   /// design_contract(spec).
   DesignResult design(const SubproblemSpec& spec);

@@ -1,11 +1,10 @@
 #include "math/polyfit.hpp"
 
+#include <algorithm>
 #include <cmath>
-
 #include <cstring>
 
 #include "math/linalg.hpp"
-#include "math/matrix.hpp"
 #include "util/error.hpp"
 #include "util/fault_injection.hpp"
 
@@ -58,17 +57,23 @@ PolyFitResult polyfit(const std::vector<double>& xs,
   double scale = 0.5 * (hi - lo);
   if (scale <= 0.0) scale = 1.0;  // all x equal; fit degenerates to constant
 
-  Matrix design(xs.size(), degree + 1);
-  for (std::size_t r = 0; r < xs.size(); ++r) {
-    const double u = (xs[r] - shift) / scale;
-    double power = 1.0;
-    for (std::size_t c = 0; c <= degree; ++c) {
-      design(r, c) = power;
-      power *= u;
+  // Vandermonde design in u = (x - shift) / scale, column-major: column c
+  // holds u^c as the running product u^(c-1) * u (column 1 is 1.0 * u = u).
+  const std::size_t m = xs.size();
+  const std::size_t n = degree + 1;
+  std::vector<double> design(m * n, 1.0);
+  if (n > 1) {
+    double* const u = design.data() + m;
+    for (std::size_t r = 0; r < m; ++r) u[r] = (xs[r] - shift) / scale;
+    for (std::size_t c = 2; c < n; ++c) {
+      const double* const prev = design.data() + (c - 1) * m;
+      double* const power = design.data() + c * m;
+      for (std::size_t r = 0; r < m; ++r) power[r] = prev[r] * u[r];
     }
   }
+  std::vector<double> rhs = ys;
 
-  const LeastSquaresResult ls = solve_least_squares(design, ys);
+  const LeastSquaresResult ls = solve_least_squares_columns(design, rhs, n);
   PolyFitResult out;
   out.polynomial = unscale(Polynomial(ls.coefficients), shift, scale);
   out.norm_of_residuals = ls.residual_norm;

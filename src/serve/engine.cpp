@@ -111,7 +111,6 @@ Session::Env Engine::session_env() {
   Session::Env env;
   env.checkpoint_dir = config_.checkpoint_dir;
   env.checkpoint_every = config_.checkpoint_every;
-  env.cache = &cache_;
   return env;
 }
 
@@ -651,10 +650,10 @@ void Engine::reaper_loop() {
       if (!evicted.empty()) {
         ServeMetrics::instance().sessions_open.set(
             static_cast<double>(sessions_.size()));
+        // Counted before the lock drops, so whoever sees a session gone
+        // also sees it counted.
+        ServeMetrics::instance().sessions_evicted.add(evicted.size());
       }
-    }
-    if (!evicted.empty()) {
-      ServeMetrics::instance().sessions_evicted.add(evicted.size());
     }
   }
 }

@@ -16,8 +16,11 @@
 //
 // Sessions execute under a per-session mutex — operations on one session
 // serialize, distinct sessions proceed in parallel across the executor
-// threads, and all redesign work funnels through one engine-shared
-// contract::DesignCache on util::shared_pool().
+// threads, and redesign work fans out on util::shared_pool(). Nothing
+// design-related outlives a request: each redesign's k-sweep tables live
+// in that call's own contract::DesignCache (classes still dedupe within
+// the call), because refitted curves never repeat across refits, so a
+// cache shared across requests would only grow.
 //
 // Everything observable lands in `ccd.serve.*` metrics, and the counters
 // reconcile exactly with what clients see: submitted == responses, and
@@ -37,7 +40,6 @@
 #include <thread>
 #include <vector>
 
-#include "contract/design_cache.hpp"
 #include "serve/protocol.hpp"
 #include "serve/session.hpp"
 #include "util/cancellation.hpp"
@@ -143,7 +145,6 @@ class Engine {
   Session::Env session_env();
 
   EngineConfig config_;
-  contract::DesignCache cache_;
 
   mutable std::mutex queue_mutex_;
   std::condition_variable queue_cv_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <deque>
 #include <utility>
 
 #include "core/checkpoint.hpp"
@@ -73,7 +74,8 @@ struct Session::IngestState {
   std::vector<double> est_accuracy;
   std::vector<double> est_malicious;
   std::vector<effort::QuadraticEffort> psi;
-  std::vector<std::vector<data::EffortSample>> samples;
+  /// Oldest sample first; a deque so sliding the window is O(1).
+  std::vector<std::deque<data::EffortSample>> samples;
   std::vector<contract::Contract> contracts;
 
   /// Contract-designer backend. BiP keeps the historical refit-boundary
@@ -210,16 +212,14 @@ bool Session::ingest(const std::vector<IngestObservation>& observations,
       throw DataError("ingest observation for worker " + std::to_string(i) +
                       " is not finite and non-negative");
     }
-    std::vector<data::EffortSample>& window = state.samples[i];
+    std::deque<data::EffortSample>& window = state.samples[i];
     data::EffortSample sample;
     sample.worker = static_cast<data::WorkerId>(i);
     sample.review = static_cast<data::ReviewId>(state.round);
     sample.effort = obs.effort;
     sample.feedback = obs.feedback;
     window.push_back(sample);
-    if (window.size() > IngestState::kSampleWindow) {
-      window.erase(window.begin());
-    }
+    if (window.size() > IngestState::kSampleWindow) window.pop_front();
 
     // Requester-side estimation, exactly as in the simulator (EMA over
     // the accuracy sample; sigmoid deviation signal for maliciousness).
@@ -267,10 +267,13 @@ void Session::ingest_refit() {
   // Incremental re-fit: workers with enough observed samples get a fresh
   // concave-quadratic effort curve; sparse or degenerate windows keep the
   // previous fit (quarantine-style degradation, never a dead session).
+  // Each fit reads a copy of the window, oldest sample first.
+  std::vector<data::EffortSample> window;
   for (std::size_t i = 0; i < n; ++i) {
     if (state.samples[i].size() < 3) continue;
+    window.assign(state.samples[i].begin(), state.samples[i].end());
     try {
-      state.psi[i] = effort::fit_effort_function(state.samples[i]).model;
+      state.psi[i] = effort::fit_effort_function(window).model;
     } catch (const ccd::Error&) {
       // Keep the previous curve.
     }
@@ -296,7 +299,6 @@ bool Session::ingest_post(bool redesign,
     view.active = true;
   }
   policy::PostEnv env;
-  env.cache = env_.cache;
   env.cancel = cancel;
   // A cancelled post keeps the previous contracts: a learner re-posts on
   // the next ingested round, BiP redesigns on the next refit round.
@@ -436,8 +438,7 @@ std::unique_ptr<Session::IngestState> Session::decode_ingest_payload(
       const double r0 = r.f64();
       state->psi.emplace_back(r2, r1, r0);
       const std::size_t samples = r.count(24);
-      std::vector<data::EffortSample> window;
-      window.reserve(samples);
+      std::deque<data::EffortSample> window;
       for (std::size_t s = 0; s < samples; ++s) {
         data::EffortSample sample;
         sample.worker = static_cast<data::WorkerId>(i);

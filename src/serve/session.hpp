@@ -13,8 +13,11 @@
 //    EMA estimates of accuracy/maliciousness exactly like the simulator's
 //    requester, accumulates a bounded sliding window of effort samples,
 //    re-fits each worker's effort curve (effort::fit_effort_function)
-//    every `refit_every` rounds, and re-designs all contracts through the
-//    engine-shared contract::DesignCache on util::shared_pool().
+//    every `refit_every` rounds, and re-designs all contracts in one
+//    contract::design_contracts_batch call on util::shared_pool(), whose
+//    design tables are dropped when the call returns. The window is a
+//    deque (O(1) per observation); a refit fits a copy of it, oldest
+//    sample first.
 //
 // Durability: when a checkpoint directory is configured every completed
 // round snapshots crash-safely. Simulation sessions reuse core/checkpoint
@@ -39,10 +42,6 @@
 #include "data/metrics.hpp"
 #include "serve/protocol.hpp"
 
-namespace ccd::contract {
-class DesignCache;
-}
-
 namespace ccd::serve {
 
 /// True when `id` is usable as a session name (and thus a checkpoint file
@@ -58,9 +57,6 @@ class Session {
     std::string checkpoint_dir;
     /// Snapshot cadence in completed rounds (>= 1).
     std::size_t checkpoint_every = 1;
-    /// Engine-shared design cache for ingest-mode redesigns (may be null:
-    /// each redesign then uses a private cache).
-    contract::DesignCache* cache = nullptr;
   };
 
   /// Open a fresh session. Throws ccd::ConfigError on bad id or params.

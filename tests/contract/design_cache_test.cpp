@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
+#include "util/metrics.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -265,6 +267,28 @@ TEST(DesignCacheTest, ClearResetsTablesAndCounters) {
   cache.clear();
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.stats().lookups, 0u);
+}
+
+// A cache going out of scope drops its tables like clear() does, so the
+// process-wide misses - evictions is the number of tables alive.
+TEST(DesignCacheTest, DestructionCountsRemainingTablesAsEvictions) {
+  util::metrics::Counter& misses =
+      util::metrics::registry().counter("ccd.cache.misses");
+  util::metrics::Counter& evictions =
+      util::metrics::registry().counter("ccd.cache.evictions");
+  const std::uint64_t alive0 = misses.value() - evictions.value();
+  {
+    DesignCache cache;
+    SubproblemSpec other;
+    other.mu = 0.5;
+    cache.design(SubproblemSpec{});
+    cache.design(other);
+    ASSERT_EQ(cache.size(), 2u);
+#ifndef CCD_NO_METRICS
+    EXPECT_EQ(misses.value() - evictions.value(), alive0 + 2);
+#endif
+  }
+  EXPECT_EQ(misses.value() - evictions.value(), alive0);
 }
 
 }  // namespace

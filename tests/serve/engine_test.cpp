@@ -485,6 +485,52 @@ TEST_F(EngineTest, IngestSessionRefitsAndResumesBitwise) {
   EXPECT_EQ(engine.call(make_advance("obs", 1)).status, Status::kConfigError);
 }
 
+// Every ingest refit designs on freshly fitted curves, so its design
+// tables are never looked up again: none may outlive the request that
+// built them, or a long-lived daemon grows with every refit. Each cache
+// counts a table once in ccd.cache.misses when it builds it and once in
+// ccd.cache.evictions when it drops it, so their difference is the number
+// of tables alive.
+TEST_F(EngineTest, IngestRefitsRetainNoDesignTables) {
+  constexpr std::uint64_t kWorkers = 4;
+  const auto ingest_request = [&](std::uint64_t round) {
+    Request request;
+    request.op = Op::kIngest;
+    request.session = "grow";
+    for (std::uint64_t w = 0; w < kWorkers; ++w) {
+      IngestObservation obs;
+      obs.effort = 1.0 + 0.25 * static_cast<double>((round * 3 + w) % 7);
+      obs.feedback = 2.0 + 7.5 * obs.effort - 0.9 * obs.effort * obs.effort;
+      obs.accuracy_sample = w == 0 ? 1.6 : 0.3;
+      request.observations.push_back(obs);
+    }
+    return request;
+  };
+  Request open;
+  open.op = Op::kOpen;
+  open.session = "grow";
+  open.open.mode = SessionMode::kIngest;
+  open.open.rounds = 0;
+  open.open.workers = kWorkers;
+  open.open.refit_every = 2;
+
+  const auto tables_alive = [] {
+    return counter_value("ccd.cache.misses") -
+           counter_value("ccd.cache.evictions");
+  };
+  Engine engine(config());
+  ASSERT_EQ(engine.call(open).status, Status::kOk);
+  const std::uint64_t alive0 = tables_alive();
+  std::size_t refits = 0;
+  for (std::uint64_t t = 0; t < 10; ++t) {
+    const Response r = engine.call(ingest_request(t));
+    ASSERT_EQ(r.status, Status::kOk) << r.message;
+    if (r.redesigned) ++refits;
+    EXPECT_EQ(tables_alive(), alive0) << "after round " << t;
+  }
+  EXPECT_EQ(refits, 5u);
+}
+
 TEST_F(EngineTest, PolicyBackendSessionsMatchTheSimulatorAndResumeBitwise) {
   // A session opened with a learner backend must (a) reproduce one
   // StackelbergSimulator::run of the same config bitwise and (b) survive

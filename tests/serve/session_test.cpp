@@ -1,16 +1,23 @@
 // serve::Session in ingest mode with the default BiP backend, driven
 // directly (no engine): refit rounds redesign every posted contract
 // through the session's policy, the rounds in between keep them, a
-// cancelled refit keeps the previous contracts until the next refit, and
-// refits design through the engine-shared cache.
+// cancelled refit keeps the previous contracts until the next refit, the
+// same feed always designs the same contracts, and the 256-sample window
+// slides past its wrap and through a checkpoint bitwise.
 #include "serve/session.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <bit>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <memory>
+#include <string>
 #include <vector>
 
-#include "contract/design_cache.hpp"
 #include "util/cancellation.hpp"
 
 namespace ccd::serve {
@@ -52,6 +59,21 @@ bool same_contracts(const std::vector<contract::Contract>& a,
     }
   }
   return true;
+}
+
+/// Every knot and payment of every contract, as bit patterns.
+std::vector<std::uint64_t> contract_bits(
+    const std::vector<contract::Contract>& contracts) {
+  std::vector<std::uint64_t> bits;
+  for (const contract::Contract& c : contracts) {
+    bits.push_back(c.is_zero() ? 0 : c.intervals() + 1);
+    if (c.is_zero()) continue;
+    for (std::size_t l = 0; l <= c.intervals(); ++l) {
+      bits.push_back(std::bit_cast<std::uint64_t>(c.knot(l)));
+      bits.push_back(std::bit_cast<std::uint64_t>(c.payment(l)));
+    }
+  }
+  return bits;
 }
 
 TEST(IngestSessionTest, ContractsHoldBetweenRefits) {
@@ -103,26 +125,99 @@ TEST(IngestSessionTest, CancelledRefitKeepsPreviousContracts) {
   EXPECT_TRUE(same_contracts(cut.contracts(), clean.contracts()));
 }
 
-TEST(IngestSessionTest, RefitsDesignThroughTheSharedCache) {
-  contract::DesignCache cache;
-  Session::Env env;
-  env.cache = &cache;
-  Session first("first", ingest_open(), env);
-  first.ingest(round_of(0), nullptr);
-  EXPECT_EQ(cache.stats().lookups, 0u);  // no refit yet
-  first.ingest(round_of(1), nullptr);
-  const contract::DesignCacheStats after_first = cache.stats();
-  EXPECT_GT(after_first.lookups, 0u);
-  EXPECT_EQ(after_first.misses, cache.size());
+// Refits design through a per-call cache, so nothing carries over from
+// one session (or one refit) to the next: two sessions fed the same rounds
+// post bitwise-identical contracts after every round.
+TEST(IngestSessionTest, SameFeedDesignsBitwiseIdenticalContracts) {
+  Session first("first", ingest_open(), Session::Env{});
+  Session second("second", ingest_open(), Session::Env{});
+  for (std::uint64_t t = 0; t < 8; ++t) {
+    EXPECT_EQ(first.ingest(round_of(t), nullptr),
+              second.ingest(round_of(t), nullptr));
+    EXPECT_EQ(contract_bits(first.contracts()),
+              contract_bits(second.contracts()))
+        << "round " << t;
+  }
+  for (const contract::Contract& c : first.contracts()) {
+    EXPECT_FALSE(c.is_zero());
+  }
+}
 
-  // A second session on the same feed designs the same specs: all hits.
-  Session second("second", ingest_open(), env);
-  second.ingest(round_of(0), nullptr);
-  second.ingest(round_of(1), nullptr);
-  const contract::DesignCacheStats after_second = cache.stats();
-  EXPECT_EQ(after_second.lookups, 2 * after_first.lookups);
-  EXPECT_EQ(after_second.misses, after_first.misses);
-  EXPECT_TRUE(same_contracts(second.contracts(), first.contracts()));
+// Each worker's window keeps its last 256 samples. 320 rounds slide it
+// well past the wrap; a session checkpointed at round 290, restored and
+// fed the rest must match one fed all 320 rounds without a break, bit for
+// bit: posted contracts, cumulative utility and checkpoint bytes. And the
+// samples that slid out must not matter: a session whose first 64 rounds
+// carried other efforts and feedback (same accuracy samples, so the same
+// estimates) refits round 320 from the same window and posts the same
+// contracts.
+TEST(IngestSessionTest, SampleWindowWrapsAndResumesBitwise) {
+  constexpr std::uint64_t kRounds = 320;
+  constexpr std::uint64_t kCut = 290;
+  constexpr std::uint64_t kSlidOut = kRounds - 256;
+  // A feed that does not repeat within the window, so every refit after
+  // the wrap fits a different sample set; `salt` changes the efforts of
+  // the rounds that slide out by round 320.
+  const auto varied_round = [](std::uint64_t round, std::uint64_t salt = 0) {
+    std::vector<IngestObservation> observations(kWorkers);
+    for (std::uint64_t w = 0; w < kWorkers; ++w) {
+      IngestObservation& obs = observations[w];
+      const std::uint64_t key = round < kSlidOut ? round + salt : round;
+      const std::uint64_t h = (key * 7919 + w * 104729) % 997;
+      obs.effort = 0.4 + 3.0 * static_cast<double>(h) / 997.0;
+      obs.feedback = 2.0 + 7.5 * obs.effort - 0.9 * obs.effort * obs.effort +
+                     0.05 * static_cast<double>((round + w) % 11);
+      obs.accuracy_sample = w == 0 ? 1.6 : 0.3;
+    }
+    return observations;
+  };
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("ccd_session_test_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  Session::Env durable;
+  durable.checkpoint_dir = dir.string();
+  durable.checkpoint_every = 10;  // snapshots at the cut and at the end
+  const auto file_bytes = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+
+  Session whole("whole", ingest_open(), durable);
+  for (std::uint64_t t = 0; t < kRounds; ++t) {
+    whole.ingest(varied_round(t), nullptr);
+  }
+  std::string cut_path;
+  {
+    Session cut("cut", ingest_open(), durable);
+    for (std::uint64_t t = 0; t < kCut; ++t) {
+      cut.ingest(varied_round(t), nullptr);
+    }
+    cut_path = cut.checkpoint_path();
+  }
+  const std::unique_ptr<Session> resumed =
+      Session::restore("cut", cut_path, durable);
+  for (std::uint64_t t = kCut; t < kRounds; ++t) {
+    resumed->ingest(varied_round(t), nullptr);
+  }
+
+  EXPECT_EQ(resumed->status().next_round, kRounds);
+  EXPECT_EQ(contract_bits(resumed->contracts()),
+            contract_bits(whole.contracts()));
+  Session other("other", ingest_open(), Session::Env{});
+  for (std::uint64_t t = 0; t < kRounds; ++t) {
+    other.ingest(varied_round(t, 500), nullptr);
+  }
+  EXPECT_EQ(contract_bits(other.contracts()), contract_bits(whole.contracts()));
+  const auto utility_bits = [](const Session& s) {
+    return std::bit_cast<std::uint64_t>(
+        s.status().cumulative_requester_utility);
+  };
+  EXPECT_EQ(utility_bits(*resumed), utility_bits(whole));
+  const std::string whole_bytes = file_bytes(whole.checkpoint_path());
+  EXPECT_FALSE(whole_bytes.empty());
+  EXPECT_EQ(file_bytes(resumed->checkpoint_path()), whole_bytes);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace
