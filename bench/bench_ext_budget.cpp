@@ -29,17 +29,22 @@ int main(int argc, char** argv) {
   std::printf("unconstrained fleet: utility %.1f at spend %.1f\n\n",
               pipeline.total_requester_utility, pipeline.total_compensation);
 
-  // Menus from the per-subproblem designs; track which workers are honest
-  // to see who gets dropped as the budget tightens.
-  std::vector<contract::BudgetMenu> menus;
+  // Menus from the subproblems' k-sweeps (a quarantined or fallback-priced
+  // subproblem has no designed candidates: weight 0, empty menu); track
+  // which workers are honest to see who gets dropped as the budget
+  // tightens.
+  std::vector<contract::SubproblemSpec> specs;
   std::vector<bool> honest_menu;
   for (const core::SubproblemOutcome& sub : pipeline.subproblems) {
-    menus.push_back(contract::menu_from_design(sub.design));
+    specs.push_back(sub.spec);
+    if (sub.quarantined || sub.fallback) specs.back().weight = 0.0;
     honest_menu.push_back(
         sub.workers.size() == 1 &&
         trace.worker(sub.workers.front()).true_class ==
             data::WorkerClass::kHonest);
   }
+  const std::vector<contract::BudgetMenu> menus =
+      contract::budget_menus(specs);
 
   util::TextTable table({"budget (% of full)", "spend", "utility",
                          "% of full utility", "lambda", "honest kept %",

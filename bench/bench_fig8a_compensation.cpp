@@ -68,17 +68,11 @@ int main(int argc, char** argv) {
     for (const data::WorkerId id : cohort) {
       // Per-worker accuracy drives the weight (Eq. 5); honest workers have
       // no partners and a low detector score.
-      double distance = 0.0;
-      for (const data::ReviewId rid : trace.reviews_of_worker(id)) {
-        const data::Review& r = trace.review(rid);
-        distance += std::abs(r.score - experts.consensus(r.product));
-      }
-      distance /= static_cast<double>(trace.reviews_of_worker(id).size());
-
       contract::SubproblemSpec spec;
       spec.psi = fits.honest.model;
       spec.incentives = {requester.beta, 0.0};
-      spec.weight = core::feedback_weight(requester, distance,
+      spec.weight = core::feedback_weight(requester,
+                                          detector.accuracy_distance(id),
                                           detector.probability(id), 0);
       spec.mu = requester.mu;
       spec.intervals = m;

@@ -20,10 +20,6 @@
 #include <string>
 #include <vector>
 
-#ifndef CCD_BUILD_TYPE
-#define CCD_BUILD_TYPE "unknown"
-#endif
-
 #include "contract/design_cache.hpp"
 #include "contract/designer.hpp"
 #include "core/pipeline.hpp"
@@ -35,6 +31,7 @@
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
+#include "release_gate.hpp"
 
 namespace {
 
@@ -327,16 +324,11 @@ int main(int argc, char** argv) {
     if (std::strncmp(argv[i], "--benchmark_out=", 16) == 0) have_out = true;
     args.push_back(argv[i]);
   }
-  const std::string build_type = CCD_BUILD_TYPE;
-  if (build_type != "release" && !force) {
-    std::fprintf(stderr,
-                 "bench_perf: refusing to publish numbers from a '%s' build "
-                 "(rebuild with -DCMAKE_BUILD_TYPE=Release, or pass force=1 "
-                 "to override)\n",
-                 build_type.c_str());
-    return 3;
+  if (!ccd::bench::release_gate("bench_perf", force)) {
+    return ccd::bench::kNonReleaseExit;
   }
-  benchmark::AddCustomContext("library_build_type", build_type);
+  benchmark::AddCustomContext("library_build_type",
+                              ccd::bench::library_build_type());
   std::string out_flag = "--benchmark_out=BENCH_perf.json";
   std::string fmt_flag = "--benchmark_out_format=json";
   if (!have_out) {

@@ -43,10 +43,7 @@
 #include "contract/worker_response.hpp"
 #include "policy/policy.hpp"
 #include "util/rng.hpp"
-
-#ifndef CCD_BUILD_TYPE
-#define CCD_BUILD_TYPE "unknown"
-#endif
+#include "release_gate.hpp"
 
 namespace {
 
@@ -156,7 +153,8 @@ void write_json(const std::string& path, std::size_t rounds,
   }
   char buf[64];
   out << "{\n  \"bench\": \"policy_regret\",\n";
-  out << "  \"library_build_type\": \"" << CCD_BUILD_TYPE << "\",\n";
+  out << "  \"library_build_type\": \"" << bench::library_build_type()
+      << "\",\n";
   out << "  \"rounds\": " << rounds << ",\n";
   out << "  \"workers\": " << workers << ",\n";
   std::snprintf(buf, sizeof(buf), "%.6f", oracle_per_round);
@@ -220,14 +218,8 @@ int main(int argc, char** argv) {
                  "bench_policy_regret: need rounds >= 8 and workers >= 1\n");
     return 2;
   }
-  const std::string build_type = CCD_BUILD_TYPE;
-  if (build_type != "release" && !force) {
-    std::fprintf(stderr,
-                 "bench_policy_regret: refusing to publish numbers from a "
-                 "'%s' build (rebuild with -DCMAKE_BUILD_TYPE=Release, or "
-                 "pass force=1 to override)\n",
-                 build_type.c_str());
-    return 3;
+  if (!bench::release_gate("bench_policy_regret", force)) {
+    return bench::kNonReleaseExit;
   }
 
   const std::vector<contract::SubproblemSpec> specs = fleet_specs(workers);

@@ -45,6 +45,7 @@ struct ClientTally {
   double final_utility = 0.0;
 };
 
+#ifndef CCD_NO_METRICS
 double counter_value(const char* name) {
   namespace metrics = ccd::util::metrics;
   for (const metrics::MetricSnapshot& m : metrics::registry().snapshot()) {
@@ -52,6 +53,7 @@ double counter_value(const char* name) {
   }
   return 0.0;
 }
+#endif
 
 }  // namespace
 

@@ -3,13 +3,15 @@
 // on a steady-state fleet whose class tables are already cached (the
 // serve/stackelberg redesign hot path), on one thread.
 //
-// This binary *refuses to publish numbers from non-Release builds*: the
-// library it links must have been compiled with CMAKE_BUILD_TYPE=Release
-// (CCD_BUILD_TYPE is stamped in by CMake at compile time). Debug or
-// RelWithDebInfo throughput is not comparable and has repeatedly polluted
-// tracking history in other projects; exit code 3 makes CI fail loudly
-// instead. `force=1` overrides for local poking; the JSON still records
-// the real build type so a forced run can never masquerade as a gate.
+// This binary *refuses to publish numbers from non-Release builds*
+// (release_gate.hpp): Debug or RelWithDebInfo throughput is not comparable,
+// so exit code 3 makes CI fail loudly instead. `force=1` overrides for
+// local poking; the JSON still records the real build type so a forced run
+// can never masquerade as a gate.
+//
+// The gate also checks bits: on a subsample, every DesignResult field must
+// equal design_contract's, and the subsample's budget_menus must equal the
+// per-k columns of each spec's own k-sweep (build_design_table).
 //
 // Exit codes: 0 gate passed, 1 gate failed (floor or bitwise check),
 // 2 bad usage, 3 non-release build.
@@ -26,14 +28,12 @@
 #include <string>
 #include <vector>
 
+#include "contract/budget.hpp"
 #include "contract/design_cache.hpp"
 #include "contract/designer.hpp"
 #include "contract/ksweep.hpp"
 #include "util/thread_pool.hpp"
-
-#ifndef CCD_BUILD_TYPE
-#define CCD_BUILD_TYPE "unknown"
-#endif
+#include "release_gate.hpp"
 
 namespace {
 
@@ -113,9 +113,21 @@ bool bitwise_equal(const contract::DesignResult& a,
          a.response.interval == b.response.interval &&
          same_bits(a.requester_utility, b.requester_utility) &&
          same_bits(a.upper_bound, b.upper_bound) &&
-         same_bits(a.lower_bound, b.lower_bound) &&
-         same_bits(a.utility_by_k, b.utility_by_k) &&
-         same_bits(a.pay_by_k, b.pay_by_k) && a.excluded == b.excluded;
+         same_bits(a.lower_bound, b.lower_bound) && a.excluded == b.excluded;
+}
+
+/// A budget menu against the per-k columns of the spec's own k-sweep.
+bool menu_matches_sweep(const contract::BudgetMenu& menu,
+                        const contract::SubproblemSpec& spec) {
+  if (spec.weight <= 0.0) return menu.pay.empty() && menu.utility.empty();
+  const contract::DesignTable table = contract::build_design_table(spec);
+  std::vector<double> pay;
+  std::vector<double> utility;
+  for (const contract::CandidateOutcome& c : table.candidates) {
+    pay.push_back(c.response.compensation);
+    utility.push_back(contract::requester_utility(spec, c.response));
+  }
+  return same_bits(menu.pay, pay) && same_bits(menu.utility, utility);
 }
 
 }  // namespace
@@ -145,16 +157,10 @@ int main(int argc, char** argv) {
     else { std::fprintf(stderr, "unknown key: %s\n", key.c_str()); return 2; }
   }
 
-  const std::string build_type = CCD_BUILD_TYPE;
-  if (build_type != "release" && !force) {
-    std::fprintf(stderr,
-                 "bench_throughput: library_build_type is \"%s\", not "
-                 "\"release\"; refusing to publish throughput numbers "
-                 "(rebuild with -DCMAKE_BUILD_TYPE=Release, or pass force=1 "
-                 "for a local, non-gating run)\n",
-                 build_type.c_str());
-    return 3;
+  if (!bench::release_gate("bench_throughput", force)) {
+    return bench::kNonReleaseExit;
   }
+  const std::string build_type = bench::library_build_type();
 
   const std::vector<contract::SubproblemSpec> specs =
       fleet_specs(workers, classes, intervals);
@@ -176,12 +182,20 @@ int main(int argc, char** argv) {
   });
 
   // Self-check on a subsample: every field of the batch result must be
-  // bitwise-identical to the uncached design_contract reference.
+  // bitwise-identical to the uncached design_contract reference, and the
+  // subsample's budget menus to each spec's own k-sweep.
   bool bitwise = true;
   const std::size_t stride = std::max<std::size_t>(1, workers / 64);
+  std::vector<contract::SubproblemSpec> sample;
   for (std::size_t i = 0; i < workers; i += stride) {
     bitwise = bitwise &&
               bitwise_equal(results[i], contract::design_contract(specs[i]));
+    sample.push_back(specs[i]);
+  }
+  const std::vector<contract::BudgetMenu> menus =
+      contract::budget_menus(sample);
+  for (std::size_t j = 0; j < sample.size(); ++j) {
+    bitwise = bitwise && menu_matches_sweep(menus[j], sample[j]);
   }
 
   const bool floor_ok = wps >= min_wps;

@@ -4,7 +4,9 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <unordered_map>
 
+#include "contract/design_cache.hpp"
 #include "util/error.hpp"
 
 namespace ccd::contract {
@@ -114,11 +116,28 @@ BudgetAllocation allocate_budget_dp(const std::vector<BudgetMenu>& menus,
 
 }  // namespace
 
-BudgetMenu menu_from_design(const DesignResult& design) {
-  BudgetMenu menu;
-  menu.pay = design.pay_by_k;
-  menu.utility = design.utility_by_k;
-  return menu;
+std::vector<BudgetMenu> budget_menus(
+    const std::vector<SubproblemSpec>& specs) {
+  std::unordered_map<DesignCacheKey, DesignTable, DesignCacheKeyHash> tables;
+  std::vector<BudgetMenu> menus(specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const SubproblemSpec& spec = specs[i];
+    spec.validate();
+    if (spec.weight <= 0.0) continue;
+    const DesignCacheKey key = DesignCacheKey::of(spec);
+    auto it = tables.find(key);
+    if (it == tables.end()) {
+      it = tables.emplace(key, build_design_table(spec)).first;
+    }
+    BudgetMenu& menu = menus[i];
+    menu.pay.reserve(it->second.candidates.size());
+    menu.utility.reserve(it->second.candidates.size());
+    for (const CandidateOutcome& candidate : it->second.candidates) {
+      menu.pay.push_back(candidate.response.compensation);
+      menu.utility.push_back(requester_utility(spec, candidate.response));
+    }
+  }
+  return menus;
 }
 
 BudgetAllocation allocate_budget(const std::vector<BudgetMenu>& menus,

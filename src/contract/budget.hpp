@@ -23,14 +23,20 @@
 
 namespace ccd::contract {
 
-/// One worker's menu: the designer's per-candidate pay/utility columns.
+/// One worker's menu: what each candidate contract ξ^(k) of the k-sweep
+/// would pay and earn the requester (index k - 1).
 struct BudgetMenu {
-  std::vector<double> pay;      ///< pay_by_k
-  std::vector<double> utility;  ///< utility_by_k
+  std::vector<double> pay;      ///< candidate k's response.compensation
+  std::vector<double> utility;  ///< requester_utility(spec, candidate k)
 };
 
-/// Menu extracted from a DesignResult (empty menu for excluded workers).
-BudgetMenu menu_from_design(const DesignResult& design);
+/// One menu per spec, in order. Each class of specs (the DesignCacheKey
+/// grouping design_contracts_batch uses) runs one k-sweep, built from its
+/// first positive-weight member. A spec with weight <= 0 gets an empty
+/// menu: the designer excludes it outright. A spec the §V rule excludes
+/// (every candidate utility negative) keeps its full, all-negative menu.
+/// Validates every spec, in order, as the designer does.
+std::vector<BudgetMenu> budget_menus(const std::vector<SubproblemSpec>& specs);
 
 struct BudgetChoice {
   /// Selected candidate index + 1 (i.e. the k); 0 = opt out of this worker.

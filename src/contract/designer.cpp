@@ -95,16 +95,18 @@ DesignTable build_design_table(const SubproblemSpec& spec) {
     knots[l] = spec.psi(delta * static_cast<double>(l));
   }
 
+  // One payments buffer serves every candidate: the Contract constructor
+  // copies knots and payments into the candidate's own shared block.
   DesignTable table;
   table.candidates.reserve(m);
   std::vector<double> response_scratch;
+  std::vector<double> payments(m + 1);
   for (std::size_t k = 1; k <= m; ++k) {
-    std::vector<double> payments(m + 1);
     std::copy(rec.pay_prefix.begin(), rec.pay_prefix.begin() + k + 1,
               payments.begin());
     std::fill(payments.begin() + k + 1, payments.end(), rec.pay_prefix[k]);
     CandidateOutcome outcome;
-    outcome.contract = Contract(delta, knots, std::move(payments));
+    outcome.contract = Contract(delta, knots, payments);
     outcome.response = best_response(outcome.contract, spec.psi,
                                      spec.incentives, -1.0, &response_scratch);
     table.candidates.push_back(std::move(outcome));
@@ -127,33 +129,24 @@ DesignResult resolve_design(const SubproblemSpec& spec,
   CCD_CHECK_MSG(table.candidates.size() == m,
                 "design table does not match spec.intervals");
 
+  // Eq. 43 argmax; the first maximum wins (strictly greater replaces).
   DesignResult result;
-  result.utility_by_k.assign(m, 0.0);
-  result.pay_by_k.assign(m, 0.0);
-  bool have_best = false;
   for (std::size_t k = 1; k <= m; ++k) {
-    const CandidateOutcome& candidate = table.candidates[k - 1];
-    const double utility = requester_utility(spec, candidate.response);
-    result.utility_by_k[k - 1] = utility;
-    result.pay_by_k[k - 1] = candidate.response.compensation;
-    if (!have_best || utility > result.requester_utility) {
-      have_best = true;
+    const double utility =
+        requester_utility(spec, table.candidates[k - 1].response);
+    if (k == 1 || utility > result.requester_utility) {
       result.requester_utility = utility;
       result.k_opt = k;
-      result.contract = candidate.contract;
-      result.response = candidate.response;
     }
   }
 
   // §V elimination fallback: when even the best candidate loses the
   // requester money, the zero contract (utility 0) strictly dominates.
-  // Keep the per-k diagnostics so callers can see what was rejected.
-  if (result.requester_utility < 0.0) {
-    DesignResult fallback = excluded_result(spec);
-    fallback.utility_by_k = std::move(result.utility_by_k);
-    fallback.pay_by_k = std::move(result.pay_by_k);
-    return fallback;
-  }
+  if (result.requester_utility < 0.0) return excluded_result(spec);
+
+  const CandidateOutcome& best = table.candidates[result.k_opt - 1];
+  result.contract = best.contract;
+  result.response = best.response;
 
   const double delta = spec.delta();
   result.upper_bound =

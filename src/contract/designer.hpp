@@ -50,6 +50,11 @@ struct SubproblemSpec {
   void validate() const;
 };
 
+/// One subproblem's design. Plain fields plus a Contract that shares its
+/// storage with the class's design table, so a fleet of results costs no
+/// per-worker heap allocation. The per-candidate (pay, utility) columns are
+/// not kept here; contract/budget.hpp's budget_menus rebuilds them for the
+/// one caller that needs them.
 struct DesignResult {
   Contract contract;
   /// Selected target interval (0 when the worker is excluded).
@@ -61,13 +66,6 @@ struct DesignResult {
   /// Theorem 4.1 bounds (0 for excluded workers).
   double upper_bound = 0.0;
   double lower_bound = 0.0;
-  /// Requester utility each candidate k would have achieved (diagnostics;
-  /// empty for weight-excluded workers, populated — all negative — for
-  /// workers excluded by the max_k utility < 0 fallback).
-  std::vector<double> utility_by_k;
-  /// Compensation each candidate k would have paid (same indexing; feeds
-  /// the budget-feasible allocator in contract/budget.hpp).
-  std::vector<double> pay_by_k;
   bool excluded = false;
 };
 

@@ -200,10 +200,9 @@ std::vector<DesignResult> design_contracts_batch(
   const FleetTableSet ts =
       acquire_fleet_tables(fleet, specs, cache, pool, options);
 
-  // One kernel pass per class, materialized to AoS DesignResults with the
-  // per-k diagnostics rebuilt from the tableau columns via the scalar
-  // expressions. Classes write disjoint results, so they parallelize
-  // freely.
+  // One kernel pass per class, written out as plain per-worker fields plus
+  // a copy of the winning candidate's Contract, which shares the table's
+  // storage. Classes write disjoint results, so they parallelize freely.
   pool.parallel_for(fleet.classes(), [&](std::size_t c) {
     const std::size_t begin = fleet.class_begin[c];
     const std::size_t count = fleet.class_begin[c + 1] - begin;
@@ -214,8 +213,7 @@ std::vector<DesignResult> design_contracts_batch(
     const SubproblemSpec cls = fleet.class_spec(c);
 
     // The §V zero-contract response is weight-independent: computed once
-    // per class, and only when a member is excluded. Weight exclusion
-    // carries no per-k diagnostics (matching resolve_design).
+    // per class, and only when a member is excluded.
     std::optional<BestResponse> zero;
     const auto exclude = [&](DesignResult& result) {
       if (!zero) zero = best_response(Contract(), cls.psi, cls.incentives);
@@ -235,7 +233,6 @@ std::vector<DesignResult> design_contracts_batch(
     scratch.arena.reset();
     const ClassTableau tableau =
         build_class_tableau(cls, *table, scratch.arena);
-    const std::size_t m = tableau.m;
     double* utility = scratch.arena.doubles(count);
     double* upper = scratch.arena.doubles(count);
     scratch.k_opt.resize(count);
@@ -253,14 +250,8 @@ std::vector<DesignResult> design_contracts_batch(
         continue;
       }
       CCD_FAULT_POINT("contract.design", fault_key(specs[i]), ContractError);
-      result.utility_by_k.resize(m);
-      result.pay_by_k.assign(tableau.pay, tableau.pay + m);
-      for (std::size_t kk = 0; kk < m; ++kk) {
-        result.utility_by_k[kk] =
-            w * tableau.feedback[kk] - tableau.mu * tableau.pay[kk];
-      }
       if (utility[j] < 0.0) {
-        exclude(result);  // §V fallback: zero contract, diagnostics kept
+        exclude(result);  // §V fallback: zero contract
       } else {
         const std::size_t k = scratch.k_opt[j];
         const CandidateOutcome& candidate = table->candidates[k - 1];

@@ -22,21 +22,6 @@ util::metrics::Histogram* stage_histogram(const char* stage) {
                                               stage + "_us");
 }
 
-/// Mean |score - expert consensus| for a worker; a worker with no reviews
-/// brings no usable feedback (infinite distance => excluded).
-double accuracy_distance(const data::ReviewTrace& trace,
-                         const detect::ExpertPanel& experts,
-                         data::WorkerId id) {
-  const auto& review_ids = trace.reviews_of_worker(id);
-  if (review_ids.empty()) return 1e9;
-  double acc = 0.0;
-  for (const data::ReviewId rid : review_ids) {
-    const data::Review& r = trace.review(rid);
-    acc += std::abs(r.score - experts.consensus(r.product));
-  }
-  return acc / static_cast<double>(review_ids.size());
-}
-
 const effort::EffortFit& class_fit(const effort::ClassFits& fits,
                                    DetectedClass cls) {
   switch (cls) {
@@ -260,6 +245,12 @@ PipelineResult run_pipeline(const data::ReviewTrace& trace,
       // honest; the single cancellation event is already recorded.
       result.detector_quality = {};
     } else {
+      // Once the panel is built, nothing below throws a ccd::Error: the
+      // detector only checks what the panel and build_indexes() already
+      // verified on this trace (indexes built, ids in range). So a failed
+      // stage never leaves a panel without a detector, and the accuracy
+      // distances, which the detector computes, fall back to 0 exactly
+      // when the stage fails.
       metrics.emplace(t);
       experts.emplace(t, *metrics, config.expert);
       detector.emplace(t, *experts, config.detector);
@@ -377,10 +368,9 @@ PipelineResult run_pipeline(const data::ReviewTrace& trace,
   for (data::WorkerId id = 0; id < n; ++id) {
     WorkerOutcome& out = result.workers[id];
     out.id = id;
-    out.true_class = t.worker(id).true_class;
+    out.true_class = t.workers()[id].true_class;
     out.malicious_probability = detector ? detector->probability(id) : 0.0;
-    out.accuracy_distance =
-        experts ? accuracy_distance(t, *experts, id) : 0.0;
+    out.accuracy_distance = detector ? detector->accuracy_distance(id) : 0.0;
     const std::int32_t community = result.collusion.community_of[id];
     if (community >= 0) {
       out.detected_class = DetectedClass::kCollusiveMalicious;
@@ -410,6 +400,8 @@ PipelineResult run_pipeline(const data::ReviewTrace& trace,
   };
 
   // Individuals: everyone not in a detected community.
+  result.subproblems.reserve(n - result.collusion.collusive_worker_count() +
+                             result.collusion.communities.size());
   for (data::WorkerId id = 0; id < n; ++id) {
     if (result.collusion.community_of[id] >= 0) continue;
     WorkerOutcome& out = result.workers[id];

@@ -12,13 +12,16 @@ WorkerMetrics::WorkerMetrics(const ReviewTrace& trace, MetricsConfig config)
   CCD_CHECK_MSG(config.target_mean_effort > 0.0,
                 "target_mean_effort must be positive");
 
+  // Review ids below come from the trace's own index, which
+  // build_indexes() validated, so the loops index reviews() directly.
+  const std::vector<Review>& reviews = trace.reviews();
   expertise_.assign(trace.workers().size(), 0.0);
   for (const Worker& w : trace.workers()) {
     const auto& review_ids = trace.reviews_of_worker(w.id);
     if (review_ids.empty()) continue;
     double total = 0.0;
     for (const ReviewId rid : review_ids) {
-      total += trace.review(rid).upvotes;
+      total += reviews[rid].upvotes;
     }
     expertise_[w.id] = total / static_cast<double>(review_ids.size());
   }
@@ -50,11 +53,23 @@ double WorkerMetrics::feedback(ReviewId id) const {
 
 std::vector<EffortSample> WorkerMetrics::samples_of_class(
     WorkerClass cls) const {
+  std::size_t count = 0;
+  for (const Worker& w : trace_.workers()) {
+    if (w.true_class == cls) count += trace_.reviews_of_worker(w.id).size();
+  }
   std::vector<EffortSample> out;
+  out.reserve(count);
+  // The ids come from the trace's own index, which build_indexes()
+  // validated; each sample is effort_level(rid), feedback(rid) inline.
+  const std::vector<Review>& reviews = trace_.reviews();
   for (const Worker& w : trace_.workers()) {
     if (w.true_class != cls) continue;
     for (const ReviewId rid : trace_.reviews_of_worker(w.id)) {
-      out.push_back({w.id, rid, effort_level(rid), feedback(rid)});
+      const Review& r = reviews[rid];
+      out.push_back({w.id, rid,
+                     expertise_[r.worker] *
+                         static_cast<double>(r.length_chars) * effort_scale_,
+                     static_cast<double>(r.upvotes)});
     }
   }
   return out;

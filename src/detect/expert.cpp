@@ -1,6 +1,7 @@
 #include "detect/expert.hpp"
 
 #include <cmath>
+#include <utility>
 
 #include "util/error.hpp"
 #include "util/stats.hpp"
@@ -13,18 +14,26 @@ ExpertPanel::ExpertPanel(const data::ReviewTrace& trace,
   CCD_CHECK_MSG(trace.indexes_built(), "ExpertPanel requires trace indexes");
 
   // Feedback threshold from the distribution of per-worker mean feedback
-  // among sufficiently active workers.
+  // (the metrics' expertise: the same per-worker mean of upvotes) among
+  // sufficiently active workers.
   std::vector<double> mean_feedbacks;
+  mean_feedbacks.reserve(trace.workers().size());
   for (const data::Worker& w : trace.workers()) {
     if (trace.reviews_of_worker(w.id).size() >= config.min_reviews) {
-      mean_feedbacks.push_back(metrics.mean_feedback_of_worker(w.id));
+      mean_feedbacks.push_back(metrics.expertise(w.id));
     }
   }
   const double feedback_threshold =
       mean_feedbacks.empty()
           ? 0.0
-          : util::percentile(mean_feedbacks, config.feedback_percentile);
+          : util::percentile(std::move(mean_feedbacks),
+                             config.feedback_percentile);
 
+  // Review ids come from the trace's own index, which build_indexes()
+  // validated (ids and the products they reference), so the loops index
+  // reviews() and products() directly.
+  const std::vector<data::Review>& reviews = trace.reviews();
+  const std::vector<data::Product>& products = trace.products();
   expert_flags_.assign(trace.workers().size(), false);
   for (const data::Worker& w : trace.workers()) {
     if (config.trust_badges && w.expert_badge) {
@@ -34,11 +43,11 @@ ExpertPanel::ExpertPanel(const data::ReviewTrace& trace,
     }
     const auto& review_ids = trace.reviews_of_worker(w.id);
     if (review_ids.size() < config.min_reviews) continue;
-    if (metrics.mean_feedback_of_worker(w.id) < feedback_threshold) continue;
+    if (metrics.expertise(w.id) < feedback_threshold) continue;
     double deviation = 0.0;
     for (const data::ReviewId rid : review_ids) {
-      const data::Review& r = trace.review(rid);
-      deviation += std::abs(r.score - trace.product(r.product).true_quality);
+      const data::Review& r = reviews[rid];
+      deviation += std::abs(r.score - products[r.product].true_quality);
     }
     deviation /= static_cast<double>(review_ids.size());
     if (deviation > config.max_score_deviation) continue;
@@ -46,17 +55,24 @@ ExpertPanel::ExpertPanel(const data::ReviewTrace& trace,
     experts_.push_back(w.id);
   }
 
-  // Per-product expert consensus.
-  product_score_sum_.assign(trace.products().size(), 0.0);
-  product_score_count_.assign(trace.products().size(), 0);
+  // Per-product expert consensus: sum the expert scores, then store each
+  // product's mean once (the global mean where no expert reviewed it).
+  consensus_.assign(products.size(), 0.0);
+  product_score_count_.assign(products.size(), 0);
   util::Accumulator global;
-  for (const data::Review& r : trace.reviews()) {
+  for (const data::Review& r : reviews) {
     if (!expert_flags_[r.worker]) continue;
-    product_score_sum_[r.product] += r.score;
+    consensus_[r.product] += r.score;
     ++product_score_count_[r.product];
     global.add(r.score);
   }
   if (global.count() > 0) global_mean_ = global.mean();
+  for (std::size_t p = 0; p < consensus_.size(); ++p) {
+    consensus_[p] = product_score_count_[p] == 0
+                        ? global_mean_
+                        : consensus_[p] /
+                              static_cast<double>(product_score_count_[p]);
+  }
 }
 
 bool ExpertPanel::is_expert(data::WorkerId id) const {
@@ -67,12 +83,7 @@ bool ExpertPanel::is_expert(data::WorkerId id) const {
 std::optional<double> ExpertPanel::expert_score(data::ProductId id) const {
   CCD_CHECK_MSG(id < product_score_count_.size(), "product id out of range");
   if (product_score_count_[id] == 0) return std::nullopt;
-  return product_score_sum_[id] / static_cast<double>(product_score_count_[id]);
-}
-
-double ExpertPanel::consensus(data::ProductId id) const {
-  const std::optional<double> score = expert_score(id);
-  return score ? *score : global_mean_;
+  return consensus_[id];
 }
 
 double ExpertPanel::coverage() const {

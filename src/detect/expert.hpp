@@ -13,6 +13,7 @@
 
 #include "data/metrics.hpp"
 #include "data/trace.hpp"
+#include "util/error.hpp"
 
 namespace ccd::detect {
 
@@ -40,8 +41,12 @@ class ExpertPanel {
   std::optional<double> expert_score(data::ProductId id) const;
 
   /// Expert consensus with fallback: products no expert covered fall back to
-  /// the global mean expert score (the requester's best prior).
-  double consensus(data::ProductId id) const;
+  /// the global mean expert score (the requester's best prior). Inline: the
+  /// detector reads it once per review.
+  double consensus(data::ProductId id) const {
+    CCD_CHECK_MSG(id < consensus_.size(), "product id out of range");
+    return consensus_[id];
+  }
 
   /// Fraction of products covered by at least one expert review.
   double coverage() const;
@@ -49,7 +54,8 @@ class ExpertPanel {
  private:
   std::vector<bool> expert_flags_;
   std::vector<data::WorkerId> experts_;
-  std::vector<double> product_score_sum_;
+  /// consensus(p) per product: the mean expert score, or global_mean_.
+  std::vector<double> consensus_;
   std::vector<std::size_t> product_score_count_;
   double global_mean_ = 3.0;
 };

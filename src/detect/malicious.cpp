@@ -13,21 +13,31 @@ MaliciousDetector::MaliciousDetector(const data::ReviewTrace& trace,
   CCD_CHECK_MSG(trace.indexes_built(),
                 "MaliciousDetector requires trace indexes");
   probability_.assign(trace.workers().size(), config.prior);
+  accuracy_distance_.assign(trace.workers().size(), kNoReviewsDistance);
 
+  // Review ids come from the trace's own index, which build_indexes()
+  // validated, so the loop indexes reviews() directly.
+  const std::vector<data::Review>& reviews = trace.reviews();
   for (const data::Worker& w : trace.workers()) {
     const auto& review_ids = trace.reviews_of_worker(w.id);
     if (review_ids.empty()) continue;
 
+    // One pass, two accumulators: the signed deviation this detector
+    // scores, and the absolute one Eq. 5 weights feedback by.
     double signed_deviation = 0.0;
+    double abs_deviation = 0.0;
     double unverified = 0.0;
     for (const data::ReviewId rid : review_ids) {
-      const data::Review& r = trace.review(rid);
-      signed_deviation += r.score - experts.consensus(r.product);
+      const data::Review& r = reviews[rid];
+      const double deviation = r.score - experts.consensus(r.product);
+      signed_deviation += deviation;
+      abs_deviation += std::abs(deviation);
       if (!r.verified) unverified += 1.0;
     }
     const double n = static_cast<double>(review_ids.size());
     signed_deviation /= n;
     unverified /= n;
+    accuracy_distance_[w.id] = abs_deviation / n;
 
     // Positive bias relative to consensus is the paid-review signature;
     // logistic squash to a probability, blended with the unverified rate.
@@ -48,6 +58,11 @@ MaliciousDetector::MaliciousDetector(const data::ReviewTrace& trace,
 double MaliciousDetector::probability(data::WorkerId id) const {
   CCD_CHECK_MSG(id < probability_.size(), "worker id out of range");
   return probability_[id];
+}
+
+double MaliciousDetector::accuracy_distance(data::WorkerId id) const {
+  CCD_CHECK_MSG(id < accuracy_distance_.size(), "worker id out of range");
+  return accuracy_distance_[id];
 }
 
 std::vector<data::WorkerId> MaliciousDetector::flagged(double threshold) const {

@@ -4,7 +4,9 @@
 // ML detectors). We implement the score-deviation detector those systems
 // reduce to on review data: a worker whose ratings consistently deviate from
 // expert consensus in a *biased* direction is likely malicious. The detector
-// outputs a probability in [0, 1] per worker, the interface Eq. 5 consumes.
+// outputs a probability in [0, 1] per worker, the interface Eq. 5 consumes,
+// and, from the same pass over each worker's reviews, the worker's accuracy
+// distance to expert consensus, Eq. 5's other per-worker input.
 #pragma once
 
 #include <vector>
@@ -36,6 +38,13 @@ class MaliciousDetector {
 
   const std::vector<double>& probabilities() const { return probability_; }
 
+  /// Mean |score - expert consensus| over worker `id`'s reviews: the
+  /// accuracy distance Eq. 5 weights feedback by. A worker with no reviews
+  /// brings no usable feedback and gets kNoReviewsDistance, a stand-in for
+  /// infinity that drives Eq. 5's accuracy term to ~0.
+  double accuracy_distance(data::WorkerId id) const;
+  static constexpr double kNoReviewsDistance = 1e9;
+
   /// Workers whose probability exceeds `threshold`.
   std::vector<data::WorkerId> flagged(double threshold = 0.5) const;
 
@@ -54,6 +63,7 @@ class MaliciousDetector {
 
  private:
   std::vector<double> probability_;
+  std::vector<double> accuracy_distance_;
 };
 
 }  // namespace ccd::detect

@@ -8,15 +8,6 @@
 
 namespace ccd::util {
 
-void Accumulator::add(double x) {
-  ++count_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
-  min_ = std::min(min_, x);
-  max_ = std::max(max_, x);
-}
-
 void Accumulator::merge(const Accumulator& other) {
   if (other.count_ == 0) return;
   if (count_ == 0) {

@@ -1,6 +1,7 @@
 // Descriptive statistics: streaming accumulator, percentiles, histograms.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <limits>
 #include <string>
@@ -11,7 +12,15 @@ namespace ccd::util {
 /// Streaming mean/variance/min/max (Welford's algorithm).
 class Accumulator {
  public:
-  void add(double x);
+  /// Inline: the trace statistics call this once per review.
+  void add(double x) {
+    ++count_;
+    const double delta = x - mean_;
+    mean_ += delta / static_cast<double>(count_);
+    m2_ += delta * (x - mean_);
+    min_ = std::min(min_, x);
+    max_ = std::max(max_, x);
+  }
   void merge(const Accumulator& other);
 
   std::size_t count() const { return count_; }

@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "util/error.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace ccd::contract {
 namespace {
@@ -132,31 +139,33 @@ TEST(BudgetTest, MonotoneInBudget) {
   }
 }
 
-TEST(BudgetTest, MenuFromDesignCarriesColumns) {
+TEST(BudgetTest, BudgetMenusCarryDesignColumns) {
   SubproblemSpec spec;
   spec.psi = effort::QuadraticEffort(-1.0, 8.0, 2.0);
   spec.weight = 1.0;
   spec.mu = 1.0;
   spec.intervals = 8;
   const DesignResult d = design_contract(spec);
-  const BudgetMenu m = menu_from_design(d);
+  const BudgetMenu m = budget_menus({spec}).front();
   ASSERT_EQ(m.pay.size(), 8u);
   ASSERT_EQ(m.utility.size(), 8u);
   EXPECT_DOUBLE_EQ(m.utility[d.k_opt - 1], d.requester_utility);
+  EXPECT_DOUBLE_EQ(m.pay[d.k_opt - 1], d.response.compensation);
 }
 
 TEST(BudgetTest, FleetDesignUnderTightBudget) {
   // End to end: design menus for a small fleet, then squeeze the budget and
   // verify spend obeys it while utility degrades gracefully.
-  std::vector<BudgetMenu> menus;
+  std::vector<SubproblemSpec> specs;
   for (int i = 0; i < 10; ++i) {
     SubproblemSpec spec;
     spec.psi = effort::QuadraticEffort(-1.0, 8.0, 2.0);
     spec.weight = 0.5 + 0.1 * i;
     spec.mu = 1.0;
     spec.intervals = 12;
-    menus.push_back(menu_from_design(design_contract(spec)));
+    specs.push_back(spec);
   }
+  const std::vector<BudgetMenu> menus = budget_menus(specs);
   const BudgetAllocation rich = allocate_budget(menus, 1e9);
   const BudgetAllocation tight =
       allocate_budget(menus, 0.25 * rich.total_pay);
@@ -180,6 +189,126 @@ TEST(BudgetTest, Validation) {
 TEST(BudgetTest, ExactGuardsAgainstBlowup) {
   std::vector<BudgetMenu> many(20, menu({1.0}, {1.0}));
   EXPECT_THROW(allocate_budget_exact(many, 5.0), ContractError);
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::equal(a.begin(), a.end(), b.begin(), [](double x, double y) {
+           return std::bit_cast<std::uint64_t>(x) ==
+                  std::bit_cast<std::uint64_t>(y);
+         });
+}
+
+/// The per-k reference: the spec's own k-sweep, scalarized with the
+/// designer's utility expression; empty when the designer excludes the
+/// spec by weight.
+BudgetMenu sweep_menu(const SubproblemSpec& spec) {
+  BudgetMenu menu;
+  if (spec.weight <= 0.0) return menu;
+  for (const CandidateOutcome& c : build_design_table(spec).candidates) {
+    menu.pay.push_back(c.response.compensation);
+    menu.utility.push_back(requester_utility(spec, c.response));
+  }
+  return menu;
+}
+
+/// Mixed fleets: random classes and weights, plus every case budget_menus
+/// treats specially.
+std::vector<std::vector<SubproblemSpec>> menu_fleets() {
+  SubproblemSpec a;
+  a.psi = effort::QuadraticEffort(-1.0, 8.0, 0.0);
+  a.incentives = {1.0, 0.0};
+  a.weight = 1.5;
+  SubproblemSpec twin = a;  // sign-of-zero twin: a's class, own bits
+  twin.psi = effort::QuadraticEffort(-1.0, 8.0, -0.0);
+  twin.incentives.omega = -0.0;
+  twin.weight = 0.7;
+  SubproblemSpec stingy = twin;  // §V: every candidate loses money
+  stingy.weight = 1e-4;
+  SubproblemSpec zero = a;  // weight-excluded: empty menu
+  zero.weight = 0.0;
+  SubproblemSpec negative = a;
+  negative.weight = -2.0;
+  SubproblemSpec signed_zero = a;
+  signed_zero.weight = -0.0;
+
+  std::vector<std::vector<SubproblemSpec>> fleets;
+  // The twin first, so it (not `a`) runs its class's k-sweep.
+  fleets.push_back({twin, zero, a, stingy, negative, signed_zero});
+  fleets.push_back({a, twin, stingy, zero});
+  util::Rng rng(61);
+  for (int f = 0; f < 3; ++f) {
+    std::vector<SubproblemSpec> fleet;
+    for (int i = 0; i < 40; ++i) {
+      SubproblemSpec spec;
+      const int c = static_cast<int>(rng.next_u64() % 4);
+      spec.psi = effort::QuadraticEffort(-1.0 - 0.1 * c, 8.0 - 0.5 * c,
+                                         2.0 + 0.25 * c);
+      spec.incentives = {1.0 + 0.1 * c, c % 2 == 0 ? 0.0 : 0.3};
+      spec.mu = 1.0 + 0.25 * c;
+      spec.intervals = 8 + 4 * static_cast<std::size_t>(c);
+      spec.weight = rng.uniform(-0.3, 2.5);
+      fleet.push_back(spec);
+    }
+    fleet.push_back(stingy);
+    fleet.push_back(zero);
+    fleets.push_back(std::move(fleet));
+  }
+  return fleets;
+}
+
+void expect_menus_match_sweeps(const std::vector<BudgetMenu>& menus,
+                               const std::vector<SubproblemSpec>& specs,
+                               const std::string& where) {
+  ASSERT_EQ(menus.size(), specs.size()) << where;
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const BudgetMenu want = sweep_menu(specs[i]);
+    EXPECT_TRUE(same_bits(menus[i].pay, want.pay)) << where << " spec " << i;
+    EXPECT_TRUE(same_bits(menus[i].utility, want.utility))
+        << where << " spec " << i;
+  }
+}
+
+// budget_menus runs one k-sweep per class, from the class's first
+// positive-weight member; every menu must still equal the per-k columns of
+// the spec's own sweep, bit for bit, on one thread and on four concurrent
+// callers.
+TEST(BudgetMenusTest, MatchEachSpecsOwnSweepBitwise) {
+  const std::vector<std::vector<SubproblemSpec>> fleets = menu_fleets();
+  for (const std::size_t threads : {1u, 4u}) {
+    util::ThreadPool pool(threads);
+    std::vector<std::vector<BudgetMenu>> got(fleets.size());
+    pool.parallel_for(fleets.size(), [&](std::size_t f) {
+      got[f] = budget_menus(fleets[f]);
+    });
+    for (std::size_t f = 0; f < fleets.size(); ++f) {
+      expect_menus_match_sweeps(got[f], fleets[f],
+                                std::to_string(threads) + " threads fleet " +
+                                    std::to_string(f));
+    }
+  }
+}
+
+TEST(BudgetMenusTest, ExclusionRulesShapeTheMenus) {
+  const std::vector<SubproblemSpec> fleet = menu_fleets().front();
+  const std::vector<BudgetMenu> menus = budget_menus(fleet);
+  // twin, zero, a, stingy, negative, signed_zero
+  EXPECT_EQ(menus[0].utility.size(), fleet[0].intervals);
+  EXPECT_TRUE(menus[1].pay.empty() && menus[1].utility.empty());
+  EXPECT_EQ(menus[2].utility.size(), fleet[2].intervals);
+  // §V exclusion: the designer returns the zero contract, the menu keeps
+  // every (all-negative) candidate.
+  ASSERT_TRUE(design_contract(fleet[3]).excluded);
+  ASSERT_EQ(menus[3].utility.size(), fleet[3].intervals);
+  for (const double u : menus[3].utility) EXPECT_LT(u, 0.0);
+  EXPECT_TRUE(menus[4].utility.empty());
+  EXPECT_TRUE(menus[5].utility.empty());
+}
+
+TEST(BudgetMenusTest, InvalidSpecThrows) {
+  std::vector<SubproblemSpec> specs = menu_fleets().front();
+  specs.back().mu = 0.0;  // weight-excluded, still validated
+  EXPECT_THROW(budget_menus(specs), Error);
 }
 
 }  // namespace

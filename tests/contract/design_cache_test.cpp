@@ -7,6 +7,7 @@
 #include <limits>
 #include <vector>
 
+#include "contract/budget.hpp"
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -58,8 +59,6 @@ void expect_identical(const DesignResult& a, const DesignResult& b,
   EXPECT_EQ(a.response.feedback, b.response.feedback) << "spec " << i;
   EXPECT_EQ(a.response.compensation, b.response.compensation) << "spec " << i;
   EXPECT_EQ(a.response.interval, b.response.interval) << "spec " << i;
-  EXPECT_EQ(a.utility_by_k, b.utility_by_k) << "spec " << i;
-  EXPECT_EQ(a.pay_by_k, b.pay_by_k) << "spec " << i;
   ASSERT_EQ(a.contract.is_zero(), b.contract.is_zero()) << "spec " << i;
   ASSERT_EQ(a.contract.intervals(), b.contract.intervals()) << "spec " << i;
   if (a.contract.is_zero()) return;
@@ -77,9 +76,16 @@ TEST(DesignCacheBatchTest, BitwiseIdenticalToPerWorkerPath) {
   const std::vector<SubproblemSpec> specs = random_fleet(200, 1234);
   const std::vector<DesignResult> batch = design_contracts_batch(specs);
   ASSERT_EQ(batch.size(), specs.size());
+  // The per-k menus share one k-sweep per class the same way: a fleet's
+  // menus equal each spec's menu on its own.
+  const std::vector<BudgetMenu> menus = budget_menus(specs);
+  ASSERT_EQ(menus.size(), specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
     const DesignResult direct = design_contract(specs[i]);
     expect_identical(batch[i], direct, i);
+    const BudgetMenu alone = budget_menus({specs[i]}).front();
+    EXPECT_EQ(menus[i].utility, alone.utility) << "spec " << i;
+    EXPECT_EQ(menus[i].pay, alone.pay) << "spec " << i;
   }
 }
 

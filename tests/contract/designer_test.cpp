@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "contract/budget.hpp"
 #include "util/error.hpp"
 
 namespace ccd::contract {
@@ -51,13 +52,15 @@ TEST(SubproblemSpecTest, ValidationCatchesBadFields) {
 }
 
 TEST(DesignContractTest, SelectedKMaximizesRequesterUtility) {
-  const DesignResult d = design_contract(base_spec());
-  ASSERT_EQ(d.utility_by_k.size(), 20u);
+  const SubproblemSpec spec = base_spec();
+  const DesignResult d = design_contract(spec);
+  const BudgetMenu menu = budget_menus({spec}).front();
+  ASSERT_EQ(menu.utility.size(), 20u);
   ASSERT_GE(d.k_opt, 1u);
-  for (const double u : d.utility_by_k) {
-    EXPECT_LE(u, d.utility_by_k[d.k_opt - 1] + 1e-12);
+  for (const double u : menu.utility) {
+    EXPECT_LE(u, menu.utility[d.k_opt - 1] + 1e-12);
   }
-  EXPECT_DOUBLE_EQ(d.requester_utility, d.utility_by_k[d.k_opt - 1]);
+  EXPECT_DOUBLE_EQ(d.requester_utility, menu.utility[d.k_opt - 1]);
 }
 
 TEST(DesignContractTest, ReportedUtilityMatchesResponse) {
@@ -114,8 +117,9 @@ TEST(DesignContractTest, AllCandidatesNegativeFallsBackToExclusion) {
   spec.mu = 50.0;
   spec.weight = 0.1;
   const DesignResult d = design_contract(spec);
-  ASSERT_EQ(d.utility_by_k.size(), spec.intervals);
-  for (const double u : d.utility_by_k) EXPECT_LT(u, 0.0);
+  const BudgetMenu menu = budget_menus({spec}).front();
+  ASSERT_EQ(menu.utility.size(), spec.intervals);
+  for (const double u : menu.utility) EXPECT_LT(u, 0.0);
   EXPECT_TRUE(d.excluded);
   EXPECT_TRUE(d.contract.is_zero());
   EXPECT_EQ(d.k_opt, 0u);
@@ -140,8 +144,12 @@ TEST(DesignContractTest, TableResolveMatchesDirectDesign) {
     EXPECT_EQ(direct.response.compensation, via_table.response.compensation);
     EXPECT_EQ(direct.upper_bound, via_table.upper_bound);
     EXPECT_EQ(direct.lower_bound, via_table.lower_bound);
-    EXPECT_EQ(direct.utility_by_k, via_table.utility_by_k);
-    EXPECT_EQ(direct.pay_by_k, via_table.pay_by_k);
+    // The selected candidate is the menu's entry k_opt.
+    const BudgetMenu menu = budget_menus({spec}).front();
+    ASSERT_EQ(menu.utility.size(), spec.intervals);
+    if (direct.k_opt == 0) continue;
+    EXPECT_EQ(menu.utility[direct.k_opt - 1], via_table.requester_utility);
+    EXPECT_EQ(menu.pay[direct.k_opt - 1], via_table.response.compensation);
   }
 }
 

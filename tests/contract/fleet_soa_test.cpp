@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "contract/arena.hpp"
+#include "contract/budget.hpp"
 #include "contract/design_cache.hpp"
 #include "contract/ksweep.hpp"
 #include "util/cancellation.hpp"
@@ -103,14 +104,6 @@ bool same_bits(double a, double b) {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
-bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (!same_bits(a[i], b[i])) return false;
-  }
-  return true;
-}
-
 bool same_contract(const Contract& a, const Contract& b) {
   if (a.is_zero() != b.is_zero() || a.intervals() != b.intervals() ||
       !same_bits(a.delta(), b.delta())) {
@@ -144,8 +137,6 @@ void expect_bitwise(const DesignResult& got, const DesignResult& want,
       << where;
   EXPECT_TRUE(same_bits(got.upper_bound, want.upper_bound)) << where;
   EXPECT_TRUE(same_bits(got.lower_bound, want.lower_bound)) << where;
-  EXPECT_TRUE(same_bits(got.utility_by_k, want.utility_by_k)) << where;
-  EXPECT_TRUE(same_bits(got.pay_by_k, want.pay_by_k)) << where;
   EXPECT_EQ(got.excluded, want.excluded) << where;
 }
 
@@ -281,7 +272,7 @@ TEST(FleetDesignTest, BatchMatchesDesignContractBitwise) {
   twin.weight = 1e-4;
   const DesignResult twin_reference = design_contract(twin);
   ASSERT_TRUE(twin_reference.excluded);
-  ASSERT_FALSE(twin_reference.utility_by_k.empty());
+  ASSERT_FALSE(budget_menus({twin}).front().utility.empty());
   fleets[1].push_back(twin);
   fleets.push_back(one_worker_per_class(60, 46));
 
@@ -310,6 +301,40 @@ TEST(FleetDesignTest, BatchMatchesDesignContractBitwise) {
       expect_bitwise(cache.design(specs[i]), reference, where + " (cached)");
     }
   }
+}
+
+// Without options.cache the batch designs through a call-local cache, whose
+// tables die with the call. Each result's Contract shares its candidate's
+// storage, so the copies kept here must keep that storage alive on their
+// own (under ASan, a dangling block fails this test loudly).
+TEST(FleetDesignTest, ContractsOutliveTheBatchTables) {
+  std::vector<SubproblemSpec> specs = random_fleet(80, 56);
+  const std::vector<SubproblemSpec> tricky = tricky_specs();
+  specs.insert(specs.end(), tricky.begin(), tricky.end());
+  std::vector<Contract> kept;
+  {
+    const std::vector<DesignResult> results = design_contracts_batch(specs);
+    for (const DesignResult& r : results) kept.push_back(r.contract);
+  }
+  std::size_t paying = 0;
+  std::size_t first_paying = specs.size();
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const DesignResult reference = design_contract(specs[i]);
+    const std::string where = "worker " + std::to_string(i);
+    EXPECT_TRUE(same_contract(kept[i], reference.contract)) << where;
+    EXPECT_TRUE(same_bits(kept[i].pay(reference.response.feedback),
+                          reference.contract.pay(reference.response.feedback)))
+        << where;
+    if (kept[i].is_zero()) continue;
+    ++paying;
+    first_paying = std::min(first_paying, i);
+  }
+  ASSERT_GT(paying, specs.size() / 2);
+  // A copy of a copy still reads the same block after the rest are gone.
+  const Contract survivor = kept[first_paying];
+  kept.clear();
+  EXPECT_TRUE(same_contract(survivor,
+                            design_contract(specs[first_paying]).contract));
 }
 
 // Each class's table is built from its first positive-weight member, so
@@ -505,7 +530,7 @@ TEST(FleetDesignTest, PreCancelledBatchResolvesNothing) {
     EXPECT_FALSE(results[i].excluded) << "worker " << i;
     EXPECT_EQ(results[i].k_opt, 0u) << "worker " << i;
     EXPECT_TRUE(results[i].contract.is_zero()) << "worker " << i;
-    EXPECT_TRUE(results[i].utility_by_k.empty()) << "worker " << i;
+    EXPECT_EQ(results[i].requester_utility, 0.0) << "worker " << i;
   }
   expect_same_stats(stats, DesignCacheStats{}, "call");
   EXPECT_EQ(cache.size(), 0u);

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "data/generator.hpp"
 #include "util/error.hpp"
 
@@ -60,6 +64,45 @@ TEST(WorkerMetricsTest, SamplesOfClassCoverAllClassReviews) {
     total += m.samples_of_class(cls).size();
   }
   EXPECT_EQ(total, t.reviews().size());
+}
+
+// samples_of_class computes each sample inline; every sample must equal
+// the checked accessors' values bit for bit, in worker-then-review order.
+TEST(WorkerMetricsTest, SamplesOfClassMatchAccessorsBitwise) {
+  const ReviewTrace t = generate_trace(GeneratorParams::small());
+  const WorkerMetrics m(t);
+  for (const WorkerClass cls :
+       {WorkerClass::kHonest, WorkerClass::kNonCollusiveMalicious,
+        WorkerClass::kCollusiveMalicious}) {
+    const std::vector<EffortSample> samples = m.samples_of_class(cls);
+    std::size_t j = 0;
+    for (const Worker& w : t.workers()) {
+      if (w.true_class != cls) continue;
+      for (const ReviewId rid : t.reviews_of_worker(w.id)) {
+        ASSERT_LT(j, samples.size());
+        const EffortSample& s = samples[j++];
+        EXPECT_EQ(s.worker, w.id);
+        EXPECT_EQ(s.review, rid);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(s.effort),
+                  std::bit_cast<std::uint64_t>(m.effort_level(rid)));
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(s.feedback),
+                  std::bit_cast<std::uint64_t>(m.feedback(rid)));
+      }
+    }
+    EXPECT_EQ(j, samples.size());
+  }
+}
+
+// The expert panel reads a worker's mean feedback as expertise(); both are
+// the same sum in the same order, so they agree bit for bit.
+TEST(WorkerMetricsTest, ExpertiseIsMeanFeedbackBitwise) {
+  const ReviewTrace t = generate_trace(GeneratorParams::small());
+  const WorkerMetrics m(t);
+  for (const Worker& w : t.workers()) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(m.expertise(w.id)),
+              std::bit_cast<std::uint64_t>(m.mean_feedback_of_worker(w.id)))
+        << "worker " << w.id;
+  }
 }
 
 TEST(WorkerMetricsTest, SamplesOfWorkerMatchesIndex) {

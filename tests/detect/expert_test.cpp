@@ -2,12 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
+#include <optional>
+#include <vector>
 
 #include "data/generator.hpp"
 #include "data/metrics.hpp"
 #include "util/error.hpp"
+#include "util/stats.hpp"
 
 namespace ccd::detect {
 namespace {
@@ -85,6 +90,41 @@ TEST_F(ExpertPanelTest, ConsensusFallsBackToGlobalMean) {
     }
   }
   FAIL() << "expected at least one uncovered product";
+}
+
+// consensus() is one stored value per product: the expert mean where an
+// expert reviewed the product, else the global mean of every expert score.
+// Both are recomputed here from the raw expert reviews, in trace order.
+TEST_F(ExpertPanelTest, ConsensusIsExpertScoreOrGlobalMean) {
+  const ExpertPanel panel(trace_, *metrics_);
+  const std::size_t products = trace_.products().size();
+  std::vector<double> sum(products, 0.0);
+  std::vector<std::size_t> count(products, 0);
+  util::Accumulator global;
+  for (const data::Review& r : trace_.reviews()) {
+    if (!panel.is_expert(r.worker)) continue;
+    sum[r.product] += r.score;
+    ++count[r.product];
+    global.add(r.score);
+  }
+  ASSERT_GT(global.count(), 0u);
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  std::size_t covered = 0;
+  for (const data::Product& p : trace_.products()) {
+    const std::optional<double> score = panel.expert_score(p.id);
+    ASSERT_EQ(score.has_value(), count[p.id] > 0) << "product " << p.id;
+    const double want = count[p.id] > 0
+                            ? sum[p.id] / static_cast<double>(count[p.id])
+                            : global.mean();
+    EXPECT_EQ(bits(panel.consensus(p.id)), bits(want)) << "product " << p.id;
+    if (score) {
+      EXPECT_EQ(bits(*score), bits(want)) << "product " << p.id;
+      ++covered;
+    }
+  }
+  EXPECT_GT(covered, 0u);
+  EXPECT_LT(covered, products);
+  EXPECT_THROW(panel.consensus(static_cast<data::ProductId>(products)), Error);
 }
 
 TEST_F(ExpertPanelTest, CoverageIsAFraction) {

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <memory>
 
 #include "data/generator.hpp"
@@ -100,6 +103,49 @@ TEST_F(MaliciousDetectorTest, OutOfRangeThrows) {
   EXPECT_THROW(detector_->probability(static_cast<data::WorkerId>(
                    trace_.workers().size())),
                Error);
+  EXPECT_THROW(detector_->accuracy_distance(static_cast<data::WorkerId>(
+                   trace_.workers().size())),
+               Error);
+}
+
+/// Mean |score - consensus| over the worker's reviews, summed in review
+/// order: the per-worker scan the detector's single pass must reproduce.
+double scanned_distance(const data::ReviewTrace& trace,
+                        const ExpertPanel& experts, data::WorkerId id) {
+  const auto& review_ids = trace.reviews_of_worker(id);
+  if (review_ids.empty()) return MaliciousDetector::kNoReviewsDistance;
+  double acc = 0.0;
+  for (const data::ReviewId rid : review_ids) {
+    const data::Review& r = trace.review(rid);
+    acc += std::abs(r.score - experts.consensus(r.product));
+  }
+  return acc / static_cast<double>(review_ids.size());
+}
+
+TEST_F(MaliciousDetectorTest, AccuracyDistanceMatchesPerWorkerScanBitwise) {
+  for (const data::Worker& w : trace_.workers()) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(detector_->accuracy_distance(w.id)),
+              std::bit_cast<std::uint64_t>(
+                  scanned_distance(trace_, *experts_, w.id)))
+        << "worker " << w.id;
+  }
+}
+
+TEST(MaliciousDetectorDistanceTest, WorkerWithoutReviewsIsInfinitelyFar) {
+  data::ReviewTrace t;
+  t.add_worker({0, data::WorkerClass::kHonest, data::kNoCommunity, 1.0, true});
+  t.add_worker({1, data::WorkerClass::kHonest, data::kNoCommunity, 1.0, false});
+  t.add_product({0, 3.0});
+  t.add_product({1, 4.0});
+  t.add_review({0, 0, 0, 0, 3.0, 100, 4, true});
+  t.add_review({1, 0, 1, 1, 4.5, 100, 4, true});
+  t.build_indexes();
+  const data::WorkerMetrics metrics(t);
+  const ExpertPanel experts(t, metrics);
+  const MaliciousDetector detector(t, experts);
+  EXPECT_EQ(detector.accuracy_distance(0), scanned_distance(t, experts, 0));
+  EXPECT_EQ(detector.accuracy_distance(1),
+            MaliciousDetector::kNoReviewsDistance);
 }
 
 }  // namespace

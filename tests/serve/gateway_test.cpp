@@ -372,8 +372,10 @@ TEST_F(GatewayTest, SocketFrontEndIsIndistinguishableFromASingleDaemon) {
   EXPECT_EQ(health.sessions_open, 1u);
   EXPECT_GT(health.max_sessions, 0u);
 
-  EXPECT_NE(client.metrics(false).find("ccd.gateway.requests"),
-            std::string::npos);
+  const std::string metrics = client.metrics(false);
+#ifndef CCD_NO_METRICS  // a no-metrics build has no counters to export
+  EXPECT_NE(metrics.find("ccd.gateway.requests"), std::string::npos);
+#endif
 
   // Shutdown broadcasts to every shard and drains the gateway itself.
   client.shutdown_server();

@@ -21,7 +21,8 @@
 //       report how much of the designed utility it recovers from scratch),
 //       `lenient_load` routes dirty CSVs through the sanitizer, and
 //       fault_rate/fault_seed arm the deterministic fault injector (chaos
-//       drills).
+//       drills). A final `wall time` line splits the command's time into
+//       trace generate-or-load, the pipeline stages, and the audit.
 //
 //   ccdctl simulate [rounds=40] [workers=6] [malicious=2] [seed=1]
 //          [policy=bip|bandit|posted] [deadline=SECONDS] [checkpoint=FILE]
@@ -80,6 +81,7 @@
 //   0 success, 1 generic error, 2 usage / ConfigError, 3 DataError,
 //   4 MathError, 5 ContractError, 6 deadline expired / cancelled,
 //   7 transport authentication failed (CSRV v3 token handshake).
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -416,6 +418,14 @@ int cmd_design(const util::ParamMap& params) {
     config.cancel = &cancel_token;
   }
 
+  using Clock = std::chrono::steady_clock;
+  const auto ms_since = [](Clock::time_point start) {
+    return util::format_double(
+        std::chrono::duration<double, std::milli>(Clock::now() - start)
+            .count(),
+        2);
+  };
+  const Clock::time_point load_start = Clock::now();
   data::ReviewTrace trace;
   if (!preset.empty()) {
     trace = data::generate_trace(gen);
@@ -432,6 +442,7 @@ int cmd_design(const util::ParamMap& params) {
   } else {
     trace = data::load_trace_retrying(prefix);
   }
+  const std::string load_ms = ms_since(load_start);
 
   if (fault_rate > 0.0) {
     util::FaultInjectorConfig chaos;
@@ -459,12 +470,17 @@ int cmd_design(const util::ParamMap& params) {
                   .c_str());
 
   // Certify the designed contracts before posting them.
+  const Clock::time_point audit_start = Clock::now();
   const core::FleetAudit audit = core::audit_pipeline(result);
+  const std::string audit_ms = ms_since(audit_start);
   std::printf("equilibrium audit: %zu/%zu contracts audited, %s (max worker "
               "regret %.2e, min participation margin %.2e)\n",
               audit.audited, audit.subproblems,
               audit.clean() ? "all IC/IR clean" : "VIOLATIONS FOUND",
               audit.max_worker_regret, audit.min_participation_margin);
+  std::printf("wall time: %s=%s ms | pipeline %s | audit=%s ms\n",
+              preset.empty() ? "load" : "generate", load_ms.c_str(),
+              result.timings.to_string().c_str(), audit_ms.c_str());
   if (is_designer_policy(policy) && policy != "bip") {
     design_policy_refinement(result, policy::kind_from_string(policy));
   }
