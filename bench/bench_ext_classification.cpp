@@ -26,13 +26,13 @@ int main(int argc, char** argv) {
     std::vector<tasks::LabelerSpec> pool;
     for (std::size_t i = 0; i + adversaries < pool_size; ++i) {
       tasks::LabelerSpec s;
-      s.name = "d" + std::to_string(i);
+      s.name = std::string("d").append(std::to_string(i));
       s.accuracy.cap = 0.9 + 0.01 * static_cast<double>(i % 5);
       pool.push_back(s);
     }
     for (std::size_t i = 0; i < adversaries; ++i) {
       tasks::LabelerSpec s;
-      s.name = "a" + std::to_string(i);
+      s.name = std::string("a").append(std::to_string(i));
       s.type = tasks::LabelerType::kAdversarial;
       s.omega = 0.5;
       s.target_label = true;

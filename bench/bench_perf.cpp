@@ -188,6 +188,50 @@ BENCHMARK(BM_SolveStagePerWorker)
     ->Args({10000, 1})->Args({10000, 8})
     ->Unit(benchmark::kMillisecond);
 
+// An ingest refit's redesign: every worker carries its own freshly fitted
+// curve, so the batch designs 200 one-worker classes at the default m = 20
+// with no cache hits, one k-sweep per worker, on one thread. The fleets
+// above share 4 classes, so their sweeps are a rounding error.
+std::vector<ccd::contract::SubproblemSpec> refit_specs(std::size_t n) {
+  ccd::util::Rng rng(11);
+  std::vector<ccd::data::EffortSample> window(64);
+  std::vector<ccd::contract::SubproblemSpec> specs(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double r2 = rng.uniform(-1.2, -0.7);
+    const double r1 = rng.uniform(6.0, 9.0);
+    const double r0 = rng.uniform(0.5, 2.5);
+    for (ccd::data::EffortSample& s : window) {
+      s.effort = rng.uniform(0.3, 3.5);
+      s.feedback = (r2 * s.effort + r1) * s.effort + r0 + 0.5 * rng.normal();
+    }
+    ccd::contract::SubproblemSpec& spec = specs[i];
+    spec.psi = ccd::effort::fit_effort_function(window).model;
+    // Suspected-malicious workers get the session's omega_malicious.
+    spec.incentives = {1.0, i % 5 == 0 ? 0.5 : 0.0};
+    spec.weight = rng.uniform(0.2, 3.0);
+  }
+  return specs;
+}
+
+void BM_IngestRefitBatch(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const std::vector<ccd::contract::SubproblemSpec> specs = refit_specs(n);
+  ccd::util::ThreadPool pool(1);
+  ccd::contract::BatchOptions options;
+  options.pool = &pool;
+  ccd::contract::DesignCacheStats stats;
+  for (auto _ : state) {
+    std::vector<ccd::contract::DesignResult> results =
+        ccd::contract::design_contracts_batch(specs, options, &stats);
+    benchmark::DoNotOptimize(results);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * n));
+  state.counters["ksweeps"] = static_cast<double>(stats.misses);
+}
+// The sweeps run on the pool's one worker thread, so time the wall clock.
+BENCHMARK(BM_IngestRefitBatch)->Arg(200)->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
 void BM_PipelineThreads(benchmark::State& state) {
   const auto& trace = medium_trace();
   ccd::core::PipelineConfig config;

@@ -123,9 +123,9 @@ bool menu_matches_sweep(const contract::BudgetMenu& menu,
   const contract::DesignTable table = contract::build_design_table(spec);
   std::vector<double> pay;
   std::vector<double> utility;
-  for (const contract::CandidateOutcome& c : table.candidates) {
-    pay.push_back(c.response.compensation);
-    utility.push_back(contract::requester_utility(spec, c.response));
+  for (const contract::BestResponse& response : table.responses) {
+    pay.push_back(response.compensation);
+    utility.push_back(contract::requester_utility(spec, response));
   }
   return same_bits(menu.pay, pay) && same_bits(menu.utility, utility);
 }

@@ -130,11 +130,11 @@ std::vector<BudgetMenu> budget_menus(
       it = tables.emplace(key, build_design_table(spec)).first;
     }
     BudgetMenu& menu = menus[i];
-    menu.pay.reserve(it->second.candidates.size());
-    menu.utility.reserve(it->second.candidates.size());
-    for (const CandidateOutcome& candidate : it->second.candidates) {
-      menu.pay.push_back(candidate.response.compensation);
-      menu.utility.push_back(requester_utility(spec, candidate.response));
+    menu.pay.reserve(it->second.responses.size());
+    menu.utility.reserve(it->second.responses.size());
+    for (const BestResponse& response : it->second.responses) {
+      menu.pay.push_back(response.compensation);
+      menu.utility.push_back(requester_utility(spec, response));
     }
   }
   return menus;

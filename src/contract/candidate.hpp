@@ -21,11 +21,13 @@
 // feeds the recurrence.
 //
 // Crucially, nothing in the recurrence reads k: candidate k's slopes are
-// the prefix alpha_1..alpha_k of one k-independent sequence. The whole
-// k-sweep therefore shares a single recurrence pass (candidate_recurrence),
-// and build_design_table materializes each candidate as a payment prefix —
-// bitwise-identical to building each candidate from scratch, without the
-// former O(m^2) recomputation.
+// the prefix alpha_1..alpha_k of one k-independent sequence, flat past kδ.
+// The whole k-sweep therefore shares a single recurrence pass
+// (candidate_recurrence), build_design_table answers every candidate with
+// one best-response scan over that prefix (sweep_best_responses), and a
+// candidate becomes a Contract only when a worker selects it
+// (DesignTable::candidate). build_candidate builds one candidate from its
+// own recurrence; the tests check the table's contracts against it.
 #pragma once
 
 #include <cstddef>

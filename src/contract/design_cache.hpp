@@ -3,11 +3,11 @@
 //
 // The pipeline's decomposition (§IV-B) hands every worker of the same
 // detected class an identical (psi, beta, omega, mu, intervals, domain)
-// subproblem — only the Eq. 5 weight differs. The k-sweep
-// (build_candidate + best_response per k) is weight-independent, so the
-// cache computes one DesignTable per distinct spec and resolves each
-// worker as a cheap argmax_k (weight * feedback_k - mu * pay_k) over the
-// cached per-k table. Results are bitwise-identical to the uncached
+// subproblem — only the Eq. 5 weight differs. The k-sweep (the payment
+// prefix and one best-response scan over every candidate) is
+// weight-independent, so the cache computes one DesignTable per distinct
+// spec and resolves each worker as a cheap argmax_k (weight * feedback_k -
+// mu * pay_k) over the cached per-k responses. Results are bitwise-identical to the uncached
 // per-worker design_contract() path (tested), and independent of thread
 // count: parallelism only reorders which spec computes its table first,
 // never what the table contains.
@@ -68,9 +68,9 @@ struct DesignCacheKeyHash {
 
 /// Counters describing how much k-sweep work the cache absorbed. A
 /// "lookup" is one cacheable resolution (spec.weight > 0; weight-excluded
-/// workers never touch the cache). One k-sweep is `intervals` candidate
-/// builds + best responses, so the uncached path would have run
-/// `lookups` sweeps where the cache ran `misses`.
+/// workers never touch the cache). One k-sweep answers `intervals`
+/// candidates, so the uncached path would have run `lookups` sweeps where
+/// the cache ran `misses`.
 ///
 /// These per-cache (or per-call) stats are snapshots taken under the cache
 /// mutex / after the batch joins — safe to read single-threaded. The

@@ -78,40 +78,36 @@ std::uint64_t fault_key(const SubproblemSpec& spec) {
 
 DesignTable build_design_table(const SubproblemSpec& spec) {
   spec.validate();
-  const double delta = spec.delta();
   const std::size_t m = spec.intervals;
+  DesignTable table;
+  table.delta = spec.delta();
 
   // The Eq. 39/40 recurrence never reads k: candidate k's slopes are the
   // prefix alpha_1..alpha_k of one shared sequence, so a single recurrence
-  // pass serves the whole sweep. Each candidate materializes as the shared
-  // payment prefix plus a flat tail — bitwise-identical to the former
-  // per-candidate build_candidate loop, without its O(m^2) recomputation
-  // (and without re-evaluating the psi knots m times).
+  // pass serves the whole sweep, and one best-response scan answers every
+  // candidate (sweep_best_responses).
   CandidateRecurrence rec;
-  candidate_recurrence(spec.psi, delta, m, m, spec.incentives,
+  candidate_recurrence(spec.psi, table.delta, m, m, spec.incentives,
                        /*cap_epsilon=*/true, rec);
-  std::vector<double> knots(m + 1);
+  table.knots.resize(m + 1);
   for (std::size_t l = 0; l <= m; ++l) {
-    knots[l] = spec.psi(delta * static_cast<double>(l));
+    table.knots[l] = spec.psi(table.delta * static_cast<double>(l));
   }
-
-  // One payments buffer serves every candidate: the Contract constructor
-  // copies knots and payments into the candidate's own shared block.
-  DesignTable table;
-  table.candidates.reserve(m);
-  std::vector<double> response_scratch;
-  std::vector<double> payments(m + 1);
-  for (std::size_t k = 1; k <= m; ++k) {
-    std::copy(rec.pay_prefix.begin(), rec.pay_prefix.begin() + k + 1,
-              payments.begin());
-    std::fill(payments.begin() + k + 1, payments.end(), rec.pay_prefix[k]);
-    CandidateOutcome outcome;
-    outcome.contract = Contract(delta, knots, payments);
-    outcome.response = best_response(outcome.contract, spec.psi,
-                                     spec.incentives, -1.0, &response_scratch);
-    table.candidates.push_back(std::move(outcome));
-  }
+  table.pay_prefix = std::move(rec.pay_prefix);
+  sweep_best_responses(spec.psi, spec.incentives, table.delta, table.knots,
+                       table.pay_prefix, table.responses);
   return table;
+}
+
+Contract DesignTable::candidate(std::size_t k) const {
+  CCD_CHECK_MSG(k >= 1 && k <= intervals(),
+                "design table candidate k out of range");
+  // The Contract copies the payments into its own block, so one buffer per
+  // thread serves every build.
+  thread_local std::vector<double> payments;
+  payments.assign(pay_prefix.size(), pay_prefix[k]);
+  std::copy(pay_prefix.begin(), pay_prefix.begin() + k + 1, payments.begin());
+  return Contract(delta, knots, payments);
 }
 
 DesignResult resolve_design(const SubproblemSpec& spec,
@@ -126,14 +122,13 @@ DesignResult resolve_design(const SubproblemSpec& spec,
   CCD_FAULT_POINT("contract.design", fault_key(spec), ContractError);
 
   const std::size_t m = spec.intervals;
-  CCD_CHECK_MSG(table.candidates.size() == m,
+  CCD_CHECK_MSG(table.intervals() == m,
                 "design table does not match spec.intervals");
 
   // Eq. 43 argmax; the first maximum wins (strictly greater replaces).
   DesignResult result;
   for (std::size_t k = 1; k <= m; ++k) {
-    const double utility =
-        requester_utility(spec, table.candidates[k - 1].response);
+    const double utility = requester_utility(spec, table.responses[k - 1]);
     if (k == 1 || utility > result.requester_utility) {
       result.requester_utility = utility;
       result.k_opt = k;
@@ -144,9 +139,8 @@ DesignResult resolve_design(const SubproblemSpec& spec,
   // requester money, the zero contract (utility 0) strictly dominates.
   if (result.requester_utility < 0.0) return excluded_result(spec);
 
-  const CandidateOutcome& best = table.candidates[result.k_opt - 1];
-  result.contract = best.contract;
-  result.response = best.response;
+  result.contract = table.candidate(result.k_opt);
+  result.response = table.responses[result.k_opt - 1];
 
   const double delta = spec.delta();
   result.upper_bound =

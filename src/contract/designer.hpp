@@ -12,12 +12,14 @@
 // contract loses the requester money (max_k utility < 0): the requester
 // strictly prefers the zero contract's utility of 0.
 //
-// The k-sweep (build_candidate + best_response per k) depends only on
-// (psi, beta, omega, intervals, effort domain) — not on `weight` — so it is
-// factored out as build_design_table() and shared across all workers of a
-// detected class; resolve_design() scalarizes a table for one worker's
-// weight. design_contract() composes the two and is the reference
-// sequential path; design_cache.hpp provides the memoized batch front end.
+// The k-sweep (the Eq. 39/40 payment prefix, then the worker's best
+// response to every candidate ξ^(k)) depends only on (psi, beta, omega,
+// intervals, effort domain) — not on `weight` — so it is factored out as
+// build_design_table() and shared across all workers of a detected class;
+// resolve_design() scalarizes a table for one worker's weight and builds
+// the one contract it selects. design_contract() composes the two and is
+// the reference sequential path; design_cache.hpp provides the memoized
+// batch front end.
 #pragma once
 
 #include <cstddef>
@@ -50,11 +52,12 @@ struct SubproblemSpec {
   void validate() const;
 };
 
-/// One subproblem's design. Plain fields plus a Contract that shares its
-/// storage with the class's design table, so a fleet of results costs no
-/// per-worker heap allocation. The per-candidate (pay, utility) columns are
-/// not kept here; contract/budget.hpp's budget_menus rebuilds them for the
-/// one caller that needs them.
+/// One subproblem's design. Plain fields plus a Contract that the batch
+/// builds once per (class, k_opt) and shares among the class's workers
+/// that select it, so a fleet of results costs no per-worker heap
+/// allocation. The per-candidate (pay, utility) columns are not kept here;
+/// contract/budget.hpp's budget_menus rebuilds them for the one caller
+/// that needs them.
 struct DesignResult {
   Contract contract;
   /// Selected target interval (0 when the worker is excluded).
@@ -73,19 +76,24 @@ struct DesignResult {
 double requester_utility(const SubproblemSpec& spec,
                          const BestResponse& response);
 
-/// Candidate contract ξ^(k) together with the worker's exact best response
-/// to it — the weight-independent work of one k-sweep step.
-struct CandidateOutcome {
-  Contract contract;
-  BestResponse response;
-};
-
-/// The weight-independent slice of design_contract: candidates and best
-/// responses for k = 1..spec.intervals. Workers of the same detected class
-/// share (psi, beta, omega, mu, intervals, domain) and differ only in
-/// weight, so one table serves the whole class (see design_cache.hpp).
+/// The weight-independent slice of design_contract: the worker's exact best
+/// response to every candidate ξ^(k), k = 1..spec.intervals, and what it
+/// takes to build any of them. Candidate k pays pay_prefix[0..k] at the
+/// knots and stays flat at pay_prefix[k] past knot k. Workers of the same
+/// detected class share (psi, beta, omega, mu, intervals, domain) and
+/// differ only in weight, so one table serves the whole class (see
+/// design_cache.hpp); only the candidates some worker selects become a
+/// Contract.
 struct DesignTable {
-  std::vector<CandidateOutcome> candidates;  ///< indexed by k - 1
+  double delta = 0.0;
+  std::vector<double> knots;       ///< d_l = psi(l delta), l = 0..m
+  std::vector<double> pay_prefix;  ///< P_0..P_m of the Eq. 39/40 recurrence
+  std::vector<BestResponse> responses;  ///< to ξ^(k), indexed by k - 1
+
+  std::size_t intervals() const { return responses.size(); }
+
+  /// Build ξ^(k), k in [1, intervals()].
+  Contract candidate(std::size_t k) const;
 };
 
 /// Run the k-sweep for a spec (ignores spec.weight).

@@ -4,6 +4,7 @@
 #include <memory>
 #include <optional>
 #include <unordered_map>
+#include <utility>
 
 #include "contract/arena.hpp"
 #include "contract/design_cache.hpp"
@@ -171,10 +172,21 @@ FleetCallStats fleet_call_stats(const FleetSoA& fleet,
 
 // Resolve scratch, one per thread and reused across classes and calls, so
 // a fleet of many small classes (an ingest refit: one class per worker)
-// pays no per-class heap allocation.
+// pays no per-class heap allocation beyond the contracts it hands out.
 struct ResolveScratch {
   ScratchArena arena;
   std::vector<std::size_t> k_opt;
+  /// The class's contracts built so far, one per selected k; emptied per
+  /// class, so no contract outlives the results that hold it.
+  std::vector<std::pair<std::size_t, Contract>> built;
+
+  const Contract& contract_for(const DesignTable& table, std::size_t k) {
+    for (const auto& [built_k, contract] : built) {
+      if (built_k == k) return contract;
+    }
+    built.emplace_back(k, table.candidate(k));
+    return built.back().second;
+  }
 };
 
 }  // namespace
@@ -201,8 +213,9 @@ std::vector<DesignResult> design_contracts_batch(
       acquire_fleet_tables(fleet, specs, cache, pool, options);
 
   // One kernel pass per class, written out as plain per-worker fields plus
-  // a copy of the winning candidate's Contract, which shares the table's
-  // storage. Classes write disjoint results, so they parallelize freely.
+  // the winning candidate's Contract, built once per (class, k) and shared
+  // by the class's workers that select it. Classes write disjoint results,
+  // so they parallelize freely.
   pool.parallel_for(fleet.classes(), [&](std::size_t c) {
     const std::size_t begin = fleet.class_begin[c];
     const std::size_t count = fleet.class_begin[c + 1] - begin;
@@ -231,6 +244,7 @@ std::vector<DesignResult> design_contracts_batch(
 
     thread_local ResolveScratch scratch;
     scratch.arena.reset();
+    scratch.built.clear();
     const ClassTableau tableau =
         build_class_tableau(cls, *table, scratch.arena);
     double* utility = scratch.arena.doubles(count);
@@ -254,9 +268,8 @@ std::vector<DesignResult> design_contracts_batch(
         exclude(result);  // §V fallback: zero contract
       } else {
         const std::size_t k = scratch.k_opt[j];
-        const CandidateOutcome& candidate = table->candidates[k - 1];
-        result.contract = candidate.contract;
-        result.response = candidate.response;
+        result.contract = scratch.contract_for(*table, k);
+        result.response = table->responses[k - 1];
         result.k_opt = k;
         result.requester_utility = utility[j];
         result.upper_bound = upper[j];
@@ -265,6 +278,7 @@ std::vector<DesignResult> design_contracts_batch(
       }
       resolved[i] = 1;
     }
+    scratch.built.clear();
   }, options.cancel);
 
   const FleetCallStats fcs = fleet_call_stats(fleet, resolved, ts);

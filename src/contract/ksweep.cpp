@@ -24,7 +24,7 @@ ClassTableau build_class_tableau(const SubproblemSpec& spec,
                                  const DesignTable& table,
                                  ScratchArena& arena) {
   const std::size_t m = spec.intervals;
-  CCD_CHECK_MSG(table.candidates.size() == m,
+  CCD_CHECK_MSG(table.intervals() == m,
                 "design table does not match spec.intervals");
   const double delta = spec.delta();
   const double beta = spec.incentives.beta;
@@ -38,7 +38,7 @@ ClassTableau build_class_tableau(const SubproblemSpec& spec,
   double* ub_feedback = arena.doubles(m);
   double* ub_pay = arena.doubles(m);
   for (std::size_t k = 1; k <= m; ++k) {
-    const BestResponse& response = table.candidates[k - 1].response;
+    const BestResponse& response = table.responses[k - 1];
     feedback[k - 1] = response.feedback;
     pay[k - 1] = response.compensation;
     // Same expressions as theorem41_upper_bound's l-loop operand, so

@@ -14,6 +14,11 @@
 // participation point y = 0, and — for omega > 0 — the region beyond the
 // last knot where the contract has saturated.
 //
+// best_response answers one contract: the worker physics and the audit.
+// sweep_best_responses answers all m candidates of a k-sweep at once: they
+// share every piece below their own knot, so one ascending scan serves the
+// shared part and each candidate adds only its flat tail.
+//
 // Note on Lemma 4.1: because psi' is *decreasing*, Case I (non-increasing
 // objective) holds iff the derivative is <= 0 at the *left* endpoint, i.e.
 // alpha <= beta/psi'((l-1)δ) - omega, and Case II iff it is >= 0 at the
@@ -71,16 +76,26 @@ double worker_utility(const Contract& contract,
 /// Exact global best response. `effort_limit` caps the worker's feasible
 /// effort (defaults to psi.y_peak(), beyond which more effort cannot raise
 /// feedback and strictly loses utility).
-///
-/// `scratch`, when non-null, is reused for the internal candidate-effort
-/// list instead of allocating a fresh vector — the k-sweep calls
-/// best_response once per candidate contract, and the allocation churn
-/// dominates on small m. Contents are overwritten; results are
-/// bitwise-identical either way.
 BestResponse best_response(const Contract& contract,
                            const effort::QuadraticEffort& psi,
                            const WorkerIncentives& inc,
-                           double effort_limit = -1.0,
-                           std::vector<double>* scratch = nullptr);
+                           double effort_limit = -1.0);
+
+/// Best responses to every candidate of one k-sweep (§IV-C) in one
+/// ascending scan. Candidate k (1..m) is the contract with knots
+/// `knots[0..m]` (d_l = psi(l delta)) that pays `prefix[0..k]` and stays
+/// flat at prefix[k] past knot k. Every candidate shares the pieces below
+/// its own knot, so their best responses share the scan up to that knot
+/// and each finishes with only its flat tail.
+///
+/// out[k - 1] is bitwise-equal to best_response(ξ^(k), psi, inc), and
+/// the call throws what building ξ^(1), best_response(ξ^(1)), ξ^(2), ...
+/// in that order would throw first. `prefix` has m + 1 entries, like
+/// `knots`.
+void sweep_best_responses(const effort::QuadraticEffort& psi,
+                          const WorkerIncentives& inc, double delta,
+                          const std::vector<double>& knots,
+                          const std::vector<double>& prefix,
+                          std::vector<BestResponse>& out);
 
 }  // namespace ccd::contract

@@ -14,6 +14,8 @@ void RequesterConfig::validate() const {
   CCD_CHECK_MSG(beta > 0.0, "beta must be positive");
   CCD_CHECK_MSG(omega_malicious >= 0.0, "omega_malicious must be >= 0");
   CCD_CHECK_MSG(intervals >= 1, "intervals must be >= 1");
+  CCD_CHECK_MSG(intervals <= kMaxIntervals,
+                "intervals must be <= " << kMaxIntervals);
   CCD_CHECK_MSG(accuracy_floor > 0.0, "accuracy_floor must be positive");
   CCD_CHECK_MSG(weight_cap > 0.0, "weight_cap must be positive");
 }

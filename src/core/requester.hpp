@@ -13,6 +13,12 @@
 
 namespace ccd::core {
 
+/// Largest interval count m a RequesterConfig accepts. m arrives from
+/// configuration, open requests and checkpoint blobs, and every redesign
+/// sizes its per-class k-sweep from it (O(m) memory, O(m^2) scan steps).
+/// The paper's figures use m <= 128 and the benchmarks m <= 256.
+inline constexpr std::size_t kMaxIntervals = 4096;
+
 struct RequesterConfig {
   /// Eq. 5 coefficients (paper defaults: kappa = gamma = 0.1).
   double rho = 1.0;
@@ -25,7 +31,8 @@ struct RequesterConfig {
   /// Feedback-influence weight omega attributed to suspected malicious
   /// workers (the paper leaves omega unspecified; swept in ablations).
   double omega_malicious = 0.5;
-  /// Number of effort intervals m in each designed contract.
+  /// Number of effort intervals m in each designed contract, in
+  /// [1, kMaxIntervals].
   std::size_t intervals = 20;
   /// Floor on |l_i - l̄| (score stars) to keep 1/deviation finite.
   double accuracy_floor = 0.25;

@@ -205,9 +205,9 @@ bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
 BudgetMenu sweep_menu(const SubproblemSpec& spec) {
   BudgetMenu menu;
   if (spec.weight <= 0.0) return menu;
-  for (const CandidateOutcome& c : build_design_table(spec).candidates) {
-    menu.pay.push_back(c.response.compensation);
-    menu.utility.push_back(requester_utility(spec, c.response));
+  for (const BestResponse& response : build_design_table(spec).responses) {
+    menu.pay.push_back(response.compensation);
+    menu.utility.push_back(requester_utility(spec, response));
   }
   return menu;
 }

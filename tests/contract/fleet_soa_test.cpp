@@ -14,6 +14,7 @@
 
 #include "contract/arena.hpp"
 #include "contract/budget.hpp"
+#include "contract/candidate.hpp"
 #include "contract/design_cache.hpp"
 #include "contract/ksweep.hpp"
 #include "util/cancellation.hpp"
@@ -304,9 +305,10 @@ TEST(FleetDesignTest, BatchMatchesDesignContractBitwise) {
 }
 
 // Without options.cache the batch designs through a call-local cache, whose
-// tables die with the call. Each result's Contract shares its candidate's
-// storage, so the copies kept here must keep that storage alive on their
-// own (under ASan, a dangling block fails this test loudly).
+// tables die with the call. Each result's Contract shares its storage with
+// the class's other workers that select the same k, so the copies kept
+// here must keep that storage alive on their own (under ASan, a dangling
+// block fails this test loudly).
 TEST(FleetDesignTest, ContractsOutliveTheBatchTables) {
   std::vector<SubproblemSpec> specs = random_fleet(80, 56);
   const std::vector<SubproblemSpec> tricky = tricky_specs();
@@ -335,6 +337,74 @@ TEST(FleetDesignTest, ContractsOutliveTheBatchTables) {
   kept.clear();
   EXPECT_TRUE(same_contract(survivor,
                             design_contract(specs[first_paying]).contract));
+}
+
+// The batch builds each selected candidate from its class table's knots
+// and payment prefix. build_candidate runs its own Eq. 39/40 recurrence up
+// to k and computes its own knots, so every resolved worker's contract must
+// equal it knot for knot and payment for payment, at m = 1, 20 and 128,
+// for honest and omega > 0 classes. Workers of a class that select the
+// same k hold equal contracts.
+TEST(FleetDesignTest, ContractsMatchAnIndependentCandidateBuild) {
+  constexpr std::size_t kPerClass = 12;
+  util::Rng rng(2024);
+  std::vector<SubproblemSpec> specs;
+  for (const std::size_t m : {1, 20, 128}) {
+    for (int c = 0; c < 4; ++c) {
+      SubproblemSpec cls;
+      cls.psi = effort::QuadraticEffort(rng.uniform(-1.3, -0.7),
+                                        rng.uniform(6.0, 9.0),
+                                        rng.uniform(0.5, 2.5));
+      cls.incentives = {rng.uniform(0.6, 1.4),
+                        c % 2 == 0 ? 0.0 : rng.uniform(0.1, 0.6)};
+      cls.mu = rng.uniform(0.5, 2.0);
+      cls.intervals = m;
+      for (std::size_t w = 0; w < kPerClass; ++w) {
+        specs.push_back(cls);
+        specs.back().weight = rng.uniform(-0.2, 4.0);
+      }
+    }
+  }
+  const std::vector<DesignResult> results = design_contracts_batch(specs);
+  std::size_t checked = 0;
+  std::size_t shared = 0;
+  std::size_t omega_checked = 0;
+  std::vector<std::vector<const Contract*>> by_k(specs.size() / kPerClass);
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const DesignResult& result = results[i];
+    const std::string where = "worker " + std::to_string(i);
+    if (result.excluded) {
+      EXPECT_TRUE(result.contract.is_zero()) << where;
+      continue;
+    }
+    const SubproblemSpec& spec = specs[i];
+    EXPECT_TRUE(same_contract(
+        result.contract, build_candidate(spec.psi, spec.delta(), spec.intervals,
+                                         result.k_opt, spec.incentives)))
+        << where << " k " << result.k_opt;
+    ++checked;
+    if (spec.incentives.omega > 0.0) ++omega_checked;
+    std::vector<const Contract*>& seen = by_k[i / kPerClass];
+    seen.resize(spec.intervals + 1, nullptr);
+    if (seen[result.k_opt] == nullptr) {
+      seen[result.k_opt] = &result.contract;
+    } else {
+      EXPECT_TRUE(same_contract(*seen[result.k_opt], result.contract))
+          << where;
+      ++shared;
+    }
+  }
+  EXPECT_GT(checked, specs.size() / 2);
+  EXPECT_GT(omega_checked, 0u);
+  EXPECT_GT(shared, 0u);
+  // Some class selects more than one k, so sharing is per (class, k).
+  const auto distinct = [](const std::vector<const Contract*>& seen) {
+    return std::count_if(seen.begin(), seen.end(),
+                         [](const Contract* c) { return c != nullptr; });
+  };
+  EXPECT_TRUE(std::any_of(by_k.begin(), by_k.end(), [&](const auto& seen) {
+    return distinct(seen) > 1;
+  }));
 }
 
 // Each class's table is built from its first positive-weight member, so
@@ -737,7 +807,7 @@ TEST(KSweepTest, TableauMustMatchItsTable) {
     EXPECT_TRUE(same_bits(tableau.mu, spec.mu));
     const double delta = spec.delta();
     for (std::size_t k = 1; k <= tableau.m; ++k) {
-      const BestResponse& response = table.candidates[k - 1].response;
+      const BestResponse& response = table.responses[k - 1];
       EXPECT_TRUE(same_bits(tableau.feedback[k - 1], response.feedback))
           << "k " << k;
       EXPECT_TRUE(same_bits(tableau.pay[k - 1], response.compensation))

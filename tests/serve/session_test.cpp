@@ -18,7 +18,11 @@
 #include <string>
 #include <vector>
 
+#include "core/checkpoint.hpp"
+#include "core/requester.hpp"
 #include "util/cancellation.hpp"
+#include "util/error.hpp"
+#include "util/wire.hpp"
 
 namespace ccd::serve {
 namespace {
@@ -217,6 +221,64 @@ TEST(IngestSessionTest, SampleWindowWrapsAndResumesBitwise) {
   const std::string whole_bytes = file_bytes(whole.checkpoint_path());
   EXPECT_FALSE(whole_bytes.empty());
   EXPECT_EQ(file_bytes(resumed->checkpoint_path()), whole_bytes);
+  std::filesystem::remove_all(dir);
+}
+
+// The interval count m sizes every redesign's k-sweep, so a checksummed
+// checkpoint blob (the kRestore handoff) must not carry one past
+// core::kMaxIntervals: the restore refuses it instead of leaving the next
+// redesign to size its sweep from it. Both session modes' frames.
+TEST(SessionRestoreTest, RefusesIntervalCountPastTheCap) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("ccd_session_cap_test_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  Session::Env durable;
+  durable.checkpoint_dir = dir.string();
+  const auto file_bytes = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  const auto version_of = [](const std::string& blob, const char* tag) {
+    return util::wire::decode_frame_header(blob, tag, 0, ~0u, blob.size(),
+                                           "test blob")
+        .version;
+  };
+  constexpr std::uint64_t kHuge = std::uint64_t{1} << 40;
+
+  // Ingest (ISES): the payload opens with six 8-byte session fields and
+  // six requester doubles; m follows as a little-endian u64.
+  Session ingest("ises", ingest_open(), durable);
+  ingest.ingest(round_of(0), nullptr);
+  const std::string ises = file_bytes(ingest.checkpoint_path());
+  EXPECT_NO_THROW(Session::restore_blob("ises", ises, Session::Env{}));
+  std::string payload = ises.substr(util::wire::kFrameHeaderSize);
+  constexpr std::size_t kIntervalsAt = 12 * 8;
+  ASSERT_EQ(util::wire::Reader(payload.substr(kIntervalsAt, 8)).u64(),
+            core::RequesterConfig{}.intervals);
+  util::wire::Writer huge;
+  huge.u64(kHuge);
+  payload.replace(kIntervalsAt, 8, huge.take());
+  const std::string big_ises =
+      util::wire::encode_frame("ISES", version_of(ises, "ISES"), payload);
+  EXPECT_THROW(Session::restore_blob("ises", big_ises, Session::Env{}),
+               DataError);
+
+  // Simulation (SCKP): the same m through the checkpoint codec.
+  OpenParams sim_params;
+  sim_params.rounds = 4;
+  Session sim("sckp", sim_params, durable);
+  sim.advance(2, nullptr);
+  const std::string sckp = file_bytes(sim.checkpoint_path());
+  EXPECT_NO_THROW(Session::restore_blob("sckp", sckp, Session::Env{}));
+  const std::uint32_t version = version_of(sckp, "SCKP");
+  core::SimCheckpoint checkpoint = core::decode_checkpoint(
+      sckp.substr(util::wire::kFrameHeaderSize), version);
+  checkpoint.config.requester.intervals = kHuge;
+  const std::string big_sckp = util::wire::encode_frame(
+      "SCKP", version, core::encode_checkpoint(checkpoint, version));
+  EXPECT_THROW(Session::restore_blob("sckp", big_sckp, Session::Env{}),
+               DataError);
   std::filesystem::remove_all(dir);
 }
 

@@ -148,7 +148,7 @@ TEST(CampaignAllDiligentTest, HighQualityAndEveryonePaid) {
   std::vector<LabelerSpec> pool;
   for (int i = 0; i < 7; ++i) {
     LabelerSpec s;
-    s.name = "d" + std::to_string(i);
+    s.name = std::string("d").append(std::to_string(i));
     pool.push_back(s);
   }
   CampaignConfig config;
