@@ -17,6 +17,7 @@
 #include <cstddef>
 #include <cstdio>
 #include <cstring>
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -110,6 +111,39 @@ void BM_FitEffortFunction(benchmark::State& state) {
 }
 BENCHMARK(BM_FitEffortFunction)->Arg(256)->Arg(101835)
     ->Unit(benchmark::kMicrosecond);
+
+// An ingest refit's fits: 200 workers' 256-sample windows through the
+// batched fit, four per AVX2 lane where the CPU has it (compare with 200 x
+// BM_FitEffortFunction/256). One thread, like the session's refit.
+void BM_IngestRefitFit(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  ccd::util::Rng rng(13);
+  std::vector<std::deque<ccd::data::EffortSample>> windows(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double r2 = rng.uniform(-1.2, -0.7);
+    const double r1 = rng.uniform(6.0, 9.0);
+    const double r0 = rng.uniform(0.5, 2.5);
+    for (std::size_t s = 0; s < 256; ++s) {
+      ccd::data::EffortSample sample;
+      sample.worker = static_cast<ccd::data::WorkerId>(i);
+      sample.review = static_cast<ccd::data::ReviewId>(s);
+      sample.effort = rng.uniform(0.3, 3.5);
+      sample.feedback = (r2 * sample.effort + r1) * sample.effort + r0 +
+                        0.5 * rng.normal();
+      windows[i].push_back(sample);
+    }
+  }
+  std::vector<ccd::effort::EffortFitOutcome> fits;
+  for (auto _ : state) {
+    ccd::effort::fit_effort_functions(windows, fits);
+    benchmark::DoNotOptimize(fits.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * n));
+  state.SetLabel(ccd::math::quadratic_lanes_available() ? "avx2 lanes"
+                                                        : "scalar");
+}
+BENCHMARK(BM_IngestRefitFit)->Arg(200)->Unit(benchmark::kMicrosecond);
 
 // A fleet with the pipeline's solve-stage shape: every worker of a
 // detected class shares one weight-independent spec, only the Eq. 5

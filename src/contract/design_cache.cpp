@@ -195,6 +195,12 @@ void DesignCache::record(const DesignCacheStats& delta) {
   CacheMetrics::get().add(delta);
 }
 
+void record_cache_counters(const DesignCacheStats& delta, std::size_t evicted) {
+  CacheMetrics& cm = CacheMetrics::get();
+  cm.add(delta);
+  cm.evictions.add(evicted);
+}
+
 // design_contracts_batch lives in fleet_soa.cpp, on the FleetSoA grouping.
 
 }  // namespace ccd::contract

@@ -130,11 +130,21 @@ class DesignCache {
   DesignCacheStats stats_;
 };
 
+/// Add `delta` to the process-wide `ccd.cache.*` counters and `evicted`
+/// to `ccd.cache.evictions`, as a DesignCache does for its own lookups and
+/// dropped tables. design_contracts_batch calls it for the tables it builds
+/// without a cache, so the counters read as if a private cache had held
+/// them.
+void record_cache_counters(const DesignCacheStats& delta, std::size_t evicted);
+
 struct BatchOptions {
   /// Pool for the fan-out; null uses util::shared_pool().
   util::ThreadPool* pool = nullptr;
-  /// Cache reused across calls (e.g. across pipeline rounds); null gives
-  /// the call a private cache.
+  /// Cache reused across calls (e.g. across pipeline rounds). Null builds
+  /// each class's table directly and drops it when the call returns: the
+  /// classes of one call are distinct, so a per-call cache could never
+  /// hit. The call's DesignCacheStats and the `ccd.cache.*` counters read
+  /// as if a private cache had held the tables.
   DesignCache* cache = nullptr;
   /// When non-null, each distinct-spec k-sweep records its wall time here
   /// (microseconds) — the batched path's per-community/per-class solve

@@ -80,22 +80,36 @@ SubproblemSpec FleetSoA::class_spec(std::size_t c) const {
 
 namespace {
 
-// Per-class table acquisition: one cache.table_for per class that has a
+// Per-class table acquisition: one table per class that has a
 // positive-weight worker, distinct classes in parallel. The representative
-// is the caller's own spec object, so what reaches the cache is the exact
-// bit pattern the caller passed.
+// is the caller's own spec object, so what reaches the cache (or the
+// sweep) is the exact bit pattern the caller passed. With a cache, each
+// table comes from cache.table_for. Without one, each is built directly:
+// FleetSoA::from_specs already made the classes distinct, so a private
+// per-call cache could never hit. Those tables still count in the
+// `ccd.cache.*` counters as a private cache's misses would: a lookup and a
+// miss each, and an eviction, since the call drops them.
 struct FleetTableSet {
-  std::vector<std::shared_ptr<const DesignTable>> tables;  ///< per class
+  std::vector<const DesignTable*> tables;  ///< per class; null = none
+  /// With a cache: its tables, held for the call.
+  std::vector<std::shared_ptr<const DesignTable>> cached;
+  /// Without one: the tables themselves.
+  std::vector<DesignTable> built;
   std::size_t sweeps_computed = 0;
   std::uint64_t sweep_steps_computed = 0;
 };
 
 FleetTableSet acquire_fleet_tables(const FleetSoA& fleet,
                                    const std::vector<SubproblemSpec>& specs,
-                                   DesignCache& cache, util::ThreadPool& pool,
+                                   DesignCache* cache, util::ThreadPool& pool,
                                    const BatchOptions& options) {
   FleetTableSet ts;
   ts.tables.assign(fleet.classes(), nullptr);
+  if (cache) {
+    ts.cached.resize(fleet.classes());
+  } else {
+    ts.built.resize(fleet.classes());
+  }
 
   std::vector<std::size_t> cacheable;
   cacheable.reserve(fleet.classes());
@@ -105,20 +119,44 @@ FleetTableSet acquire_fleet_tables(const FleetSoA& fleet,
 
   std::atomic<std::size_t> computed{0};
   std::atomic<std::uint64_t> steps_computed{0};
-  pool.parallel_for(cacheable.size(), [&](std::size_t g) {
-    const std::size_t c = cacheable[g];
-    bool was_hit = false;
-    {
-      // Span of this class's design (see BatchOptions::sweep_histogram; a
-      // cache hit records the cheap lookup instead of a sweep).
-      util::metrics::ScopedTimer timer(options.sweep_histogram);
-      ts.tables[c] = cache.table_for(specs[fleet.first_positive[c]], &was_hit);
-    }
-    if (!was_hit) {
-      computed.fetch_add(1, std::memory_order_relaxed);
-      steps_computed.fetch_add(fleet.intervals[c], std::memory_order_relaxed);
-    }
-  }, options.cancel);
+  // Without a cache, the tables built so far count once the sweeps stop,
+  // also when one throws.
+  const auto count_built = [&] {
+    if (cache) return;
+    DesignCacheStats delta;
+    delta.lookups = computed.load();
+    delta.misses = delta.lookups;
+    delta.sweep_steps_computed = steps_computed.load();
+    record_cache_counters(delta, delta.misses);
+  };
+  try {
+    pool.parallel_for(cacheable.size(), [&](std::size_t g) {
+      const std::size_t c = cacheable[g];
+      const SubproblemSpec& spec = specs[fleet.first_positive[c]];
+      bool was_hit = false;
+      {
+        // Span of this class's design (see BatchOptions::sweep_histogram; a
+        // cache hit records the cheap lookup instead of a sweep).
+        util::metrics::ScopedTimer timer(options.sweep_histogram);
+        if (cache) {
+          ts.cached[c] = cache->table_for(spec, &was_hit);
+          ts.tables[c] = ts.cached[c].get();
+        } else {
+          ts.built[c] = build_design_table(spec);
+          ts.tables[c] = &ts.built[c];
+        }
+      }
+      if (!was_hit) {
+        computed.fetch_add(1, std::memory_order_relaxed);
+        steps_computed.fetch_add(fleet.intervals[c],
+                                 std::memory_order_relaxed);
+      }
+    }, options.cancel);
+  } catch (...) {
+    count_built();
+    throw;
+  }
+  count_built();
   ts.sweeps_computed = computed.load();
   ts.sweep_steps_computed = steps_computed.load();
   return ts;
@@ -194,8 +232,6 @@ struct ResolveScratch {
 std::vector<DesignResult> design_contracts_batch(
     const std::vector<SubproblemSpec>& specs, const BatchOptions& options,
     DesignCacheStats* stats) {
-  DesignCache local_cache;
-  DesignCache& cache = options.cache ? *options.cache : local_cache;
   util::ThreadPool& pool = options.pool ? *options.pool : util::shared_pool();
 
   const std::size_t n = specs.size();
@@ -210,7 +246,7 @@ std::vector<DesignResult> design_contracts_batch(
   // contiguous CSR slice. Validates every spec in input order.
   const FleetSoA fleet = FleetSoA::from_specs(specs);
   const FleetTableSet ts =
-      acquire_fleet_tables(fleet, specs, cache, pool, options);
+      acquire_fleet_tables(fleet, specs, options.cache, pool, options);
 
   // One kernel pass per class, written out as plain per-worker fields plus
   // the winning candidate's Contract, built once per (class, k) and shared
@@ -219,7 +255,7 @@ std::vector<DesignResult> design_contracts_batch(
   pool.parallel_for(fleet.classes(), [&](std::size_t c) {
     const std::size_t begin = fleet.class_begin[c];
     const std::size_t count = fleet.class_begin[c + 1] - begin;
-    const std::shared_ptr<const DesignTable>& table = ts.tables[c];
+    const DesignTable* const table = ts.tables[c];
     if (table == nullptr && fleet.first_positive[c] != FleetSoA::npos) {
       return;  // sweep skipped by cancellation: workers stay unresolved
     }
@@ -283,7 +319,11 @@ std::vector<DesignResult> design_contracts_batch(
 
   const FleetCallStats fcs = fleet_call_stats(fleet, resolved, ts);
   if (stats) *stats = fcs.call;
-  cache.record(fcs.extra);
+  if (options.cache) {
+    options.cache->record(fcs.extra);
+  } else {
+    record_cache_counters(fcs.extra, 0);
+  }
   return results;
 }
 

@@ -28,6 +28,77 @@ double mean_of(const std::vector<double>& v) {
   return v.empty() ? 0.0 : acc / static_cast<double>(v.size());
 }
 
+/// The "effort.fit" fault point's key for a window.
+std::uint64_t fit_fault_key(data::WorkerId worker, std::size_t samples) {
+  return (static_cast<std::uint64_t>(worker) << 24) ^ samples;
+}
+
+EffortFitOutcome scalar_outcome(const std::deque<data::EffortSample>& window,
+                                const FitConfig& config) {
+  EffortFitOutcome outcome;
+  try {
+    outcome.fit = fit_effort_function(
+        std::vector<data::EffortSample>(window.begin(), window.end()), config);
+  } catch (const Error&) {
+    outcome.error = std::current_exception();
+  }
+  return outcome;
+}
+
+/// Fit four windows of lanes.samples samples, windows[group[l]] in lane l.
+void fit_lane_group(std::span<const std::deque<data::EffortSample>> windows,
+                    const std::size_t (&group)[math::QuadraticLanes::kLanes],
+                    math::QuadraticLanes& lanes,
+                    std::vector<EffortFitOutcome>& out,
+                    const FitConfig& config) {
+  constexpr std::size_t kLanes = math::QuadraticLanes::kLanes;
+  const std::size_t m = lanes.samples;
+  unsigned live = 0;
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    const std::deque<data::EffortSample>& window = windows[group[l]];
+    double* x = lanes.x.data() + l;
+    double* y = lanes.y.data() + l;
+    for (const data::EffortSample& s : window) {
+      *x = s.effort;
+      *y = s.feedback;
+      x += kLanes;
+      y += kLanes;
+    }
+    try {
+      CCD_FAULT_POINT("effort.fit", fit_fault_key(window.front().worker, m),
+                      MathError);
+      live |= 1u << l;
+    } catch (const MathError&) {
+      out[group[l]].error = std::current_exception();
+    }
+  }
+
+  math::polyfit_quadratic_lanes(lanes, live);
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    if (!(live >> l & 1u)) continue;
+    EffortFitOutcome& outcome = out[group[l]];
+    if (lanes.failed >> l & 1u) {
+      outcome.error = lanes.error[l];
+      continue;
+    }
+    if (lanes.fitted >> l & 1u) {
+      const math::PolyFitResult& quad = lanes.fit[l];
+      const double r0 = quad.polynomial.coefficient(0);
+      const double r1 = quad.polynomial.coefficient(1);
+      const double r2 = quad.polynomial.coefficient(2);
+      if (r2 < 0.0 && r1 > 0.0) {
+        outcome.fit.model = QuadraticEffort(r2, r1, r0);
+        outcome.fit.norm_of_residuals = quad.norm_of_residuals;
+        outcome.fit.sample_count = m;
+        continue;
+      }
+    }
+    // A flagged lane, or a fit that needs the projection. Its fault points
+    // did not fire above, so they do not fire here either.
+    outcome = scalar_outcome(windows[group[l]], config);
+  }
+}
+
 }  // namespace
 
 EffortFit fit_effort_function(const std::vector<data::EffortSample>& samples,
@@ -36,8 +107,7 @@ EffortFit fit_effort_function(const std::vector<data::EffortSample>& samples,
                 "effort fitting needs at least 3 samples, got "
                     << samples.size());
   CCD_FAULT_POINT("effort.fit",
-                  (static_cast<std::uint64_t>(samples.front().worker) << 24) ^
-                      samples.size(),
+                  fit_fault_key(samples.front().worker, samples.size()),
                   MathError);
   std::vector<double> xs, ys;
   split_samples(samples, xs, ys);
@@ -86,6 +156,40 @@ EffortFit fit_effort_function(const std::vector<data::EffortSample>& samples,
   CCD_LOG_DEBUG << "effort fit projected onto feasible set: "
                 << fit.model.to_string();
   return fit;
+}
+
+void fit_effort_functions(
+    std::span<const std::deque<data::EffortSample>> windows,
+    std::vector<EffortFitOutcome>& out, const FitConfig& config) {
+  constexpr std::size_t kLanes = math::QuadraticLanes::kLanes;
+  out.assign(windows.size(), EffortFitOutcome{});
+  std::size_t length = 0;  // of the windows that take the lanes; 0 = none
+  if (math::quadratic_lanes_available()) {
+    for (const std::deque<data::EffortSample>& window : windows) {
+      if (window.size() >= 3) {
+        length = window.size();
+        break;
+      }
+    }
+  }
+  thread_local math::QuadraticLanes lanes;
+  if (length != 0) lanes.resize(length);
+  std::size_t group[kLanes];
+  std::size_t filled = 0;
+  for (std::size_t i = 0; i < windows.size(); ++i) {
+    if (length == 0 || windows[i].size() != length) {
+      out[i] = scalar_outcome(windows[i], config);
+      continue;
+    }
+    group[filled++] = i;
+    if (filled == kLanes) {
+      fit_lane_group(windows, group, lanes, out, config);
+      filled = 0;
+    }
+  }
+  for (std::size_t j = 0; j < filled; ++j) {
+    out[group[j]] = scalar_outcome(windows[group[j]], config);
+  }
 }
 
 std::vector<double> nor_comparison(

@@ -7,9 +7,17 @@
 // monotonicity-at-zero (possible on small noisy samples), the fit is
 // projected: the offending coefficient is pinned to a feasible value and
 // the remaining coefficients are re-fit by least squares.
+//
+// fit_effort_functions is the ingest refit's batch: fit_effort_function on
+// many windows, four equal-length windows per AVX2 vector where the CPU
+// has one (math::polyfit_quadratic_lanes), with bit-for-bit the scalar
+// fit's results.
 #pragma once
 
 #include <cstddef>
+#include <deque>
+#include <exception>
+#include <span>
 #include <vector>
 
 #include "data/metrics.hpp"
@@ -43,6 +51,26 @@ struct EffortFit {
 /// Requires at least 3 samples.
 EffortFit fit_effort_function(const std::vector<data::EffortSample>& samples,
                               const FitConfig& config = {});
+
+/// One window's result in fit_effort_functions.
+struct EffortFitOutcome {
+  EffortFit fit;             ///< fit_effort_function's result, when no error
+  std::exception_ptr error;  ///< else the ccd::Error it throws
+};
+
+/// fit_effort_function(window, config) on every window: out[i] receives
+/// window i's fit bit-for-bit, or the ccd::Error (same type and message)
+/// the scalar fit throws for it. On a CPU with AVX2, the windows of the
+/// batch's common length — that of the first window with 3 or more
+/// samples — are fit four at a time, one per lane. The scalar fit takes
+/// the rest: the last fewer-than-four such windows, windows of another
+/// length, lanes the kernel flags, and fits that need the projection. The
+/// "effort.fit" and "math.polyfit" fault points fire for the same windows,
+/// with the same keys, as under fit_effort_function. Reuses `out` and one
+/// lane buffer per thread; each window is read once.
+void fit_effort_functions(
+    std::span<const std::deque<data::EffortSample>> windows,
+    std::vector<EffortFitOutcome>& out, const FitConfig& config = {});
 
 /// NoR for each degree in [config.min_degree, config.max_degree] — one row
 /// of Table III.

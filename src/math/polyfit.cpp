@@ -1,8 +1,8 @@
 #include "math/polyfit.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <cstring>
 
 #include "math/linalg.hpp"
 #include "util/error.hpp"
@@ -26,15 +26,13 @@ Polynomial unscale(const Polynomial& in_u, double shift, double scale) {
 }
 
 /// Stable per-call key for fault injection: mixes the sample count with the
-/// bit patterns of the first sample so distinct fits get distinct keys.
-std::uint64_t fault_key(const std::vector<double>& xs,
-                        const std::vector<double>& ys, std::size_t degree) {
-  std::uint64_t bits_x = 0;
-  std::uint64_t bits_y = 0;
-  if (!xs.empty()) std::memcpy(&bits_x, &xs[0], sizeof(bits_x));
-  if (!ys.empty()) std::memcpy(&bits_y, &ys[0], sizeof(bits_y));
-  return (static_cast<std::uint64_t>(xs.size()) << 32) ^ bits_x ^
-         (bits_y * 0x9e3779b97f4a7c15ULL) ^ degree;
+/// bit patterns of the first sample (x0, y0) so distinct fits get distinct
+/// keys.
+std::uint64_t fault_key(std::size_t samples, double x0, double y0,
+                        std::size_t degree) {
+  return (static_cast<std::uint64_t>(samples) << 32) ^
+         std::bit_cast<std::uint64_t>(x0) ^
+         (std::bit_cast<std::uint64_t>(y0) * 0x9e3779b97f4a7c15ULL) ^ degree;
 }
 
 }  // namespace
@@ -44,7 +42,8 @@ PolyFitResult polyfit(const std::vector<double>& xs,
   CCD_CHECK_MSG(xs.size() == ys.size(), "polyfit sample size mismatch");
   CCD_CHECK_MSG(xs.size() >= degree + 1,
                 "polyfit needs at least degree+1 samples");
-  CCD_FAULT_POINT("math.polyfit", fault_key(xs, ys, degree), MathError);
+  CCD_FAULT_POINT("math.polyfit", fault_key(xs.size(), xs[0], ys[0], degree),
+                  MathError);
 
   // Center/scale x for Vandermonde conditioning.
   double lo = xs[0];
@@ -78,6 +77,63 @@ PolyFitResult polyfit(const std::vector<double>& xs,
   out.polynomial = unscale(Polynomial(ls.coefficients), shift, scale);
   out.norm_of_residuals = ls.residual_norm;
   return out;
+}
+
+bool quadratic_lanes_available() {
+#ifdef CCD_POLYFIT_HAVE_AVX2
+  static const bool supported = detail::avx2_supported();
+  return supported;
+#else
+  return false;
+#endif
+}
+
+void QuadraticLanes::resize(std::size_t m) {
+  CCD_CHECK_MSG(m >= 3, "a quadratic fit needs at least 3 samples");
+  samples = m;
+  x.resize(kLanes * m);
+  y.resize(kLanes * m);
+  work.resize(kLanes * m);
+}
+
+void polyfit_quadratic_lanes(QuadraticLanes& lanes, unsigned lanes_mask) {
+  CCD_CHECK_MSG(quadratic_lanes_available(),
+                "polyfit_quadratic_lanes needs a CPU with AVX2");
+  const std::size_t m = lanes.samples;
+  CCD_CHECK_MSG(m >= 3 && lanes.x.size() == QuadraticLanes::kLanes * m &&
+                    lanes.y.size() == lanes.x.size() &&
+                    lanes.work.size() == lanes.x.size(),
+                "polyfit_quadratic_lanes buffers do not match samples "
+                "(call QuadraticLanes::resize)");
+  lanes.fitted = 0;
+  lanes.failed = 0;
+  for (std::size_t l = 0; l < QuadraticLanes::kLanes; ++l) {
+    lanes.error[l] = nullptr;
+    if (!(lanes_mask >> l & 1u)) continue;
+    try {
+      CCD_FAULT_POINT("math.polyfit",
+                      fault_key(m, lanes.x[l], lanes.y[l], 2), MathError);
+    } catch (const MathError&) {
+      lanes.error[l] = std::current_exception();
+      lanes.failed |= 1u << l;
+    }
+  }
+#ifdef CCD_POLYFIT_HAVE_AVX2
+  detail::QuadraticLaneFit raw;
+  detail::quadratic_lanes_avx2(lanes.x.data(), lanes.y.data(),
+                               lanes.work.data(), m, raw);
+  const unsigned fit = lanes_mask & ~lanes.failed & ~raw.irregular;
+  for (std::size_t l = 0; l < QuadraticLanes::kLanes; ++l) {
+    if (!(fit >> l & 1u)) continue;
+    // polyfit's own epilogue, on the lane's coefficients.
+    lanes.fit[l].polynomial =
+        unscale(Polynomial({raw.coefficient[0][l], raw.coefficient[1][l],
+                            raw.coefficient[2][l]}),
+                raw.shift[l], raw.scale[l]);
+    lanes.fit[l].norm_of_residuals = raw.residual_norm[l];
+  }
+  lanes.fitted = fit;
+#endif
 }
 
 double norm_of_residuals(const Polynomial& p, const std::vector<double>& xs,

@@ -4,9 +4,18 @@
 // Fits p(x) = c0 + c1 x + ... + c_d x^d to (x, y) samples by Householder QR
 // on the Vandermonde system, and reports the norm of residuals (NoR) — the
 // same deviation measure the paper tabulates.
+//
+// polyfit_quadratic_lanes runs polyfit(xs, ys, 2) on four windows of one
+// length at once, one window per AVX2 lane. Each lane performs polyfit's
+// IEEE operations in polyfit's order (multiplies, adds, subtracts,
+// divides, square roots, ordered compares and blends; no FMA), so every
+// fit it returns is bit-for-bit polyfit's. A lane where polyfit would
+// throw or skip a reflection is flagged instead, for the caller to refit
+// through polyfit.
 #pragma once
 
 #include <cstddef>
+#include <exception>
 #include <vector>
 
 #include "math/polynomial.hpp"
@@ -23,6 +32,62 @@ struct PolyFitResult {
 /// and scaled internally; returned coefficients are in the original units.
 PolyFitResult polyfit(const std::vector<double>& xs,
                       const std::vector<double>& ys, std::size_t degree);
+
+/// True when this CPU runs polyfit_quadratic_lanes (x86-64 with AVX2).
+bool quadratic_lanes_available();
+
+/// Four windows of `samples` samples each, laid out for
+/// polyfit_quadratic_lanes, and its per-lane results. The windows are
+/// lane-interleaved: sample r of lane l is x[kLanes * r + l]. Reused
+/// across calls, so it allocates only to grow.
+struct QuadraticLanes {
+  static constexpr std::size_t kLanes = 4;
+
+  /// Size x, y and the kernel's scratch for windows of `samples` (>= 3).
+  void resize(std::size_t samples);
+
+  std::size_t samples = 0;
+  std::vector<double> x;  ///< efforts; overwritten by the fit
+  std::vector<double> y;  ///< feedback; overwritten by the fit
+  std::vector<double> work;
+
+  /// Lane l's bit is set in `fitted` when fit[l] is polyfit's result, and
+  /// in `failed` when error[l] is the exception polyfit throws.
+  unsigned fitted = 0;
+  unsigned failed = 0;
+  PolyFitResult fit[kLanes];
+  std::exception_ptr error[kLanes];
+};
+
+/// polyfit(xs, ys, 2) on each lane whose bit is set in `lanes_mask` (bit
+/// l = lane l). Runs polyfit's "math.polyfit" fault point for every such
+/// lane with polyfit's key; a lane it fires for is `failed`. A lane the
+/// kernel flags — where polyfit throws for a rank-deficient design or
+/// skips a reflection — is neither fitted nor failed: refit it through
+/// polyfit. Requires quadratic_lanes_available().
+void polyfit_quadratic_lanes(QuadraticLanes& lanes, unsigned lanes_mask);
+
+namespace detail {
+
+/// The lane kernel's raw output: the fit in the centered and scaled
+/// variable u = (x - shift) / scale, before polyfit's unscale.
+struct QuadraticLaneFit {
+  double coefficient[3][QuadraticLanes::kLanes] = {};
+  double shift[QuadraticLanes::kLanes] = {};
+  double scale[QuadraticLanes::kLanes] = {};
+  double residual_norm[QuadraticLanes::kLanes] = {};
+  unsigned irregular = 0;  ///< lane bits polyfit does not fit this way
+};
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define CCD_POLYFIT_HAVE_AVX2 1
+bool avx2_supported();
+/// x, y and work hold kLanes * m doubles each (see QuadraticLanes).
+void quadratic_lanes_avx2(double* x, double* y, double* work, std::size_t m,
+                          QuadraticLaneFit& out);
+#endif
+
+}  // namespace detail
 
 /// NoR of an existing polynomial against a sample set.
 double norm_of_residuals(const Polynomial& p, const std::vector<double>& xs,

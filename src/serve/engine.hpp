@@ -17,9 +17,9 @@
 // Sessions execute under a per-session mutex — operations on one session
 // serialize, distinct sessions proceed in parallel across the executor
 // threads, and redesign work fans out on util::shared_pool(). Nothing
-// design-related outlives a request: each redesign's k-sweep tables live
-// in that call's own contract::DesignCache (classes still dedupe within
-// the call), because refitted curves never repeat across refits, so a
+// design-related outlives a request: each redesign's k-sweep tables are
+// built for that contract::design_contracts_batch call and dropped when
+// it returns, because refitted curves never repeat across refits, so a
 // cache shared across requests would only grow.
 //
 // Everything observable lands in `ccd.serve.*` metrics, and the counters

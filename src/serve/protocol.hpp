@@ -48,6 +48,10 @@ inline constexpr std::uint32_t kProtocolVersion = 4;
 /// Hard cap on a single message payload; a header announcing more is
 /// rejected before any allocation (garbage/torn streams, never OOM).
 inline constexpr std::uint64_t kMaxMessageBytes = 16ull << 20;
+/// Most workers one session may have, in either mode: the observations
+/// one kMaxMessageBytes ingest frame can carry at 24 B each. Opens above
+/// it fail with kConfigError; a checkpoint above it fails to decode.
+inline constexpr std::uint64_t kMaxSessionWorkers = kMaxMessageBytes / 24;
 
 enum class Op : std::uint8_t {
   kPing = 0,

@@ -77,6 +77,8 @@ struct Session::IngestState {
   /// Oldest sample first; a deque so sliding the window is O(1).
   std::vector<std::deque<data::EffortSample>> samples;
   std::vector<contract::Contract> contracts;
+  /// The refit's per-worker results, reused across refits (not state).
+  std::vector<effort::EffortFitOutcome> fits;
 
   /// Contract-designer backend. BiP keeps the historical refit-boundary
   /// redesign path; learners post fresh contracts every ingested round and
@@ -106,6 +108,12 @@ Session::Session(std::string id, const OpenParams& params, Env env)
     : Session(std::move(id), std::move(env), params.mode) {
   if (params.workers == 0) {
     throw ConfigError("session needs at least one worker");
+  }
+  if (params.workers > kMaxSessionWorkers) {
+    throw ConfigError("session asks for " + std::to_string(params.workers) +
+                      " workers; at most " +
+                      std::to_string(kMaxSessionWorkers) +
+                      " fit one ingest frame");
   }
   if (mode_ == SessionMode::kSimulation) {
     if (params.rounds == 0) {
@@ -199,11 +207,8 @@ bool Session::ingest(const std::vector<IngestObservation>& observations,
                       " workers");
   }
 
-  const bool learner = state.policy->learns();
-  std::vector<policy::RoundOutcome> outcomes;
-  if (learner) outcomes.resize(n);
-  double weighted_feedback = 0.0;
-  double total_pay = 0.0;
+  // Validate the whole round before applying any of it: a rejected round
+  // leaves the session exactly as it was.
   for (std::size_t i = 0; i < n; ++i) {
     const IngestObservation& obs = observations[i];
     if (!std::isfinite(obs.effort) || !std::isfinite(obs.feedback) ||
@@ -212,6 +217,15 @@ bool Session::ingest(const std::vector<IngestObservation>& observations,
       throw DataError("ingest observation for worker " + std::to_string(i) +
                       " is not finite and non-negative");
     }
+  }
+
+  const bool learner = state.policy->learns();
+  std::vector<policy::RoundOutcome> outcomes;
+  if (learner) outcomes.resize(n);
+  double weighted_feedback = 0.0;
+  double total_pay = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const IngestObservation& obs = observations[i];
     std::deque<data::EffortSample>& window = state.samples[i];
     data::EffortSample sample;
     sample.worker = static_cast<data::WorkerId>(i);
@@ -263,20 +277,14 @@ bool Session::ingest(const std::vector<IngestObservation>& observations,
 
 void Session::ingest_refit() {
   IngestState& state = *ingest_;
-  const std::size_t n = state.workers();
-  // Incremental re-fit: workers with enough observed samples get a fresh
-  // concave-quadratic effort curve; sparse or degenerate windows keep the
-  // previous fit (quarantine-style degradation, never a dead session).
-  // Each fit reads a copy of the window, oldest sample first.
-  std::vector<data::EffortSample> window;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (state.samples[i].size() < 3) continue;
-    window.assign(state.samples[i].begin(), state.samples[i].end());
-    try {
-      state.psi[i] = effort::fit_effort_function(window).model;
-    } catch (const ccd::Error&) {
-      // Keep the previous curve.
-    }
+  // Incremental re-fit: every window is fit in one batch, oldest sample
+  // first, straight from its deque. Workers with enough observed samples
+  // get a fresh concave-quadratic effort curve; sparse (< 3 samples) or
+  // degenerate windows keep the previous fit (quarantine-style
+  // degradation, never a dead session).
+  effort::fit_effort_functions(state.samples, state.fits);
+  for (std::size_t i = 0; i < state.workers(); ++i) {
+    if (!state.fits[i].error) state.psi[i] = state.fits[i].fit.model;
   }
 }
 
@@ -428,6 +436,9 @@ std::unique_ptr<Session::IngestState> Session::decode_ingest_payload(
     state->requester.weight_cap = r.f64();
     const std::size_t n = r.count(48);
     CCD_CHECK_MSG(n >= 1, "ingest checkpoint has no workers");
+    CCD_CHECK_MSG(n <= kMaxSessionWorkers,
+                  "ingest checkpoint has " << n << " workers, over the cap of "
+                                           << kMaxSessionWorkers);
     CCD_CHECK_MSG(state->refit_every >= 1,
                   "ingest checkpoint refit_every must be >= 1");
     for (std::size_t i = 0; i < n; ++i) {
@@ -438,6 +449,10 @@ std::unique_ptr<Session::IngestState> Session::decode_ingest_payload(
       const double r0 = r.f64();
       state->psi.emplace_back(r2, r1, r0);
       const std::size_t samples = r.count(24);
+      CCD_CHECK_MSG(samples <= IngestState::kSampleWindow,
+                    "ingest checkpoint window of worker "
+                        << i << " holds " << samples << " samples, over "
+                        << IngestState::kSampleWindow);
       std::deque<data::EffortSample> window;
       for (std::size_t s = 0; s < samples; ++s) {
         data::EffortSample sample;

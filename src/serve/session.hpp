@@ -12,12 +12,13 @@
 //    (effort, feedback, accuracy sample) per worker. The session keeps
 //    EMA estimates of accuracy/maliciousness exactly like the simulator's
 //    requester, accumulates a bounded sliding window of effort samples,
-//    re-fits each worker's effort curve (effort::fit_effort_function)
-//    every `refit_every` rounds, and re-designs all contracts in one
-//    contract::design_contracts_batch call on util::shared_pool(), whose
-//    design tables are dropped when the call returns. The window is a
-//    deque (O(1) per observation); a refit fits a copy of it, oldest
-//    sample first.
+//    re-fits every worker's effort curve every `refit_every` rounds in
+//    one effort::fit_effort_functions batch (bit-for-bit
+//    fit_effort_function, four workers per AVX2 lane), and re-designs all
+//    contracts in one contract::design_contracts_batch call on
+//    util::shared_pool() without a cache, so its design tables are
+//    dropped when the call returns. The window is a deque (O(1) per
+//    observation); a refit reads it in place, oldest sample first.
 //
 // Durability: when a checkpoint directory is configured every completed
 // round snapshots crash-safely. Simulation sessions reuse core/checkpoint
@@ -59,12 +60,15 @@ class Session {
     std::size_t checkpoint_every = 1;
   };
 
-  /// Open a fresh session. Throws ccd::ConfigError on bad id or params.
+  /// Open a fresh session. Throws ccd::ConfigError on bad id or params,
+  /// including more than kMaxSessionWorkers workers.
   Session(std::string id, const OpenParams& params, Env env);
   ~Session();  // out-of-line: IngestState is incomplete here
 
   /// Restore a session from its checkpoint file (either mode; the mode is
-  /// recovered from the frame tag). Throws ccd::DataError on corruption.
+  /// recovered from the frame tag). Throws ccd::DataError on corruption,
+  /// and on an ingest checkpoint with more than kMaxSessionWorkers workers
+  /// or a window longer than a live session keeps.
   static std::unique_ptr<Session> restore(const std::string& id,
                                           const std::string& path, Env env);
 
@@ -94,7 +98,8 @@ class Session {
   /// ingest session; returns true when a redesign ran. A cancelled
   /// redesign leaves the previous contracts posted and reports via
   /// `cancel`. Throws ccd::ConfigError on a simulation session or a
-  /// wrong-sized observation vector.
+  /// wrong-sized observation vector, and ccd::DataError on a non-finite or
+  /// negative value; a rejected round leaves the session unchanged.
   bool ingest(const std::vector<IngestObservation>& observations,
               const util::CancellationToken* cancel);
 

@@ -637,6 +637,12 @@ TEST_F(EngineTest, OpenValidationAndIdempotence) {
   EXPECT_EQ(engine.call(make_advance("ghost", 1)).status,
             Status::kConfigError);
 
+  // At most kMaxSessionWorkers, in either mode.
+  Request big = make_open("big", 4, 1, kMaxSessionWorkers + 1);
+  EXPECT_EQ(engine.call(big).status, Status::kConfigError);
+  big.open.mode = SessionMode::kIngest;
+  EXPECT_EQ(engine.call(big).status, Status::kConfigError);
+
   ASSERT_EQ(engine.call(make_open("dup", 4, 1)).status, Status::kOk);
   EXPECT_EQ(engine.call(make_open("dup", 4, 1)).status, Status::kConfigError);
   Request attach = make_open("dup", 4, 1);

@@ -2,14 +2,17 @@
 // directly (no engine): refit rounds redesign every posted contract
 // through the session's policy, the rounds in between keep them, a
 // cancelled refit keeps the previous contracts until the next refit, the
-// same feed always designs the same contracts, and the 256-sample window
-// slides past its wrap and through a checkpoint bitwise.
+// same feed always designs the same contracts, the 256-sample window
+// slides past its wrap and through a checkpoint bitwise, and a rejected
+// round leaves no trace. Opens and restored checkpoints are bounded in
+// workers and window length.
 #include "serve/session.hpp"
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -280,6 +283,156 @@ TEST(SessionRestoreTest, RefusesIntervalCountPastTheCap) {
   EXPECT_THROW(Session::restore_blob("sckp", big_sckp, Session::Env{}),
                DataError);
   std::filesystem::remove_all(dir);
+}
+
+/// The exact bytes of a checkpoint file.
+std::string read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+/// A fresh, per-test checkpoint directory, removed on destruction.
+struct ScratchDir {
+  explicit ScratchDir(const std::string& name)
+      : path(std::filesystem::temp_directory_path() /
+             (name + "_" + std::to_string(::getpid()))) {
+    std::filesystem::remove_all(path);
+    std::filesystem::create_directories(path);
+  }
+  ~ScratchDir() { std::filesystem::remove_all(path); }
+  ScratchDir(const ScratchDir&) = delete;
+  ScratchDir& operator=(const ScratchDir&) = delete;
+  Session::Env env() const {
+    Session::Env durable;
+    durable.checkpoint_dir = path.string();
+    return durable;
+  }
+  std::filesystem::path path;
+};
+
+// A round rejected for a bad observation must change nothing: the round
+// is validated whole before any worker's window or estimates move, so the
+// session goes on exactly as one that never saw it — same contracts, same
+// utility, same ISES bytes.
+TEST(IngestSessionTest, RejectedRoundLeavesNoTrace) {
+  const ScratchDir dir_a("ccd_reject_a");
+  const ScratchDir dir_b("ccd_reject_b");
+  Session rejected("s", ingest_open(), dir_a.env());
+  Session clean("s", ingest_open(), dir_b.env());
+  for (std::uint64_t t = 0; t < 12; ++t) {
+    if (t == 6) {
+      // NaN in the last worker's observation: workers 0..2 come first.
+      std::vector<IngestObservation> bad = round_of(t);
+      bad.back().feedback = std::nan("");
+      EXPECT_THROW(rejected.ingest(bad, nullptr), DataError);
+      std::vector<IngestObservation> negative = round_of(t);
+      negative[2].effort = -1.0;
+      EXPECT_THROW(rejected.ingest(negative, nullptr), DataError);
+    }
+    rejected.ingest(round_of(t), nullptr);
+    clean.ingest(round_of(t), nullptr);
+  }
+  EXPECT_EQ(contract_bits(rejected.contracts()),
+            contract_bits(clean.contracts()));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                rejected.status().cumulative_requester_utility),
+            std::bit_cast<std::uint64_t>(
+                clean.status().cumulative_requester_utility));
+  EXPECT_EQ(rejected.status().next_round, clean.status().next_round);
+  const std::string a = read_bytes(rejected.checkpoint_path());
+  ASSERT_FALSE(a.empty());
+  EXPECT_TRUE(a == read_bytes(clean.checkpoint_path()));
+}
+
+// Opens above serve::kMaxSessionWorkers — the observations one
+// kMaxMessageBytes ingest frame carries — fail in both modes, before any
+// per-worker state is allocated.
+TEST(SessionOpenTest, RefusesMoreWorkersThanOneIngestFrameCarries) {
+  static_assert(kMaxSessionWorkers == kMaxMessageBytes / 24);
+  OpenParams ingest = ingest_open();
+  ingest.workers = kMaxSessionWorkers + 1;
+  EXPECT_THROW(Session("big", ingest, Session::Env{}), ConfigError);
+  OpenParams sim;
+  sim.workers = kMaxSessionWorkers + 1;
+  EXPECT_THROW(Session("big", sim, Session::Env{}), ConfigError);
+}
+
+// A live window never holds more than 256 samples, so a checkpoint blob
+// whose window does is refused instead of setting the cost of the next
+// ~10,000 refits from client input. 256 still restores.
+TEST(SessionRestoreTest, RefusesWindowsPastTheSampleWindow) {
+  const ScratchDir dir("ccd_window_cap");
+  Session session("ises", ingest_open(), dir.env());
+  session.ingest(round_of(0), nullptr);
+  const std::string ises = read_bytes(session.checkpoint_path());
+  const std::uint32_t version =
+      util::wire::decode_frame_header(ises, "ISES", 0, ~0u, ises.size(),
+                                      "test blob")
+          .version;
+  const std::string payload = ises.substr(util::wire::kFrameHeaderSize);
+  // Worker 0's record opens at byte 128 (after 16 session fields): two
+  // estimates and three psi coefficients, then the window's sample count
+  // and its 24-byte samples.
+  constexpr std::size_t kCountAt = 128 + 5 * 8;
+  ASSERT_EQ(util::wire::Reader(payload.substr(kCountAt, 8)).u64(), 1u);
+  const std::string sample = payload.substr(kCountAt + 8, 24);
+  const auto with_window = [&](std::uint64_t samples) {
+    util::wire::Writer count;
+    count.u64(samples);
+    std::string edited = payload;
+    edited.replace(kCountAt, 8, count.take());
+    std::string extra;
+    for (std::uint64_t s = 1; s < samples; ++s) extra += sample;
+    edited.insert(kCountAt + 8 + 24, extra);
+    return util::wire::encode_frame("ISES", version, edited);
+  };
+  EXPECT_NO_THROW(Session::restore_blob("ises", with_window(256),
+                                        Session::Env{}));
+  EXPECT_THROW(Session::restore_blob("ises", with_window(257), Session::Env{}),
+               DataError);
+}
+
+// Nor may a blob carry more workers than an open accepts. The blob below
+// is otherwise well-formed: kMaxSessionWorkers + 1 copies of a fresh
+// worker's record between a fresh session's header and trailer.
+TEST(SessionRestoreTest, RefusesWorkerCountPastTheCap) {
+  const ScratchDir dir("ccd_worker_cap");
+  OpenParams one = ingest_open();
+  one.workers = 1;
+  OpenParams two = ingest_open();
+  two.workers = 2;
+  Session a("one", one, dir.env());
+  Session b("two", two, dir.env());
+  a.checkpoint();
+  b.checkpoint();
+  const std::string ises_one = read_bytes(a.checkpoint_path());
+  const std::string payload_one = ises_one.substr(util::wire::kFrameHeaderSize);
+  const std::string payload_two =
+      read_bytes(b.checkpoint_path()).substr(util::wire::kFrameHeaderSize);
+  constexpr std::size_t kWorkersAt = 120;
+  constexpr std::size_t kFirstRecord = kWorkersAt + 8;
+  const std::size_t record = payload_two.size() - payload_one.size();
+  const std::uint32_t version =
+      util::wire::decode_frame_header(ises_one, "ISES", 0, ~0u,
+                                      ises_one.size(), "test blob")
+          .version;
+  const auto with_workers = [&](std::uint64_t workers) {
+    util::wire::Writer count;
+    count.u64(workers);
+    std::string payload = payload_one.substr(0, kWorkersAt) + count.take();
+    payload.reserve(payload_one.size() + workers * record);
+    for (std::uint64_t i = 0; i < workers; ++i) {
+      payload.append(payload_one, kFirstRecord, record);
+    }
+    payload.append(payload_one, kFirstRecord + record, std::string::npos);
+    return util::wire::encode_frame("ISES", version, payload);
+  };
+  EXPECT_NO_THROW(Session::restore_blob("ises", with_workers(3),
+                                        Session::Env{}));
+  EXPECT_THROW(Session::restore_blob("ises",
+                                     with_workers(kMaxSessionWorkers + 1),
+                                     Session::Env{}),
+               DataError);
 }
 
 }  // namespace
