@@ -247,10 +247,9 @@ std::vector<ccd::contract::SubproblemSpec> refit_specs(std::size_t n) {
   return specs;
 }
 
-void BM_IngestRefitBatch(benchmark::State& state) {
+void run_refit_batch(benchmark::State& state, ccd::util::ThreadPool& pool) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const std::vector<ccd::contract::SubproblemSpec> specs = refit_specs(n);
-  ccd::util::ThreadPool pool(1);
   ccd::contract::BatchOptions options;
   options.pool = &pool;
   ccd::contract::DesignCacheStats stats;
@@ -262,9 +261,39 @@ void BM_IngestRefitBatch(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * n));
   state.counters["ksweeps"] = static_cast<double>(stats.misses);
 }
+
+void BM_IngestRefitBatch(benchmark::State& state) {
+  ccd::util::ThreadPool pool(1);
+  run_refit_batch(state, pool);
+}
 // The sweeps run on the pool's one worker thread, so time the wall clock.
 BENCHMARK(BM_IngestRefitBatch)->Arg(200)->UseRealTime()
     ->Unit(benchmark::kMillisecond);
+
+// The same batch on the shared pool, where ingest sessions run it. The CPU
+// column is the whole process's, so it counts what the fan-out costs every
+// pool thread, as ingest_stream's workers_per_cpu_s does; the time column
+// is the refit's wall-clock latency.
+void BM_IngestRefitBatchShared(benchmark::State& state) {
+  run_refit_batch(state, ccd::util::shared_pool());
+}
+BENCHMARK(BM_IngestRefitBatchShared)->Arg(200)->MeasureProcessCPUTime()
+    ->UseRealTime()->Unit(benchmark::kMillisecond);
+
+// The fan-out alone: an empty 200-index parallel_for on the shared pool,
+// the shape of a refit batch's 200 classes. Process CPU time, as above:
+// the caller's own clock misses the pool threads' wake-ups and handoffs.
+void BM_ParallelForDispatch(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  ccd::util::ThreadPool& pool = ccd::util::shared_pool();
+  for (auto _ : state) {
+    pool.parallel_for(n, [](std::size_t) {});
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * n));
+  state.counters["threads"] = static_cast<double>(pool.thread_count());
+}
+BENCHMARK(BM_ParallelForDispatch)->Arg(200)->MeasureProcessCPUTime()
+    ->UseRealTime()->Unit(benchmark::kMicrosecond);
 
 void BM_PipelineThreads(benchmark::State& state) {
   const auto& trace = medium_trace();

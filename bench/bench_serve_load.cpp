@@ -12,9 +12,13 @@
 // reconcile with the client-observed totals — any "dropped but
 // acknowledged" request is a hard failure (non-zero exit), not a warning.
 //
-// Reports throughput and client-observed p50/p95/p99 latency via
-// util::metrics histograms and writes a machine-readable summary to
-// `out=` (default BENCH_serve_load.json).
+// Headlines goodput, rounds completed per wall-clock second
+// (`goodput_rounds_per_s`). The response rate (`throughput_rps`) counts
+// every response, backpressure rejects included, so under overload it
+// mostly measures how fast the server says no. Also reports
+// client-observed p50/p95/p99 latency via util::metrics histograms and
+// writes a machine-readable summary to `out=` (default
+// BENCH_serve_load.json).
 //
 // Usage: bench_serve_load [sessions=64] [rounds=5] [workers=4]
 //                         [malicious=1] [threads=4] [queue=16]
@@ -194,9 +198,14 @@ int main(int argc, char** argv) {
   const std::uint64_t expected_rounds = sessions * rounds;
 
   const metrics::HistogramSnapshot lat = latency.snapshot();
+  const double goodput =
+      wall_s > 0.0 ? static_cast<double>(total.rounds) / wall_s : 0.0;
   const double throughput =
       wall_s > 0.0 ? static_cast<double>(total.responses) / wall_s : 0.0;
 
+  std::printf("goodput              : %.1f rounds/s (rounds completed / "
+              "wall s)\n",
+              goodput);
   std::printf("requests sent        : %llu\n",
               static_cast<unsigned long long>(total.requests));
   std::printf("responses received   : %llu\n",
@@ -207,7 +216,9 @@ int main(int argc, char** argv) {
   std::printf("backpressure rejects : %llu\n",
               static_cast<unsigned long long>(total.backpressure));
   std::printf("wall time            : %.3f s\n", wall_s);
-  std::printf("throughput           : %.1f responses/s\n", throughput);
+  std::printf("response rate        : %.1f /s (backpressure rejects "
+              "included)\n",
+              throughput);
   std::printf("advance latency      : p50 %.0f us, p95 %.0f us, p99 %.0f us "
               "(max %.0f us, n=%llu)\n",
               lat.p50(), lat.p95(), lat.p99(), lat.max,
@@ -266,6 +277,7 @@ int main(int argc, char** argv) {
                  "  \"rounds_completed\": %llu,\n"
                  "  \"backpressure_rejects\": %llu,\n"
                  "  \"wall_seconds\": %.6f,\n"
+                 "  \"goodput_rounds_per_s\": %.3f,\n"
                  "  \"throughput_rps\": %.3f,\n"
                  "  \"latency_us\": {\"p50\": %.1f, \"p95\": %.1f, "
                  "\"p99\": %.1f, \"max\": %.1f, \"count\": %llu},\n"
@@ -276,7 +288,7 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(total.responses),
                  static_cast<unsigned long long>(total.rounds),
                  static_cast<unsigned long long>(total.backpressure), wall_s,
-                 throughput, lat.p50(), lat.p95(), lat.p99(), lat.max,
+                 goodput, throughput, lat.p50(), lat.p95(), lat.p99(), lat.max,
                  static_cast<unsigned long long>(lat.count),
                  ok ? "true" : "false");
     std::fclose(f);

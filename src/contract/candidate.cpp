@@ -20,7 +20,8 @@ void candidate_recurrence(const effort::QuadraticEffort& psi, double delta,
 
   // s_l = psi'(l * delta); the whole grid must sit where psi is strictly
   // increasing, else feedback knots would not be increasing.
-  std::vector<double> s(m + 1);
+  std::vector<double>& s = out.psi_prime;
+  s.resize(m + 1);
   for (std::size_t l = 0; l <= m; ++l) {
     s[l] = psi.derivative(delta * static_cast<double>(l));
     if (!(s[l] > 0.0)) {

@@ -63,6 +63,7 @@ struct CandidateBuildInfo {
 /// The struct is an out-parameter so repeated sweeps (one per spec class)
 /// reuse vector capacity instead of reallocating per candidate.
 struct CandidateRecurrence {
+  std::vector<double> psi_prime;                 ///< s_l = psi'(l delta), 0..m
   std::vector<double> raw_slopes;                ///< alpha_1..alpha_{k_max}
   std::vector<double> applied_slopes;            ///< max(raw, 0)
   std::vector<double> epsilons;                  ///< eps_1..eps_{k_max}

@@ -141,10 +141,11 @@ struct BatchOptions {
   /// Pool for the fan-out; null uses util::shared_pool().
   util::ThreadPool* pool = nullptr;
   /// Cache reused across calls (e.g. across pipeline rounds). Null builds
-  /// each class's table directly and drops it when the call returns: the
-  /// classes of one call are distinct, so a per-call cache could never
-  /// hit. The call's DesignCacheStats and the `ccd.cache.*` counters read
-  /// as if a private cache had held the tables.
+  /// each class's table into a per-thread scratch table, reused by the
+  /// thread's next class: the classes of one call are distinct, so a
+  /// per-call cache could never hit. The call's DesignCacheStats and the
+  /// `ccd.cache.*` counters read as if a private cache had held the
+  /// tables.
   DesignCache* cache = nullptr;
   /// When non-null, each distinct-spec k-sweep records its wall time here
   /// (microseconds) — the batched path's per-community/per-class solve
@@ -152,9 +153,10 @@ struct BatchOptions {
   /// magnitude cheaper than a sweep and the clock reads would dominate.
   util::metrics::Histogram* sweep_histogram = nullptr;
   /// Cooperative cancellation (null runs to completion). Polled between
-  /// k-sweeps and between classes during resolve; after cancellation the
-  /// batch returns with the remaining results left default-constructed.
-  /// Callers use `resolved` to tell completed entries apart.
+  /// classes: a class is designed whole (table and every worker) or not
+  /// at all, and after cancellation the batch returns with the remaining
+  /// results left default-constructed. Callers use `resolved` to tell
+  /// completed entries apart.
   const util::CancellationToken* cancel = nullptr;
   /// When non-null, resized to specs.size(); (*resolved)[i] is 1 iff
   /// results[i] was actually designed (always all-ones unless cancelled).
@@ -162,8 +164,9 @@ struct BatchOptions {
 };
 
 /// Design contracts for a whole fleet — the one fleet-design path every
-/// caller uses: one k-sweep per distinct spec class (computed in
-/// parallel), then one vectorized resolve_class pass per class (see
+/// caller uses: one pool task per distinct spec class, in parallel, that
+/// gets the class's k-sweep (from the cache or a fresh sweep) and then
+/// runs one vectorized resolve_class pass over its workers (see
 /// ksweep.hpp and fleet_soa.hpp). Output order matches `specs`, and
 /// results[i] is bitwise-identical to design_contract(specs[i]) regardless
 /// of thread count, cache state, or which kernel the CPU runs. Runs the

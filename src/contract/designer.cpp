@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <utility>
 
 #include "util/error.hpp"
 #include "util/fault_injection.hpp"
@@ -76,26 +75,30 @@ std::uint64_t fault_key(const SubproblemSpec& spec) {
   return h;
 }
 
-DesignTable build_design_table(const SubproblemSpec& spec) {
+void build_design_table(const SubproblemSpec& spec, DesignTable& table) {
   spec.validate();
   const std::size_t m = spec.intervals;
-  DesignTable table;
   table.delta = spec.delta();
 
   // The Eq. 39/40 recurrence never reads k: candidate k's slopes are the
   // prefix alpha_1..alpha_k of one shared sequence, so a single recurrence
   // pass serves the whole sweep, and one best-response scan answers every
-  // candidate (sweep_best_responses).
-  CandidateRecurrence rec;
+  // candidate (sweep_best_responses). Its columns are per-thread scratch.
+  thread_local CandidateRecurrence rec;
   candidate_recurrence(spec.psi, table.delta, m, m, spec.incentives,
                        /*cap_epsilon=*/true, rec);
   table.knots.resize(m + 1);
   for (std::size_t l = 0; l <= m; ++l) {
     table.knots[l] = spec.psi(table.delta * static_cast<double>(l));
   }
-  table.pay_prefix = std::move(rec.pay_prefix);
+  table.pay_prefix.assign(rec.pay_prefix.begin(), rec.pay_prefix.end());
   sweep_best_responses(spec.psi, spec.incentives, table.delta, table.knots,
                        table.pay_prefix, table.responses);
+}
+
+DesignTable build_design_table(const SubproblemSpec& spec) {
+  DesignTable table;
+  build_design_table(spec, table);
   return table;
 }
 

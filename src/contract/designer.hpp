@@ -96,7 +96,14 @@ struct DesignTable {
   Contract candidate(std::size_t k) const;
 };
 
-/// Run the k-sweep for a spec (ignores spec.weight).
+/// Run the k-sweep for a spec (ignores spec.weight) into `table`,
+/// overwriting every field and reusing its vectors' capacity, so a table
+/// rebuilt per class allocates only when m grows past what it has held.
+/// Bitwise-equal to a fresh build. If the sweep throws, `table` holds
+/// unspecified values.
+void build_design_table(const SubproblemSpec& spec, DesignTable& table);
+
+/// Run the k-sweep for a spec into a new table.
 DesignTable build_design_table(const SubproblemSpec& spec);
 
 /// Scalarize a precomputed table for one worker's weight:

@@ -80,91 +80,12 @@ SubproblemSpec FleetSoA::class_spec(std::size_t c) const {
 
 namespace {
 
-// Per-class table acquisition: one table per class that has a
-// positive-weight worker, distinct classes in parallel. The representative
-// is the caller's own spec object, so what reaches the cache (or the
-// sweep) is the exact bit pattern the caller passed. With a cache, each
-// table comes from cache.table_for. Without one, each is built directly:
-// FleetSoA::from_specs already made the classes distinct, so a private
-// per-call cache could never hit. Those tables still count in the
-// `ccd.cache.*` counters as a private cache's misses would: a lookup and a
-// miss each, and an eviction, since the call drops them.
-struct FleetTableSet {
-  std::vector<const DesignTable*> tables;  ///< per class; null = none
-  /// With a cache: its tables, held for the call.
-  std::vector<std::shared_ptr<const DesignTable>> cached;
-  /// Without one: the tables themselves.
-  std::vector<DesignTable> built;
-  std::size_t sweeps_computed = 0;
-  std::uint64_t sweep_steps_computed = 0;
-};
-
-FleetTableSet acquire_fleet_tables(const FleetSoA& fleet,
-                                   const std::vector<SubproblemSpec>& specs,
-                                   DesignCache* cache, util::ThreadPool& pool,
-                                   const BatchOptions& options) {
-  FleetTableSet ts;
-  ts.tables.assign(fleet.classes(), nullptr);
-  if (cache) {
-    ts.cached.resize(fleet.classes());
-  } else {
-    ts.built.resize(fleet.classes());
-  }
-
-  std::vector<std::size_t> cacheable;
-  cacheable.reserve(fleet.classes());
-  for (std::size_t c = 0; c < fleet.classes(); ++c) {
-    if (fleet.first_positive[c] != FleetSoA::npos) cacheable.push_back(c);
-  }
-
-  std::atomic<std::size_t> computed{0};
-  std::atomic<std::uint64_t> steps_computed{0};
-  // Without a cache, the tables built so far count once the sweeps stop,
-  // also when one throws.
-  const auto count_built = [&] {
-    if (cache) return;
-    DesignCacheStats delta;
-    delta.lookups = computed.load();
-    delta.misses = delta.lookups;
-    delta.sweep_steps_computed = steps_computed.load();
-    record_cache_counters(delta, delta.misses);
-  };
-  try {
-    pool.parallel_for(cacheable.size(), [&](std::size_t g) {
-      const std::size_t c = cacheable[g];
-      const SubproblemSpec& spec = specs[fleet.first_positive[c]];
-      bool was_hit = false;
-      {
-        // Span of this class's design (see BatchOptions::sweep_histogram; a
-        // cache hit records the cheap lookup instead of a sweep).
-        util::metrics::ScopedTimer timer(options.sweep_histogram);
-        if (cache) {
-          ts.cached[c] = cache->table_for(spec, &was_hit);
-          ts.tables[c] = ts.cached[c].get();
-        } else {
-          ts.built[c] = build_design_table(spec);
-          ts.tables[c] = &ts.built[c];
-        }
-      }
-      if (!was_hit) {
-        computed.fetch_add(1, std::memory_order_relaxed);
-        steps_computed.fetch_add(fleet.intervals[c],
-                                 std::memory_order_relaxed);
-      }
-    }, options.cancel);
-  } catch (...) {
-    count_built();
-    throw;
-  }
-  count_built();
-  ts.sweeps_computed = computed.load();
-  ts.sweep_steps_computed = steps_computed.load();
-  return ts;
-}
-
-// The batch's per-call accounting, computed from the fleet arrays. Returns
-// the per-call snapshot and the `extra` delta the caller records into the
-// cache for per-worker resolutions served without touching the map.
+// The batch's per-call accounting, computed from the fleet arrays once its
+// classes have run. A class with a positive-weight member resolves all its
+// workers once its table is acquired, so its first positive member tells
+// whether it ran (cancellation skips whole classes). Returns the per-call
+// snapshot and the `extra` delta the caller records into the cache for
+// per-worker resolutions served without touching the map.
 struct FleetCallStats {
   DesignCacheStats call;
   DesignCacheStats extra;
@@ -172,7 +93,8 @@ struct FleetCallStats {
 
 FleetCallStats fleet_call_stats(const FleetSoA& fleet,
                                 const std::vector<std::uint8_t>& resolved,
-                                const FleetTableSet& ts) {
+                                std::size_t sweeps_computed,
+                                std::uint64_t sweep_steps_computed) {
   std::size_t cacheable = 0;
   std::size_t cacheable_steps = 0;
   for (std::size_t i = 0; i < fleet.workers(); ++i) {
@@ -183,11 +105,11 @@ FleetCallStats fleet_call_stats(const FleetSoA& fleet,
 
   FleetCallStats out;
   out.call.lookups = cacheable;
-  out.call.misses = ts.sweeps_computed;
+  out.call.misses = sweeps_computed;
   out.call.hits = out.call.lookups > out.call.misses
                       ? out.call.lookups - out.call.misses : 0;
   out.call.sweep_steps_computed =
-      static_cast<std::size_t>(ts.sweep_steps_computed);
+      static_cast<std::size_t>(sweep_steps_computed);
   out.call.sweep_steps_avoided =
       cacheable_steps > out.call.sweep_steps_computed
           ? cacheable_steps - out.call.sweep_steps_computed : 0;
@@ -195,8 +117,8 @@ FleetCallStats fleet_call_stats(const FleetSoA& fleet,
   std::size_t classes_ran = 0;
   std::size_t classes_ran_steps = 0;
   for (std::size_t c = 0; c < fleet.classes(); ++c) {
-    if (fleet.first_positive[c] == FleetSoA::npos) continue;
-    if (ts.tables[c] == nullptr) continue;  // sweep skipped by cancellation
+    const std::size_t first = fleet.first_positive[c];
+    if (first == FleetSoA::npos || !resolved[first]) continue;
     ++classes_ran;
     classes_ran_steps += fleet.intervals[c];
   }
@@ -208,21 +130,24 @@ FleetCallStats fleet_call_stats(const FleetSoA& fleet,
   return out;
 }
 
-// Resolve scratch, one per thread and reused across classes and calls, so
-// a fleet of many small classes (an ingest refit: one class per worker)
+// Scratch, one per thread and reused across classes and calls, so a
+// fleet of many small classes (an ingest refit: one class per worker)
 // pays no per-class heap allocation beyond the contracts it hands out.
 struct ResolveScratch {
+  /// The class's table when the batch has no cache, rebuilt in place per
+  /// class; its capacity follows the largest m this thread has designed.
+  DesignTable table;
   ScratchArena arena;
   std::vector<std::size_t> k_opt;
   /// The class's contracts built so far, one per selected k; emptied per
   /// class, so no contract outlives the results that hold it.
   std::vector<std::pair<std::size_t, Contract>> built;
 
-  const Contract& contract_for(const DesignTable& table, std::size_t k) {
+  const Contract& contract_for(const DesignTable& from, std::size_t k) {
     for (const auto& [built_k, contract] : built) {
       if (built_k == k) return contract;
     }
-    built.emplace_back(k, table.candidate(k));
+    built.emplace_back(k, from.candidate(k));
     return built.back().second;
   }
 };
@@ -233,6 +158,7 @@ std::vector<DesignResult> design_contracts_batch(
     const std::vector<SubproblemSpec>& specs, const BatchOptions& options,
     DesignCacheStats* stats) {
   util::ThreadPool& pool = options.pool ? *options.pool : util::shared_pool();
+  DesignCache* const cache = options.cache;
 
   const std::size_t n = specs.size();
   std::vector<DesignResult> results(n);
@@ -245,20 +171,29 @@ std::vector<DesignResult> design_contracts_batch(
   // first-occurrence order, with each class's workers gathered into a
   // contiguous CSR slice. Validates every spec in input order.
   const FleetSoA fleet = FleetSoA::from_specs(specs);
-  const FleetTableSet ts =
-      acquire_fleet_tables(fleet, specs, options.cache, pool, options);
 
-  // One kernel pass per class, written out as plain per-worker fields plus
-  // the winning candidate's Contract, built once per (class, k) and shared
-  // by the class's workers that select it. Classes write disjoint results,
-  // so they parallelize freely.
-  pool.parallel_for(fleet.classes(), [&](std::size_t c) {
+  std::atomic<std::size_t> computed{0};
+  std::atomic<std::uint64_t> steps_computed{0};
+  // Without a cache, the tables built so far count once the classes stop,
+  // also when one throws, as a private cache's misses would: a lookup and
+  // a miss each, and an eviction, since the call drops them.
+  const auto count_built = [&] {
+    if (cache) return;
+    DesignCacheStats delta;
+    delta.lookups = computed.load();
+    delta.misses = delta.lookups;
+    delta.sweep_steps_computed = steps_computed.load();
+    record_cache_counters(delta, delta.misses);
+  };
+
+  // One task per class: acquire its table, then one kernel pass over its
+  // workers, written out as plain per-worker fields plus the winning
+  // candidate's Contract, built once per (class, k) and shared by the
+  // class's workers that select it. Classes write disjoint results, so
+  // they parallelize freely.
+  const auto design_class = [&](std::size_t c) {
     const std::size_t begin = fleet.class_begin[c];
     const std::size_t count = fleet.class_begin[c + 1] - begin;
-    const DesignTable* const table = ts.tables[c];
-    if (table == nullptr && fleet.first_positive[c] != FleetSoA::npos) {
-      return;  // sweep skipped by cancellation: workers stay unresolved
-    }
     const SubproblemSpec cls = fleet.class_spec(c);
 
     // The §V zero-contract response is weight-independent: computed once
@@ -269,7 +204,8 @@ std::vector<DesignResult> design_contracts_batch(
       result.excluded = true;
       result.response = *zero;
     };
-    if (table == nullptr) {
+    if (fleet.first_positive[c] == FleetSoA::npos) {
+      // Every member is weight-excluded: no table.
       for (std::size_t j = 0; j < count; ++j) {
         const std::size_t i = fleet.order[begin + j];
         exclude(results[i]);
@@ -278,7 +214,32 @@ std::vector<DesignResult> design_contracts_batch(
       return;
     }
 
+    // The table: a cache lookup, or a k-sweep into this thread's scratch
+    // (FleetSoA::from_specs already made the classes distinct, so a
+    // per-call cache could never hit). The representative is the caller's
+    // own spec object, so what reaches the cache (or the sweep) is the
+    // exact bit pattern the caller passed.
     thread_local ResolveScratch scratch;
+    const SubproblemSpec& spec = specs[fleet.first_positive[c]];
+    std::shared_ptr<const DesignTable> cached;
+    const DesignTable* table = &scratch.table;
+    bool was_hit = false;
+    {
+      // Span of this class's table (see BatchOptions::sweep_histogram; a
+      // cache hit records the cheap lookup instead of a sweep).
+      util::metrics::ScopedTimer timer(options.sweep_histogram);
+      if (cache) {
+        cached = cache->table_for(spec, &was_hit);
+        table = cached.get();
+      } else {
+        build_design_table(spec, scratch.table);
+      }
+    }
+    if (!was_hit) {
+      computed.fetch_add(1, std::memory_order_relaxed);
+      steps_computed.fetch_add(fleet.intervals[c], std::memory_order_relaxed);
+    }
+
     scratch.arena.reset();
     scratch.built.clear();
     const ClassTableau tableau =
@@ -315,12 +276,20 @@ std::vector<DesignResult> design_contracts_batch(
       resolved[i] = 1;
     }
     scratch.built.clear();
-  }, options.cancel);
+  };
+  try {
+    pool.parallel_for(fleet.classes(), design_class, options.cancel);
+  } catch (...) {
+    count_built();
+    throw;
+  }
+  count_built();
 
-  const FleetCallStats fcs = fleet_call_stats(fleet, resolved, ts);
+  const FleetCallStats fcs = fleet_call_stats(
+      fleet, resolved, computed.load(), steps_computed.load());
   if (stats) *stats = fcs.call;
-  if (options.cache) {
-    options.cache->record(fcs.extra);
+  if (cache) {
+    cache->record(fcs.extra);
   } else {
     record_cache_counters(fcs.extra, 0);
   }

@@ -12,11 +12,16 @@
 // lost.
 //
 // Threading model:
+//  * parallel_for splits [0, n) into at most 4 chunks per thread and
+//    queues one runner per pool thread (at most one per chunk). Each
+//    runner claims chunks from a counter shared by the call until none is
+//    left, so a call costs thread_count() queue handoffs and one wake-up
+//    of the caller, not one task and one future per chunk.
 //  * parallel_for is reentrant. When called from one of the pool's own
 //    worker threads it runs every index inline on the caller: the outer
-//    task already occupies a worker slot and would otherwise block on
-//    future::get() for chunks that can never be scheduled (deadlock once
-//    all slots are held by blocked outer tasks).
+//    task already occupies a worker slot and would otherwise wait for
+//    runners that can never be scheduled (deadlock once all slots are
+//    held by blocked outer tasks).
 //  * A process-wide pool is available via shared_pool(). It is created on
 //    first use and intentionally never destroyed, so no thread joins race
 //    other objects during static destruction; call shutdown_shared_pool()
@@ -27,8 +32,11 @@
 // Observability: every pool reports into the process-wide `ccd.pool.*`
 // metrics — queue depth and busy-worker gauges, a task-latency histogram
 // (execution time of each dequeued task, microseconds), and a completed-
-// task counter. `ccd.pool.threads` carries the shared pool's size. See
-// util/metrics.hpp for the export paths and the -DCCD_NO_METRICS switch.
+// task counter. A parallel_for runner is one task; its metrics are
+// recorded before it reports to the caller, so they are complete when
+// parallel_for returns. `ccd.pool.threads` carries the shared pool's size.
+// See util/metrics.hpp for the export paths and the -DCCD_NO_METRICS
+// switch.
 #pragma once
 
 #include <condition_variable>
@@ -73,7 +81,7 @@ class ThreadPool {
     {
       const std::lock_guard<std::mutex> lock(mutex_);
       if (stopping_) throw std::runtime_error("ThreadPool: submit after stop");
-      queue_.emplace([task] { (*task)(); });
+      queue_.push(Job{[task] { (*task)(); }});
       // Stored under the lock, so the last store is the current depth.
       queue_depth_->set(static_cast<double>(queue_.size()));
     }
@@ -93,14 +101,27 @@ class ThreadPool {
   /// skipped, indices already running finish normally, and parallel_for
   /// returns without throwing. Callers that need to know inspect
   /// cancel->cancelled() afterwards and render their own partial result.
+  ///
+  /// A runner stops at its first failing index, so at most
+  /// thread_count() indices fail per call.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
                     const CancellationToken* cancel = nullptr);
 
  private:
+  /// One parallel_for call's chunk counter, failure record and runner
+  /// count, shared by its runners (defined in thread_pool.cpp).
+  struct ForBatch;
+
+  /// A queued unit of work: a submit()ted task, or a runner of `batch`.
+  struct Job {
+    std::function<void()> task;
+    ForBatch* batch = nullptr;
+  };
+
   void worker_loop();
 
   std::vector<std::thread> workers_;
-  std::queue<std::function<void()>> queue_;
+  std::queue<Job> queue_;
   std::mutex mutex_;
   std::condition_variable cv_;
   bool stopping_ = false;

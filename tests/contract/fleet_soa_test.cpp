@@ -477,6 +477,104 @@ TEST(FleetDesignTest, ScratchReuseAcrossClassSizesStaysBitwise) {
   }
 }
 
+bool same_response(const BestResponse& a, const BestResponse& b) {
+  return same_bits(a.effort, b.effort) && same_bits(a.utility, b.utility) &&
+         same_bits(a.feedback, b.feedback) &&
+         same_bits(a.compensation, b.compensation) &&
+         a.interval == b.interval;
+}
+
+void expect_same_table(const DesignTable& got, const DesignTable& want,
+                       const std::string& where) {
+  EXPECT_TRUE(same_bits(got.delta, want.delta)) << where;
+  ASSERT_EQ(got.knots.size(), want.knots.size()) << where;
+  ASSERT_EQ(got.pay_prefix.size(), want.pay_prefix.size()) << where;
+  ASSERT_EQ(got.responses.size(), want.responses.size()) << where;
+  for (std::size_t l = 0; l < want.knots.size(); ++l) {
+    EXPECT_TRUE(same_bits(got.knots[l], want.knots[l])) << where << " l " << l;
+    EXPECT_TRUE(same_bits(got.pay_prefix[l], want.pay_prefix[l]))
+        << where << " l " << l;
+  }
+  for (std::size_t k = 0; k < want.responses.size(); ++k) {
+    EXPECT_TRUE(same_response(got.responses[k], want.responses[k]))
+        << where << " k " << k + 1;
+  }
+}
+
+// Without a cache, each class's table is built into its thread's scratch
+// table, which the thread's next class rebuilds in place, in the same call
+// or the next. Back-to-back uncached batches alternate m between 128, 1
+// and 20 and omega between 0 and > 0, so the table shrinks and grows
+// between classes. Each fleet also holds a class that the §V fallback
+// excludes and a class whose only member has weight 0. Every result
+// matches design_contract bit for bit on one and four threads, and a
+// rebuild into a larger table equals a fresh build field for field.
+TEST(FleetDesignTest, ThreadTableReuseStaysBitwise) {
+  const struct {
+    std::size_t intervals;
+    double omega;
+  } shapes[] = {{128, 0.0}, {1, 0.4}, {20, 0.0},
+                {128, 0.4}, {1, 0.0}, {20, 0.4}};
+  util::Rng rng(57);
+  util::ThreadPool one(1);
+  util::ThreadPool four(4);
+  for (int pass = 0; pass < 2; ++pass) {
+    for (std::size_t s = 0; s < std::size(shapes); ++s) {
+      std::vector<SubproblemSpec> specs(24);
+      for (SubproblemSpec& spec : specs) {
+        spec.psi = effort::QuadraticEffort(rng.uniform(-1.2, -0.8),
+                                           rng.uniform(6.0, 9.0),
+                                           rng.uniform(0.5, 2.5));
+        spec.incentives = {rng.uniform(0.8, 1.2), shapes[s].omega};
+        spec.intervals = shapes[s].intervals;
+        spec.weight = rng.uniform(0.2, 3.0);
+      }
+      SubproblemSpec fallback = specs[0];  // pays nothing worth its weight
+      fallback.psi = effort::QuadraticEffort(-1.0, 8.0, 0.0);
+      fallback.incentives.omega = 0.0;  // no free feedback either
+      fallback.weight = 1e-4;
+      specs.insert(specs.begin() + 5, fallback);
+      SubproblemSpec idle = specs[1];  // a class of one weight-0 worker
+      idle.psi = effort::QuadraticEffort(-1.0, 7.5, 1.0);
+      idle.weight = 0.0;
+      specs.insert(specs.begin() + 11, idle);
+
+      BatchOptions options;
+      options.pool = pass == 0 ? &one : &four;
+      const std::vector<DesignResult> results =
+          design_contracts_batch(specs, options);
+      ASSERT_EQ(results.size(), specs.size());
+      for (std::size_t i = 0; i < specs.size(); ++i) {
+        const DesignResult reference = design_contract(specs[i]);
+        expect_bitwise(results[i], reference,
+                       "pass " + std::to_string(pass) + " shape " +
+                           std::to_string(s) + " worker " + std::to_string(i));
+      }
+      // Both exclusion paths ran: the §V fallback at a positive weight,
+      // and the weight-0 class that needs no table.
+      EXPECT_TRUE(results[5].excluded) << "shape " << s;
+      EXPECT_TRUE(results[11].excluded) << "shape " << s;
+    }
+  }
+
+  // A table reused after a larger build holds only the new spec's values.
+  SubproblemSpec large;
+  large.psi = effort::QuadraticEffort(-0.9, 7.0, 1.0);
+  large.incentives = {1.0, 0.3};
+  large.intervals = 128;
+  DesignTable reused;
+  for (const std::size_t m : {1, 20, 128, 2}) {
+    build_design_table(large, reused);
+    SubproblemSpec spec = large;
+    spec.psi = effort::QuadraticEffort(-1.1, 8.0, 2.0);
+    spec.incentives.omega = m % 2 == 0 ? 0.0 : 0.5;
+    spec.intervals = m;
+    build_design_table(spec, reused);
+    expect_same_table(reused, build_design_table(spec),
+                      "m " + std::to_string(m));
+  }
+}
+
 // Portable and AVX2 kernels over every class of random fleets, including
 // the ±0.0/denormal classes and both sides of the §V exclusion boundary.
 // The batch runs whichever kernel the CPU supports, so on an AVX2 machine

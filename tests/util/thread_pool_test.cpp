@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <future>
 #include <latch>
@@ -10,6 +12,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "util/cancellation.hpp"
@@ -124,6 +127,75 @@ TEST(ThreadPoolTest, SingleFailureHasNoSuppressedNote) {
     EXPECT_EQ(std::string(e.what()).find("more task failures"),
               std::string::npos)
         << e.what();
+  }
+}
+
+// parallel_for queues one runner per pool thread, at most one per chunk,
+// and each runner claims chunks until none is left, so `ccd.pool.tasks`
+// counts runners, not chunks. A runner's metrics land before it reports to
+// the caller, so the count is exact once parallel_for returns. A runner
+// stops at its first failing index and the others stop at their next
+// index, so a call reports at most runners - 1 suppressed failures.
+TEST(ThreadPoolTest, ParallelForRunsOneTaskPerPoolThread) {
+  const struct {
+    std::size_t threads;
+    std::size_t n;
+    std::size_t runners;
+  } cases[] = {{4, 200, 4}, {1, 200, 1}, {4, 3, 3}, {4, 1, 1}, {8, 5, 5}};
+  for (const auto& tc : cases) {
+    const std::string where = std::to_string(tc.threads) + " threads, n " +
+                              std::to_string(tc.n);
+    ThreadPool pool(tc.threads);
+    std::vector<std::atomic<int>> hits(tc.n);
+#ifndef CCD_NO_METRICS
+    const metrics::Counter& tasks =
+        metrics::registry().counter("ccd.pool.tasks");
+    const std::uint64_t before = tasks.value();
+#endif
+    pool.parallel_for(tc.n, [&](std::size_t i) { hits[i].fetch_add(1); });
+#ifndef CCD_NO_METRICS
+    EXPECT_EQ(tasks.value() - before, tc.runners) << where;
+#endif
+    for (std::size_t i = 0; i < tc.n; ++i) {
+      EXPECT_EQ(hits[i].load(), 1) << where << ", index " << i;
+    }
+  }
+
+  // Index 0 throws, while every other index a runner starts waits for the
+  // throw and then lingers, so the failure is recorded before it returns.
+  // Each other runner then stops after the index it is in, or the one it
+  // started while the exception was in flight: at most two indices each.
+  {
+    ThreadPool pool(4);
+    std::atomic<bool> thrown{false};
+    std::atomic<std::size_t> ran{0};
+    EXPECT_THROW(pool.parallel_for(200, [&](std::size_t i) {
+      ran.fetch_add(1);
+      if (i == 0) {
+        thrown.store(true);
+        throw MathError("index 0");
+      }
+      while (!thrown.load()) std::this_thread::yield();
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }), MathError);
+    EXPECT_GE(ran.load(), 1u);
+    EXPECT_LE(ran.load(), 1u + 3u * 2u);
+  }
+
+  // Every index throws: each runner fails once, at its first index.
+  for (const auto& [threads, n] :
+       {std::pair<std::size_t, std::size_t>{4, 200}, {1, 200}, {4, 2}}) {
+    const std::size_t runners = std::min(threads, n);
+    ThreadPool pool(threads);
+    try {
+      pool.parallel_for(n, [&](std::size_t i) {
+        throw MathError("index " + std::to_string(i));
+      });
+      FAIL() << "should have thrown";
+    } catch (const MathError& e) {
+      EXPECT_LE(e.context().suppressed_failures, runners - 1)
+          << threads << " threads, n " << n << ": " << e.what();
+    }
   }
 }
 
@@ -317,10 +389,10 @@ TEST(ThreadPoolContentionTest, SessionStyleBurstsLoseNoTasksAndSettle) {
   EXPECT_EQ(clean_hits.load(), expected_clean.load());
 
 #ifndef CCD_NO_METRICS
-  // All bursts joined: the gauges must settle back to zero. Workers
-  // decrement busy_workers *after* completing the task that unblocks
-  // parallel_for, so join the workers first — after shutdown() every
-  // decrement has retired and the read is race-free.
+  // All bursts joined: the gauges must settle back to zero. A runner
+  // records its gauges before it reports back to parallel_for, so they
+  // have settled once the bursts return; shutdown() joins the workers
+  // too, so the read races with nothing.
   pool.shutdown();
   using metrics::MetricSnapshot;
   double queue_depth = -1.0;
