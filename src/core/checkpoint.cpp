@@ -28,15 +28,7 @@ void check_version(std::uint32_t version) {
 void write_config(ByteWriter& w, const SimConfig& config,
                   std::uint32_t version) {
   w.u64(config.rounds);
-  w.f64(config.requester.rho);
-  w.f64(config.requester.kappa);
-  w.f64(config.requester.gamma);
-  w.f64(config.requester.mu);
-  w.f64(config.requester.beta);
-  w.f64(config.requester.omega_malicious);
-  w.u64(config.requester.intervals);
-  w.f64(config.requester.accuracy_floor);
-  w.f64(config.requester.weight_cap);
+  encode_requester_config(w, config.requester);
   w.f64(config.feedback_noise);
   w.f64(config.accuracy_noise);
   w.u64(config.redesign_every);
@@ -47,12 +39,7 @@ void write_config(ByteWriter& w, const SimConfig& config,
   w.str(config.checkpoint_path);
   w.u64(config.threads);
   if (version >= 3) {
-    w.u8(static_cast<std::uint8_t>(config.policy.kind));
-    w.f64(config.policy.payment_cap);
-    w.f64(config.policy.zoom_confidence);
-    w.u64(config.policy.zoom_max_depth);
-    w.u64(config.policy.price_levels);
-    w.f64(config.policy.peer_tolerance);
+    encode_policy_config(w, config.policy);
   } else {
     // A v2 payload cannot carry a policy section; refuse to silently drop
     // a non-default backend.
@@ -64,15 +51,7 @@ void write_config(ByteWriter& w, const SimConfig& config,
 SimConfig read_config(ByteReader& r, std::uint32_t version) {
   SimConfig config;
   config.rounds = r.u64();
-  config.requester.rho = r.f64();
-  config.requester.kappa = r.f64();
-  config.requester.gamma = r.f64();
-  config.requester.mu = r.f64();
-  config.requester.beta = r.f64();
-  config.requester.omega_malicious = r.f64();
-  config.requester.intervals = r.u64();
-  config.requester.accuracy_floor = r.f64();
-  config.requester.weight_cap = r.f64();
+  config.requester = decode_requester_config(r);
   config.feedback_noise = r.f64();
   config.accuracy_noise = r.f64();
   config.redesign_every = r.u64();
@@ -82,14 +61,7 @@ SimConfig read_config(ByteReader& r, std::uint32_t version) {
   config.checkpoint_every = r.u64();
   config.checkpoint_path = r.str();
   config.threads = r.u64();
-  if (version >= 3) {
-    config.policy.kind = static_cast<policy::Kind>(r.u8());
-    config.policy.payment_cap = r.f64();
-    config.policy.zoom_confidence = r.f64();
-    config.policy.zoom_max_depth = r.u64();
-    config.policy.price_levels = r.u64();
-    config.policy.peer_tolerance = r.f64();
-  }
+  if (version >= 3) config.policy = decode_policy_config(r);
   return config;
 }
 
@@ -200,6 +172,73 @@ SimResult read_history(ByteReader& r) {
 
 }  // namespace
 
+void encode_requester_config(util::wire::Writer& w,
+                             const RequesterConfig& config) {
+  w.f64(config.rho);
+  w.f64(config.kappa);
+  w.f64(config.gamma);
+  w.f64(config.mu);
+  w.f64(config.beta);
+  w.f64(config.omega_malicious);
+  w.u64(config.intervals);
+  w.f64(config.accuracy_floor);
+  w.f64(config.weight_cap);
+}
+
+RequesterConfig decode_requester_config(util::wire::Reader& r) {
+  RequesterConfig config;
+  config.rho = r.f64();
+  config.kappa = r.f64();
+  config.gamma = r.f64();
+  config.mu = r.f64();
+  config.beta = r.f64();
+  config.omega_malicious = r.f64();
+  config.intervals = r.u64();
+  config.accuracy_floor = r.f64();
+  config.weight_cap = r.f64();
+  return config;
+}
+
+void encode_policy_config(util::wire::Writer& w,
+                          const policy::PolicyConfig& config) {
+  w.u8(static_cast<std::uint8_t>(config.kind));
+  w.f64(config.payment_cap);
+  w.f64(config.zoom_confidence);
+  w.u64(config.zoom_max_depth);
+  w.u64(config.price_levels);
+  w.f64(config.peer_tolerance);
+}
+
+policy::PolicyConfig decode_policy_config(util::wire::Reader& r) {
+  policy::PolicyConfig config;
+  const std::uint8_t kind = r.u8();
+  if (kind > static_cast<std::uint8_t>(policy::Kind::kPostedPrice)) {
+    throw DataError("checkpoint names an unknown policy backend (" +
+                    std::to_string(kind) + ")");
+  }
+  config.kind = static_cast<policy::Kind>(kind);
+  config.payment_cap = r.f64();
+  config.zoom_confidence = r.f64();
+  config.zoom_max_depth = r.u64();
+  config.price_levels = r.u64();
+  config.peer_tolerance = r.f64();
+  return config;
+}
+
+void encode_rng_state(util::wire::Writer& w, const util::RngState& state) {
+  for (const std::uint64_t word : state.words) w.u64(word);
+  w.u8(state.has_cached_normal ? 1 : 0);
+  w.f64(state.cached_normal);
+}
+
+util::RngState decode_rng_state(util::wire::Reader& r) {
+  util::RngState state;
+  for (std::uint64_t& word : state.words) word = r.u64();
+  state.has_cached_normal = r.u8() != 0;
+  state.cached_normal = r.f64();
+  return state;
+}
+
 void encode_contract(util::wire::Writer& w,
                      const contract::Contract& contract) {
   if (contract.is_zero()) {
@@ -235,9 +274,7 @@ std::string encode_checkpoint(const SimCheckpoint& checkpoint,
   w.u64(checkpoint.workers.size());
   for (const SimWorkerSpec& spec : checkpoint.workers) write_worker(w, spec);
   w.u64(checkpoint.next_round);
-  for (const std::uint64_t word : checkpoint.rng.words) w.u64(word);
-  w.u8(checkpoint.rng.has_cached_normal ? 1 : 0);
-  w.f64(checkpoint.rng.cached_normal);
+  encode_rng_state(w, checkpoint.rng);
   w.f64_vec(checkpoint.est_accuracy);
   w.f64_vec(checkpoint.est_malicious);
   w.u64(checkpoint.contracts.size());
@@ -268,9 +305,7 @@ SimCheckpoint decode_checkpoint(const std::string& payload,
       checkpoint.workers.push_back(read_worker(r));
     }
     checkpoint.next_round = r.u64();
-    for (std::uint64_t& word : checkpoint.rng.words) word = r.u64();
-    checkpoint.rng.has_cached_normal = r.u8() != 0;
-    checkpoint.rng.cached_normal = r.f64();
+    checkpoint.rng = decode_rng_state(r);
     checkpoint.est_accuracy = r.f64_vec();
     checkpoint.est_malicious = r.f64_vec();
     const std::size_t contracts = r.count(8);
@@ -294,6 +329,9 @@ SimCheckpoint decode_checkpoint(const std::string& payload,
     CCD_CHECK_MSG(checkpoint.history.rounds.size() == checkpoint.next_round,
                   "checkpoint history does not match its round counter");
     checkpoint.config.validate();
+    Requester::validate(checkpoint.config.requester,
+                        checkpoint.config.ema_alpha, checkpoint.est_accuracy,
+                        checkpoint.est_malicious);
     return checkpoint;
   } catch (const DataError&) {
     throw;

@@ -27,7 +27,9 @@
 #include <vector>
 
 #include "contract/contract.hpp"
+#include "core/requester.hpp"
 #include "core/stackelberg.hpp"
+#include "policy/policy.hpp"
 #include "util/retry.hpp"
 #include "util/rng.hpp"
 #include "util/wire.hpp"
@@ -80,6 +82,20 @@ SimCheckpoint decode_checkpoint(const std::string& payload,
 /// validation).
 void encode_contract(util::wire::Writer& w, const contract::Contract& contract);
 contract::Contract decode_contract(util::wire::Reader& r);
+
+/// Section codecs shared by the SCKP and ISES (serve ingest session)
+/// payloads, which lay these sections out identically: RequesterConfig's
+/// nine fields, PolicyConfig's six, and util::RngState (xoshiro words, the
+/// cached-normal flag and value). The decoders throw ccd::DataError on
+/// truncated input; decode_policy_config also on an unknown backend.
+void encode_requester_config(util::wire::Writer& w,
+                             const RequesterConfig& config);
+RequesterConfig decode_requester_config(util::wire::Reader& r);
+void encode_policy_config(util::wire::Writer& w,
+                          const policy::PolicyConfig& config);
+policy::PolicyConfig decode_policy_config(util::wire::Reader& r);
+void encode_rng_state(util::wire::Writer& w, const util::RngState& state);
+util::RngState decode_rng_state(util::wire::Reader& r);
 
 /// Durably write / read a checkpoint file, retrying transient I/O failures
 /// under `retry`. Load failures (including corruption) surface as

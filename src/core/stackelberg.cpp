@@ -49,49 +49,96 @@ double RoundHook::adjust_accuracy_sample(std::size_t /*round*/,
   return sample;
 }
 
+WorkerPlay play_worker_round(const SimWorkerSpec& worker, std::size_t index,
+                             std::size_t round,
+                             const contract::Contract& posted,
+                             double feedback_noise, double accuracy_noise,
+                             RoundHook* hook, util::Rng& rng) {
+  // Behaviour switch / masking (the dynamics the contract must adapt to).
+  const SimWorkerSpec::Behaviour behaviour = worker.behaviour_at(round);
+  const contract::BestResponse br = contract::best_response(
+      posted, worker.psi,
+      contract::WorkerIncentives{worker.beta, behaviour.omega});
+
+  // Realized feedback is noisy around psi(y); the hook may tamper with it
+  // (collusive boosts) before the physical >= 0 clamp.
+  WorkerPlay play{behaviour.omega, br.effort, 0.0, 0.0};
+  play.feedback = br.feedback + rng.normal(0.0, feedback_noise);
+  if (hook != nullptr) {
+    play.feedback = hook->adjust_feedback(round, index, play.feedback, rng);
+  }
+  play.feedback = std::max(0.0, play.feedback);
+
+  // The requester's noisy view of the worker's accuracy, which the hook
+  // may tamper with (strategic misreports) before the same clamp.
+  play.accuracy_sample =
+      behaviour.accuracy_distance + rng.normal(0.0, accuracy_noise);
+  if (hook != nullptr) {
+    play.accuracy_sample =
+        hook->adjust_accuracy_sample(round, index, play.accuracy_sample, rng);
+  }
+  play.accuracy_sample = std::max(0.0, play.accuracy_sample);
+  return play;
+}
+
 void SimConfig::validate() const {
-  requester.validate();
+  Requester::validate(requester, ema_alpha);
   CCD_CHECK_MSG(rounds >= 1, "simulation needs at least one round");
   CCD_CHECK_MSG(feedback_noise >= 0.0, "feedback noise must be >= 0");
   CCD_CHECK_MSG(accuracy_noise >= 0.0, "accuracy noise must be >= 0");
   CCD_CHECK_MSG(redesign_every >= 1, "redesign_every must be >= 1");
-  CCD_CHECK_MSG(ema_alpha > 0.0 && ema_alpha <= 1.0,
-                "ema_alpha must be in (0, 1]");
   CCD_CHECK_MSG(checkpoint_every == 0 || !checkpoint_path.empty(),
                 "checkpoint_every needs a checkpoint_path");
   policy.validate();
 }
 
+namespace {
+
+/// The requester of a fresh run, believing the worker specs' curves, costs
+/// and partners.
+Requester spec_requester(const SimConfig& config,
+                         const std::vector<SimWorkerSpec>& workers) {
+  config.validate();
+  CCD_CHECK_MSG(!workers.empty(), "simulation needs at least one worker");
+  Requester requester(config.requester, config.ema_alpha,
+                      config.suspicion_threshold, config.policy,
+                      workers.size());
+  for (std::size_t i = 0; i < workers.size(); ++i) {
+    requester.believe(i, workers[i].psi, workers[i].beta, workers[i].partners);
+  }
+  return requester;
+}
+
+}  // namespace
+
 StackelbergSimulator::~StackelbergSimulator() = default;
 
 StackelbergSimulator::StackelbergSimulator(std::vector<SimWorkerSpec> workers,
                                            SimConfig config)
-    : workers_(std::move(workers)), config_(std::move(config)) {
-  config_.validate();
-  CCD_CHECK_MSG(!workers_.empty(), "simulation needs at least one worker");
+    : workers_(std::move(workers)),
+      config_(std::move(config)),
+      rng_(config_.seed),
+      requester_(spec_requester(config_, workers_)) {
   if (config_.threads > 0) {
     own_pool_ = std::make_unique<util::ThreadPool>(config_.threads);
   }
-  policy_ = policy::make_policy(config_.policy);
-  init_fresh_state();
+  const std::size_t n = workers_.size();
+  last_feedback_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    // Round-0 feedback memory is zero effort.
+    last_feedback_[i] = workers_[i].psi(0.0);
+  }
+  history_.worker_history.assign(n, {});
 }
 
 StackelbergSimulator::StackelbergSimulator(const SimCheckpoint& checkpoint)
-    : workers_(checkpoint.workers), config_(checkpoint.config) {
-  config_.validate();
-  CCD_CHECK_MSG(!workers_.empty(), "simulation needs at least one worker");
-  if (config_.threads > 0) {
-    own_pool_ = std::make_unique<util::ThreadPool>(config_.threads);
-  }
-  policy_ = policy::make_policy(config_.policy);
-  policy_->load_state(checkpoint.policy_state);
+    : StackelbergSimulator(checkpoint.workers, checkpoint.config) {
   // decode_checkpoint already verified cross-field consistency; restore the
   // dynamic state verbatim so the continuation is bitwise-exact.
+  requester_.restore(checkpoint.est_accuracy, checkpoint.est_malicious,
+                     checkpoint.contracts, checkpoint.policy_state);
   next_round_ = checkpoint.next_round;
   rng_.set_state(checkpoint.rng);
-  est_accuracy_ = checkpoint.est_accuracy;
-  est_malicious_ = checkpoint.est_malicious;
-  contracts_ = checkpoint.contracts;
   last_feedback_ = checkpoint.last_feedback;
   history_ = checkpoint.history;
   history_.cancelled = false;
@@ -100,36 +147,20 @@ StackelbergSimulator::StackelbergSimulator(const SimCheckpoint& checkpoint)
                 "checkpoint is beyond the configured rounds");
 }
 
-void StackelbergSimulator::init_fresh_state() {
-  const std::size_t n = workers_.size();
-  rng_ = util::Rng(config_.seed);
-  next_round_ = 0;
-  est_accuracy_.assign(n, config_.requester.accuracy_floor);
-  est_malicious_.assign(n, 0.05);
-  contracts_.assign(n, contract::Contract{});
-  last_feedback_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    // Neutral starting estimates; round-0 feedback memory is zero effort.
-    last_feedback_[i] = workers_[i].psi(0.0);
-  }
-  history_ = SimResult{};
-  history_.worker_history.assign(n, {});
-}
-
 SimCheckpoint StackelbergSimulator::snapshot() const {
   SimCheckpoint checkpoint;
   checkpoint.config = config_;
   checkpoint.workers = workers_;
   checkpoint.next_round = next_round_;
   checkpoint.rng = rng_.state();
-  checkpoint.est_accuracy = est_accuracy_;
-  checkpoint.est_malicious = est_malicious_;
-  checkpoint.contracts = contracts_;
+  checkpoint.est_accuracy = requester_.est_accuracy();
+  checkpoint.est_malicious = requester_.est_malicious();
+  checkpoint.contracts = requester_.contracts();
   checkpoint.last_feedback = last_feedback_;
   checkpoint.history = history_;
   checkpoint.history.cancelled = false;
   checkpoint.history.cancel_reason = util::CancelReason::kNone;
-  checkpoint.policy_state = policy_->save_state();
+  checkpoint.policy_state = requester_.policy_state();
   return checkpoint;
 }
 
@@ -155,6 +186,7 @@ SimResult StackelbergSimulator::run(const util::CancellationToken* cancel) {
 StepStatus StackelbergSimulator::step(std::size_t max_rounds,
                                       const util::CancellationToken* cancel) {
   const std::size_t n = workers_.size();
+  std::vector<contract::Contract>& contracts = requester_.contracts();
   util::ThreadPool& pool = own_pool_ ? *own_pool_ : util::shared_pool();
   const std::size_t remaining = config_.rounds - next_round_;
   const std::size_t stop_round =
@@ -175,34 +207,15 @@ StepStatus StackelbergSimulator::step(std::size_t max_rounds,
     // equal to design_contract on every build). Learning backends post
     // fresh arms every round.
     const bool redesign_round = t % config_.redesign_every == 0;
-    const bool learning = policy_->learns();
-    std::vector<policy::WorkerView> views;
-    if (redesign_round || learning) {
-      views.resize(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        policy::WorkerView& view = views[i];
-        view.psi = workers_[i].psi;
-        view.beta = workers_[i].beta;
-        view.omega = est_malicious_[i] >= config_.suspicion_threshold
-                         ? config_.requester.omega_malicious
-                         : 0.0;
-        view.active = workers_[i].active_at(t);
-        // Churned-out workers get weight 0, which BiP resolves to the zero
-        // contract through the cheap §V elimination path.
-        view.weight = view.active
-                          ? feedback_weight(config_.requester,
-                                            est_accuracy_[i],
-                                            est_malicious_[i],
-                                            workers_[i].partners)
-                          : 0.0;
-        view.mu = config_.requester.mu;
-        view.intervals = config_.requester.intervals;
-      }
+    if (redesign_round || requester_.learns()) {
       policy::PostEnv env;
       env.pool = &pool;
       env.cache = &design_cache_;
       env.cancel = cancel;
-      if (!policy_->post(t, redesign_round, views, contracts_, rng_, env)) {
+      const auto active = [&](std::size_t i) {
+        return workers_[i].active_at(t);
+      };
+      if (!requester_.post(t, redesign_round, rng_, env, active)) {
         // The design batch was cut short: drop the round entirely
         // (contracts may be partially refreshed, but a resumed run
         // re-enters this same round and rebuilds them from the
@@ -213,95 +226,55 @@ StepStatus StackelbergSimulator::step(std::size_t max_rounds,
     }
 
     if (hook_ != nullptr) {
-      hook_->on_contracts_posted(t, redesign_round, contracts_,
-                                 est_malicious_, rng_);
+      hook_->on_contracts_posted(t, redesign_round, contracts,
+                                 requester_.est_malicious(), rng_);
     }
 
     RoundRecord record;
     record.round = t;
 
-    // Realized outcomes fed back to learning backends (skipped entirely
-    // for BiP, keeping its per-round cost and RNG stream unchanged).
-    std::vector<policy::RoundOutcome> outcomes;
-    if (learning) outcomes.resize(n);
-
     for (std::size_t i = 0; i < n; ++i) {
-      SimWorkerSpec& w = workers_[i];
+      const SimWorkerSpec& w = workers_[i];
       if (!w.active_at(t)) {
         // Outside the churn window: no participation, no pay, no RNG
         // draws; keep the history rectangular with a zero row.
         WorkerRound idle;
-        idle.estimated_malicious = est_malicious_[i];
+        idle.estimated_malicious = requester_.est_malicious()[i];
         history_.worker_history[i].push_back(idle);
         continue;
       }
-      // Behaviour switch / masking (the dynamics the contract must adapt to).
-      const SimWorkerSpec::Behaviour behaviour = w.behaviour_at(t);
-      const double omega = behaviour.omega;
-      const double true_accuracy = behaviour.accuracy_distance;
-
       // --- Worker: best response to the posted contract ----------------
-      const contract::WorkerIncentives inc{w.beta, omega};
-      const contract::BestResponse br =
-          contract::best_response(contracts_[i], w.psi, inc);
-
-      // Realized feedback is noisy around psi(y); the hook may tamper with
-      // it (collusive boosts) before the physical >= 0 clamp.
-      double feedback =
-          br.feedback + rng_.normal(0.0, config_.feedback_noise);
-      if (hook_ != nullptr) {
-        feedback = hook_->adjust_feedback(t, i, feedback, rng_);
-      }
-      feedback = std::max(0.0, feedback);
+      const WorkerPlay play =
+          play_worker_round(w, i, t, contracts[i], config_.feedback_noise,
+                            config_.accuracy_noise, hook_, rng_);
 
       // Compensation this round comes from *last* round's feedback (Eq. 1).
-      const double compensation = contracts_[i].pay(last_feedback_[i]);
-      last_feedback_[i] = feedback;
+      const double compensation = contracts[i].pay(last_feedback_[i]);
+      last_feedback_[i] = play.feedback;
 
       // --- Requester: update estimates from this round's observables ---
-      double accuracy_sample =
-          true_accuracy + rng_.normal(0.0, config_.accuracy_noise);
-      if (hook_ != nullptr) {
-        accuracy_sample =
-            hook_->adjust_accuracy_sample(t, i, accuracy_sample, rng_);
-      }
-      accuracy_sample = std::max(0.0, accuracy_sample);
-      est_accuracy_[i] = (1.0 - config_.ema_alpha) * est_accuracy_[i] +
-                         config_.ema_alpha * accuracy_sample;
-      // Maliciousness signal: biased workers produce large deviations.
-      const double signal =
-          1.0 / (1.0 + std::exp(-4.0 * (accuracy_sample - 0.9)));
-      est_malicious_[i] = (1.0 - config_.ema_alpha) * est_malicious_[i] +
-                          config_.ema_alpha * signal;
-
-      const double weight =
-          feedback_weight(config_.requester, est_accuracy_[i],
-                          est_malicious_[i], w.partners);
+      requester_.observe(i, play.accuracy_sample);
+      const double weight = requester_.weight(i);
 
       WorkerRound wr;
-      wr.effort = br.effort;
-      wr.feedback = feedback;
+      wr.effort = play.effort;
+      wr.feedback = play.feedback;
       wr.compensation = compensation;
-      wr.worker_utility = compensation - w.beta * br.effort + omega * feedback;
-      wr.estimated_malicious = est_malicious_[i];
+      wr.worker_utility = compensation - w.beta * play.effort +
+                          play.omega * play.feedback;
+      wr.estimated_malicious = requester_.est_malicious()[i];
       wr.weight = weight;
       history_.worker_history[i].push_back(wr);
 
-      record.weighted_feedback += weight * feedback;
+      record.weighted_feedback += weight * play.feedback;
       record.total_compensation += compensation;
 
-      if (learning) {
-        // The arm's steady-state value to the requester: what this round's
-        // contract pays at this round's feedback, weighted as the policy
-        // saw the worker when it posted.
-        outcomes[i].active = true;
-        outcomes[i].feedback = feedback;
-        outcomes[i].reward = views[i].weight * feedback -
-                             config_.requester.mu * contracts_[i].pay(feedback);
-      }
+      // A learner's arm is worth what this round's contract pays at this
+      // round's feedback, weighted as the policy saw the worker when it
+      // posted.
+      requester_.credit(i, play.feedback, requester_.posted_weight(i));
     }
-
-    if (learning) policy_->observe(t, outcomes, rng_);
+    requester_.close_round(t, rng_);
 
     record.requester_utility =
         record.weighted_feedback -

@@ -10,6 +10,13 @@
 // a schedule. Worker specs can switch behaviour mid-simulation (an honest
 // worker turning malicious, or vice versa), which is the "adaptive to
 // changes in workers' behavior" property the paper claims.
+//
+// The simulator is the composition of the game's two halves, each written
+// once in core: a core::Requester (beliefs, Eq. 5 weights, policy backend,
+// posted contracts — shared with serve ingest sessions) and
+// play_worker_round (best response and observation noise — shared with
+// scenario::IngestFeed). What stays here is the round accounting of Eq. 1
+// and the result history.
 // Durability & deadlines: run(cancel) polls the token at round boundaries
 // and returns a well-formed partial SimResult (cancelled flag + reason set)
 // instead of throwing. With checkpoint_path configured the simulator
@@ -157,6 +164,29 @@ class RoundHook {
                                         double sample, util::Rng& rng);
 };
 
+/// One active worker's round as play_worker_round computes it.
+struct WorkerPlay {
+  double omega = 0.0;   ///< feedback-influence motive this round
+  double effort = 0.0;  ///< best response to the posted contract
+  /// Realized feedback: noisy around psi(effort), hook-adjusted, >= 0.
+  double feedback = 0.0;
+  /// The requester's accuracy sample: noisy around the true accuracy
+  /// distance, hook-adjusted, >= 0.
+  double accuracy_sample = 0.0;
+};
+
+/// The worker half of the game for active worker `index` in round `round`:
+/// its behaviour (switch / masking), its best response to `posted`, then,
+/// drawing from `rng` in this order, feedback noise, the hook's
+/// adjust_feedback, the >= 0 clamp, accuracy-sample noise, the hook's
+/// adjust_accuracy_sample and its clamp. `hook` may be null. The simulator
+/// and scenario::IngestFeed both play their workers through it.
+WorkerPlay play_worker_round(const SimWorkerSpec& worker, std::size_t index,
+                             std::size_t round,
+                             const contract::Contract& posted,
+                             double feedback_noise, double accuracy_noise,
+                             RoundHook* hook, util::Rng& rng);
+
 struct WorkerRound {
   double effort = 0.0;
   double feedback = 0.0;      ///< realized (noisy) feedback this round
@@ -238,7 +268,7 @@ class StackelbergSimulator {
   /// Currently posted per-worker contracts (zero contracts before the
   /// first redesign round has run).
   const std::vector<contract::Contract>& contracts() const {
-    return contracts_;
+    return requester_.contracts();
   }
   /// Accumulated result prefix (completed rounds only).
   const SimResult& history() const { return history_; }
@@ -248,7 +278,6 @@ class StackelbergSimulator {
   void set_round_hook(RoundHook* hook) { hook_ = hook; }
 
  private:
-  void init_fresh_state();
   void write_checkpoint() const;
 
   std::vector<SimWorkerSpec> workers_;
@@ -258,15 +287,13 @@ class StackelbergSimulator {
   // bitwise-exact.
   std::size_t next_round_ = 0;
   util::Rng rng_;
-  std::vector<double> est_accuracy_;
-  std::vector<double> est_malicious_;
-  std::vector<contract::Contract> contracts_;
+  /// Estimates, posted contracts and the policy backend, whose object is
+  /// rebuilt from config_.policy on construction and whose learner state
+  /// SimCheckpoint::policy_state restores verbatim. Its ψ, β and partner
+  /// beliefs are the worker specs' (not checkpointed: the specs are).
+  Requester requester_;
   std::vector<double> last_feedback_;
   SimResult history_;
-  /// The contract-designer backend. The object itself is rebuilt from
-  /// config_.policy on construction; its *learner state* is dynamic state
-  /// (snapshot()/SimCheckpoint::policy_state restores it verbatim).
-  std::unique_ptr<policy::Policy> policy_;
 
   // Redesign machinery (not checkpointed: the cache is a pure memo and the
   // pool only schedules; neither affects results).

@@ -94,9 +94,9 @@ struct PolicyConfig {
 };
 
 /// What the requester currently believes about one worker — everything a
-/// backend may condition on. The simulator fills these from its running
-/// estimates (EMA accuracy/maliciousness, Eq. 5 weight), exactly as the
-/// inline redesign block did pre-policy.
+/// backend may condition on. core::Requester::post fills these from its
+/// beliefs (believed ψ and β, EMA accuracy/maliciousness, Eq. 5 weight)
+/// for the simulator and serve ingest sessions alike.
 struct WorkerView {
   effort::QuadraticEffort psi{-1.0, 8.0, 2.0};
   double beta = 1.0;

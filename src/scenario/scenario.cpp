@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "contract/bounds.hpp"
-#include "contract/worker_response.hpp"
 #include "data/generator.hpp"
 #include "util/error.hpp"
 
@@ -637,18 +636,10 @@ std::vector<IngestFeed::Observation> IngestFeed::round(
   for (std::size_t i = 0; i < n; ++i) {
     const core::SimWorkerSpec& w = fleet_.workers[i];
     if (!w.active_at(next_round_)) continue;  // churned out: zero row
-    const core::SimWorkerSpec::Behaviour behaviour = w.behaviour_at(next_round_);
-    const contract::WorkerIncentives inc{w.beta, behaviour.omega};
-    const contract::BestResponse br =
-        contract::best_response(posted[i], w.psi, inc);
-    double feedback = br.feedback + rng_.normal(0.0, defaults.feedback_noise);
-    feedback = hook_.adjust_feedback(next_round_, i, feedback, rng_);
-    feedback = std::max(0.0, feedback);
-    double sample = behaviour.accuracy_distance +
-                    rng_.normal(0.0, defaults.accuracy_noise);
-    sample = hook_.adjust_accuracy_sample(next_round_, i, sample, rng_);
-    sample = std::max(0.0, sample);
-    out[i] = Observation{br.effort, feedback, sample};
+    const core::WorkerPlay play = core::play_worker_round(
+        w, i, next_round_, posted[i], defaults.feedback_noise,
+        defaults.accuracy_noise, &hook_, rng_);
+    out[i] = Observation{play.effort, play.feedback, play.accuracy_sample};
   }
   ++next_round_;
   return out;

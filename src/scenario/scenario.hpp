@@ -244,10 +244,12 @@ MatrixResult run_matrix(const std::vector<ScenarioSpec>& specs,
 /// Closed-loop observation generator for the serve ingest path: replays a
 /// scenario's fleet against externally posted contracts, producing the
 /// per-round (effort, feedback, accuracy_sample) rows an ingest session
-/// consumes. Mirrors the simulator's worker loop (best response, noise,
-/// adversary adjustments, churn) with its own seeded RNG, so two feeds
-/// with the same spec produce identical rows — the reconciliation basis
-/// for the over-the-wire scenario tests.
+/// consumes. Each active worker plays core::play_worker_round, the
+/// simulator's own worker step (best response, noise, adversary
+/// adjustments), with SimConfig's default noise and the feed's own seeded
+/// RNG; churned-out workers yield zero rows. Two feeds with the same spec
+/// produce identical rows — the reconciliation basis for the over-the-wire
+/// scenario tests.
 class IngestFeed {
  public:
   explicit IngestFeed(const ScenarioSpec& spec);

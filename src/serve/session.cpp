@@ -33,6 +33,17 @@ std::string checkpoint_file(const std::string& dir, const std::string& id,
          (mode == SessionMode::kSimulation ? kSimSuffix : kIngestSuffix);
 }
 
+/// Resume a simulation from `checkpoint`, its durability re-pointed at
+/// `path` (empty: none): the checkpoint may have been written under
+/// another daemon instance's configuration.
+std::unique_ptr<core::StackelbergSimulator> resume_simulator(
+    core::SimCheckpoint checkpoint, const std::string& path,
+    std::size_t checkpoint_every) {
+  checkpoint.config.checkpoint_path = path;
+  checkpoint.config.checkpoint_every = path.empty() ? 0 : checkpoint_every;
+  return std::make_unique<core::StackelbergSimulator>(checkpoint);
+}
+
 }  // namespace
 
 const char* Session::checkpoint_suffix(SessionMode mode) {
@@ -49,10 +60,9 @@ bool valid_session_id(const std::string& id) {
   return true;
 }
 
-/// Ingest-mode dynamic state. The estimate updates are the simulator's
-/// requester verbatim (EMA accuracy, sigmoid maliciousness signal); the
-/// effort curves start at the library default and are re-fit from the
-/// observed sample window.
+/// Ingest-mode dynamic state: a core::Requester (the simulator's
+/// requester) plus the observed sample windows its effort curves are
+/// re-fit from.
 struct Session::IngestState {
   /// v2 appends the contract-designer policy section (backend config,
   /// opaque learner state, learner RNG). v1 files still load and restore a
@@ -62,34 +72,37 @@ struct Session::IngestState {
   /// Sliding window of retained (effort, feedback) samples per worker —
   /// bounds session memory no matter how long the campaign runs.
   static constexpr std::size_t kSampleWindow = 256;
+  /// The assumed-omega cut on est_malicious (SimConfig's default).
+  static constexpr double kSuspicionThreshold = 0.5;
 
-  core::RequesterConfig requester;
-  double ema_alpha = 0.3;
-  std::size_t refit_every = 4;
-  double suspicion_threshold = 0.5;
-  std::uint64_t rounds_budget = 0;  ///< 0 = unbounded
+  IngestState(core::Requester r, std::size_t refit, std::uint64_t budget,
+              util::Rng learner_rng)
+      : requester(std::move(r)),
+        refit_every(refit),
+        rounds_budget(budget),
+        samples(requester.workers()),
+        rng(learner_rng) {}
+
+  /// Estimates, Eq. 5 weights, policy backend and posted contracts. Its
+  /// believed curves start at the library default and are re-fit from
+  /// `samples`; it believes RequesterConfig::beta and no partners. BiP
+  /// redesigns on refit rounds; learners post fresh contracts every
+  /// ingested round and observe every round's rewards.
+  core::Requester requester;
+  std::size_t refit_every;
+  std::uint64_t rounds_budget;  ///< 0 = unbounded
   std::uint64_t round = 0;
   double cumulative_requester_utility = 0.0;
 
-  std::vector<double> est_accuracy;
-  std::vector<double> est_malicious;
-  std::vector<effort::QuadraticEffort> psi;
   /// Oldest sample first; a deque so sliding the window is O(1).
   std::vector<std::deque<data::EffortSample>> samples;
-  std::vector<contract::Contract> contracts;
   /// The refit's per-worker results, reused across refits (not state).
   std::vector<effort::EffortFitOutcome> fits;
-
-  /// Contract-designer backend. BiP keeps the historical refit-boundary
-  /// redesign path; learners post fresh contracts every ingested round and
-  /// observe every round's rewards. The RNG exists purely for the Policy
-  /// interface's RNG discipline (current learners draw nothing) and is
+  /// The Policy interface's RNG (current learners draw nothing),
   /// checkpointed so any future drawing backend stays resume-safe.
-  policy::PolicyConfig policy_config;
-  std::unique_ptr<policy::Policy> policy;
-  util::Rng rng{1};
+  util::Rng rng;
 
-  std::size_t workers() const { return est_accuracy.size(); }
+  std::size_t workers() const { return requester.workers(); }
   bool finished() const { return rounds_budget > 0 && round >= rounds_budget; }
 };
 
@@ -135,23 +148,15 @@ Session::Session(std::string id, const OpenParams& params, Env env)
     if (params.refit_every == 0) {
       throw ConfigError("ingest session needs refit_every >= 1");
     }
-    ingest_ = std::make_unique<IngestState>();
-    ingest_->requester.mu = params.mu;
-    ingest_->requester.validate();
-    ingest_->ema_alpha = params.ema_alpha;
-    CCD_CHECK_MSG(ingest_->ema_alpha > 0.0 && ingest_->ema_alpha <= 1.0,
-                  "ema_alpha must be in (0, 1]");
-    ingest_->refit_every = params.refit_every;
-    ingest_->rounds_budget = params.rounds;
-    const std::size_t n = params.workers;
-    ingest_->est_accuracy.assign(n, ingest_->requester.accuracy_floor);
-    ingest_->est_malicious.assign(n, 0.05);
-    ingest_->psi.assign(n, effort::QuadraticEffort(-1.0, 8.0, 2.0));
-    ingest_->samples.assign(n, {});
-    ingest_->contracts.assign(n, contract::Contract{});
-    ingest_->policy_config.kind = params.policy;
-    ingest_->policy = policy::make_policy(ingest_->policy_config);
-    ingest_->rng = util::Rng(params.seed);
+    core::RequesterConfig requester;
+    requester.mu = params.mu;
+    policy::PolicyConfig policy;
+    policy.kind = params.policy;
+    ingest_ = std::make_unique<IngestState>(
+        core::Requester(requester, params.ema_alpha,
+                        IngestState::kSuspicionThreshold, policy,
+                        params.workers),
+        params.refit_every, params.rounds, util::Rng(params.seed));
   }
 }
 
@@ -219,9 +224,7 @@ bool Session::ingest(const std::vector<IngestObservation>& observations,
     }
   }
 
-  const bool learner = state.policy->learns();
-  std::vector<policy::RoundOutcome> outcomes;
-  if (learner) outcomes.resize(n);
+  core::Requester& requester = state.requester;
   double weighted_feedback = 0.0;
   double total_pay = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
@@ -235,31 +238,17 @@ bool Session::ingest(const std::vector<IngestObservation>& observations,
     window.push_back(sample);
     if (window.size() > IngestState::kSampleWindow) window.pop_front();
 
-    // Requester-side estimation, exactly as in the simulator (EMA over
-    // the accuracy sample; sigmoid deviation signal for maliciousness).
-    state.est_accuracy[i] = (1.0 - state.ema_alpha) * state.est_accuracy[i] +
-                            state.ema_alpha * obs.accuracy_sample;
-    const double signal =
-        1.0 / (1.0 + std::exp(-4.0 * (obs.accuracy_sample - 0.9)));
-    state.est_malicious[i] = (1.0 - state.ema_alpha) * state.est_malicious[i] +
-                             state.ema_alpha * signal;
-
-    const double weight =
-        core::feedback_weight(state.requester, state.est_accuracy[i],
-                              state.est_malicious[i], 0);
+    // This round's observables score it at this round's pay, and credit
+    // a learner's arm with the weight after this round's update.
+    requester.observe(i, obs.accuracy_sample);
+    const double weight = requester.weight(i);
     weighted_feedback += weight * obs.feedback;
-    total_pay += state.contracts[i].pay(obs.feedback);
-    if (learner) {
-      outcomes[i].active = true;
-      outcomes[i].feedback = obs.feedback;
-      outcomes[i].reward = weight * obs.feedback -
-                           state.requester.mu *
-                               state.contracts[i].pay(obs.feedback);
-    }
+    total_pay += requester.contracts()[i].pay(obs.feedback);
+    requester.credit(i, obs.feedback, weight);
   }
-  if (learner) state.policy->observe(state.round, outcomes, state.rng);
+  requester.close_round(state.round, state.rng);
   state.cumulative_requester_utility +=
-      weighted_feedback - state.requester.mu * total_pay;
+      weighted_feedback - requester.config().mu * total_pay;
   state.round += 1;
 
   // BiP re-solves on refit rounds only; learners post fresh arms every
@@ -267,7 +256,13 @@ bool Session::ingest(const std::vector<IngestObservation>& observations,
   const bool refit_round = state.round % state.refit_every == 0;
   if (refit_round) ingest_refit();
   bool redesigned = false;
-  if (refit_round || learner) redesigned = ingest_post(refit_round, cancel);
+  if (refit_round || requester.learns()) {
+    policy::PostEnv env;
+    env.cancel = cancel;
+    // A cancelled post keeps the previous contracts: a learner re-posts on
+    // the next ingested round, BiP redesigns on the next refit round.
+    redesigned = requester.post(state.round, refit_round, state.rng, env);
+  }
   if (!env_.checkpoint_dir.empty() &&
       state.round % env_.checkpoint_every == 0) {
     ingest_checkpoint();
@@ -284,39 +279,15 @@ void Session::ingest_refit() {
   // degradation, never a dead session).
   effort::fit_effort_functions(state.samples, state.fits);
   for (std::size_t i = 0; i < state.workers(); ++i) {
-    if (!state.fits[i].error) state.psi[i] = state.fits[i].fit.model;
+    if (!state.fits[i].error) {
+      state.requester.set_psi(i, state.fits[i].fit.model);
+    }
   }
-}
-
-bool Session::ingest_post(bool redesign,
-                          const util::CancellationToken* cancel) {
-  IngestState& state = *ingest_;
-  const std::size_t n = state.workers();
-  std::vector<policy::WorkerView> views(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    policy::WorkerView& view = views[i];
-    view.psi = state.psi[i];
-    view.beta = state.requester.beta;
-    view.omega = state.est_malicious[i] >= state.suspicion_threshold
-                     ? state.requester.omega_malicious
-                     : 0.0;
-    view.weight = core::feedback_weight(state.requester, state.est_accuracy[i],
-                                        state.est_malicious[i], 0);
-    view.mu = state.requester.mu;
-    view.intervals = state.requester.intervals;
-    view.active = true;
-  }
-  policy::PostEnv env;
-  env.cancel = cancel;
-  // A cancelled post keeps the previous contracts: a learner re-posts on
-  // the next ingested round, BiP redesigns on the next refit round.
-  return state.policy->post(state.round, redesign, views, state.contracts,
-                            state.rng, env);
 }
 
 std::vector<contract::Contract> Session::contracts() const {
   return mode_ == SessionMode::kSimulation ? sim_->contracts()
-                                           : ingest_->contracts;
+                                           : ingest_->requester.contracts();
 }
 
 std::string Session::checkpoint_path() const {
@@ -335,50 +306,35 @@ void Session::checkpoint() const {
 
 void Session::ingest_checkpoint() const {
   const IngestState& state = *ingest_;
+  const core::Requester& requester = state.requester;
   util::wire::Writer w;
   w.u64(state.round);
   w.u64(state.rounds_budget);
   w.f64(state.cumulative_requester_utility);
-  w.f64(state.ema_alpha);
+  w.f64(requester.ema_alpha());
   w.u64(state.refit_every);
-  w.f64(state.suspicion_threshold);
-  w.f64(state.requester.rho);
-  w.f64(state.requester.kappa);
-  w.f64(state.requester.gamma);
-  w.f64(state.requester.mu);
-  w.f64(state.requester.beta);
-  w.f64(state.requester.omega_malicious);
-  w.u64(state.requester.intervals);
-  w.f64(state.requester.accuracy_floor);
-  w.f64(state.requester.weight_cap);
+  w.f64(requester.suspicion_threshold());
+  core::encode_requester_config(w, requester.config());
   const std::size_t n = state.workers();
   w.u64(n);
   for (std::size_t i = 0; i < n; ++i) {
-    w.f64(state.est_accuracy[i]);
-    w.f64(state.est_malicious[i]);
-    w.f64(state.psi[i].r2());
-    w.f64(state.psi[i].r1());
-    w.f64(state.psi[i].r0());
+    w.f64(requester.est_accuracy()[i]);
+    w.f64(requester.est_malicious()[i]);
+    w.f64(requester.psi(i).r2());
+    w.f64(requester.psi(i).r1());
+    w.f64(requester.psi(i).r0());
     w.u64(state.samples[i].size());
     for (const data::EffortSample& sample : state.samples[i]) {
       w.u64(sample.review);
       w.f64(sample.effort);
       w.f64(sample.feedback);
     }
-    core::encode_contract(w, state.contracts[i]);
+    core::encode_contract(w, requester.contracts()[i]);
   }
   // v2: the contract-designer policy section.
-  w.u8(static_cast<std::uint8_t>(state.policy_config.kind));
-  w.f64(state.policy_config.payment_cap);
-  w.f64(state.policy_config.zoom_confidence);
-  w.u64(state.policy_config.zoom_max_depth);
-  w.u64(state.policy_config.price_levels);
-  w.f64(state.policy_config.peer_tolerance);
-  w.str(state.policy->save_state());
-  const util::RngState rng_state = state.rng.state();
-  for (const std::uint64_t word : rng_state.words) w.u64(word);
-  w.u8(rng_state.has_cached_normal ? 1 : 0);
-  w.f64(rng_state.cached_normal);
+  core::encode_policy_config(w, requester.policy_config());
+  w.str(requester.policy_state());
+  core::encode_rng_state(w, state.rng.state());
   util::write_framed_file(checkpoint_path(), kIngestTag, IngestState::kVersion,
                           w.take());
 }
@@ -391,16 +347,9 @@ std::unique_ptr<Session> Session::restore(const std::string& id,
   auto session =
       std::unique_ptr<Session>(new Session(id, std::move(env), mode));
   if (mode == SessionMode::kSimulation) {
-    core::SimCheckpoint checkpoint = core::load_checkpoint(path);
-    // Re-point durability at the engine's directory: the checkpoint may
-    // have been written under another daemon instance's configuration.
-    checkpoint.config.checkpoint_path =
-        checkpoint_file(session->env_.checkpoint_dir, id, mode);
-    checkpoint.config.checkpoint_every =
-        checkpoint.config.checkpoint_path.empty()
-            ? 0
-            : session->env_.checkpoint_every;
-    session->sim_ = std::make_unique<core::StackelbergSimulator>(checkpoint);
+    session->sim_ = resume_simulator(core::load_checkpoint(path),
+                                     session->checkpoint_path(),
+                                     session->env_.checkpoint_every);
     return session;
   }
 
@@ -418,43 +367,39 @@ std::unique_ptr<Session::IngestState> Session::decode_ingest_payload(
                     std::to_string(version));
   try {
     util::wire::Reader r(payload);
-    auto state = std::make_unique<IngestState>();
-    state->round = r.u64();
-    state->rounds_budget = r.u64();
-    state->cumulative_requester_utility = r.f64();
-    state->ema_alpha = r.f64();
-    state->refit_every = r.u64();
-    state->suspicion_threshold = r.f64();
-    state->requester.rho = r.f64();
-    state->requester.kappa = r.f64();
-    state->requester.gamma = r.f64();
-    state->requester.mu = r.f64();
-    state->requester.beta = r.f64();
-    state->requester.omega_malicious = r.f64();
-    state->requester.intervals = r.u64();
-    state->requester.accuracy_floor = r.f64();
-    state->requester.weight_cap = r.f64();
+    const std::uint64_t round = r.u64();
+    const std::uint64_t rounds_budget = r.u64();
+    const double cumulative_requester_utility = r.f64();
+    const double ema_alpha = r.f64();
+    const std::uint64_t refit_every = r.u64();
+    const double suspicion_threshold = r.f64();
+    const core::RequesterConfig requester = core::decode_requester_config(r);
     const std::size_t n = r.count(48);
     CCD_CHECK_MSG(n >= 1, "ingest checkpoint has no workers");
     CCD_CHECK_MSG(n <= kMaxSessionWorkers,
                   "ingest checkpoint has " << n << " workers, over the cap of "
                                            << kMaxSessionWorkers);
-    CCD_CHECK_MSG(state->refit_every >= 1,
+    CCD_CHECK_MSG(refit_every >= 1,
                   "ingest checkpoint refit_every must be >= 1");
+    std::vector<double> est_accuracy;
+    std::vector<double> est_malicious;
+    std::vector<effort::QuadraticEffort> psi;
+    std::vector<std::deque<data::EffortSample>> samples;
+    std::vector<contract::Contract> contracts;
     for (std::size_t i = 0; i < n; ++i) {
-      state->est_accuracy.push_back(r.f64());
-      state->est_malicious.push_back(r.f64());
+      est_accuracy.push_back(r.f64());
+      est_malicious.push_back(r.f64());
       const double r2 = r.f64();
       const double r1 = r.f64();
       const double r0 = r.f64();
-      state->psi.emplace_back(r2, r1, r0);
-      const std::size_t samples = r.count(24);
-      CCD_CHECK_MSG(samples <= IngestState::kSampleWindow,
+      psi.emplace_back(r2, r1, r0);
+      const std::size_t window_size = r.count(24);
+      CCD_CHECK_MSG(window_size <= IngestState::kSampleWindow,
                     "ingest checkpoint window of worker "
-                        << i << " holds " << samples << " samples, over "
+                        << i << " holds " << window_size << " samples, over "
                         << IngestState::kSampleWindow);
       std::deque<data::EffortSample> window;
-      for (std::size_t s = 0; s < samples; ++s) {
+      for (std::size_t s = 0; s < window_size; ++s) {
         data::EffortSample sample;
         sample.worker = static_cast<data::WorkerId>(i);
         sample.review = static_cast<data::ReviewId>(r.u64());
@@ -462,35 +407,27 @@ std::unique_ptr<Session::IngestState> Session::decode_ingest_payload(
         sample.feedback = r.f64();
         window.push_back(sample);
       }
-      state->samples.push_back(std::move(window));
-      state->contracts.push_back(core::decode_contract(r));
+      samples.push_back(std::move(window));
+      contracts.push_back(core::decode_contract(r));
     }
+    policy::PolicyConfig policy;
     std::string policy_state;
-    util::RngState rng_state;
-    bool have_rng = false;
+    util::Rng rng{1};
     if (version >= 2) {
-      const std::uint8_t raw_kind = r.u8();
-      CCD_CHECK_MSG(
-          raw_kind <= static_cast<std::uint8_t>(policy::Kind::kPostedPrice),
-          "ingest checkpoint names an unknown policy backend");
-      state->policy_config.kind = static_cast<policy::Kind>(raw_kind);
-      state->policy_config.payment_cap = r.f64();
-      state->policy_config.zoom_confidence = r.f64();
-      state->policy_config.zoom_max_depth = r.u64();
-      state->policy_config.price_levels = r.u64();
-      state->policy_config.peer_tolerance = r.f64();
+      policy = core::decode_policy_config(r);
       policy_state = r.str();
-      for (std::uint64_t& word : rng_state.words) word = r.u64();
-      rng_state.has_cached_normal = r.u8() != 0;
-      rng_state.cached_normal = r.f64();
-      have_rng = true;
+      rng.set_state(core::decode_rng_state(r));
     }
     r.finish();
-    state->requester.validate();
-    state->policy_config.validate();
-    state->policy = policy::make_policy(state->policy_config);
-    state->policy->load_state(policy_state);
-    if (have_rng) state->rng.set_state(rng_state);
+    auto state = std::make_unique<IngestState>(
+        core::Requester(requester, ema_alpha, suspicion_threshold, policy, n),
+        refit_every, rounds_budget, rng);
+    state->requester.restore(std::move(est_accuracy), std::move(est_malicious),
+                             std::move(contracts), policy_state);
+    for (std::size_t i = 0; i < n; ++i) state->requester.set_psi(i, psi[i]);
+    state->round = round;
+    state->cumulative_requester_utility = cumulative_requester_utility;
+    state->samples = std::move(samples);
     return state;
   } catch (const DataError&) {
     throw;
@@ -538,15 +475,9 @@ std::unique_ptr<Session> Session::restore_blob(const std::string& id,
   auto session =
       std::unique_ptr<Session>(new Session(id, std::move(env), mode));
   if (mode == SessionMode::kSimulation) {
-    core::SimCheckpoint checkpoint =
-        core::decode_checkpoint(payload, header.version);
-    checkpoint.config.checkpoint_path =
-        checkpoint_file(session->env_.checkpoint_dir, id, mode);
-    checkpoint.config.checkpoint_every =
-        checkpoint.config.checkpoint_path.empty()
-            ? 0
-            : session->env_.checkpoint_every;
-    session->sim_ = std::make_unique<core::StackelbergSimulator>(checkpoint);
+    session->sim_ = resume_simulator(
+        core::decode_checkpoint(payload, header.version),
+        session->checkpoint_path(), session->env_.checkpoint_every);
   } else {
     session->ingest_ = decode_ingest_payload(payload, header.version);
   }

@@ -9,9 +9,10 @@
 //    identical to one StackelbergSimulator::run of T rounds on the same
 //    seed (tested end-to-end over the socket).
 //  * Ingest sessions are fed observed per-round feedback
-//    (effort, feedback, accuracy sample) per worker. The session keeps
-//    EMA estimates of accuracy/maliciousness exactly like the simulator's
-//    requester, accumulates a bounded sliding window of effort samples,
+//    (effort, feedback, accuracy sample) per worker. The session's
+//    requester is a core::Requester, the simulator's own (EMA estimates
+//    of accuracy/maliciousness, Eq. 5 weights, policy backend); the
+//    session accumulates a bounded sliding window of effort samples,
 //    re-fits every worker's effort curve every `refit_every` rounds in
 //    one effort::fit_effort_functions batch (bit-for-bit
 //    fit_effort_function, four workers per AVX2 lane), and re-designs all
@@ -24,8 +25,12 @@
 // round snapshots crash-safely. Simulation sessions reuse core/checkpoint
 // verbatim (SimConfig::checkpoint_path pointed into the directory, frame
 // tag "SCKP"); ingest sessions serialize their own state under frame tag
-// "ISES" with the same util/wire + util/atomic_file primitives. A killed
-// daemon restores every open session bitwise-identically from these files.
+// "ISES" with the same util/wire + util/atomic_file primitives and
+// core/checkpoint's section codecs (requester config, policy config, RNG
+// state). A killed daemon restores every open session bitwise-identically
+// from these files. Both decoders check the restored beliefs through
+// core::Requester::validate, so a blob whose estimates or EMA rate are out
+// of range fails its restore with DataError instead of every later round.
 //
 // Thread safety: none here — the engine serializes operations per session
 // via mutex() while allowing different sessions to proceed in parallel.
@@ -61,14 +66,16 @@ class Session {
   };
 
   /// Open a fresh session. Throws ccd::ConfigError on bad id or params,
-  /// including more than kMaxSessionWorkers workers.
+  /// including more than kMaxSessionWorkers workers and requester
+  /// parameters core::Requester::validate refuses (mu, ema_alpha).
   Session(std::string id, const OpenParams& params, Env env);
   ~Session();  // out-of-line: IngestState is incomplete here
 
   /// Restore a session from its checkpoint file (either mode; the mode is
   /// recovered from the frame tag). Throws ccd::DataError on corruption,
-  /// and on an ingest checkpoint with more than kMaxSessionWorkers workers
-  /// or a window longer than a live session keeps.
+  /// on beliefs core::Requester::validate refuses, and on an ingest
+  /// checkpoint with more than kMaxSessionWorkers workers or a window
+  /// longer than a live session keeps.
   static std::unique_ptr<Session> restore(const std::string& id,
                                           const std::string& path, Env env);
 
@@ -136,7 +143,6 @@ class Session {
   Session(std::string id, Env env, SessionMode mode);
   void ingest_checkpoint() const;
   void ingest_refit();
-  bool ingest_post(bool redesign, const util::CancellationToken* cancel);
   static std::unique_ptr<IngestState> decode_ingest_payload(
       const std::string& payload, std::uint32_t version);
 

@@ -575,59 +575,67 @@ TEST_F(EngineTest, PolicyBackendSessionsMatchTheSimulatorAndResumeBitwise) {
 TEST_F(EngineTest, IngestLearnerSessionResumesBitwise) {
   // Ingest sessions with a learner backend post fresh arms every round and
   // carry their learner state + RNG in the ISES v2 checkpoint; a restart
-  // mid-campaign (off the refit cadence) must continue bitwise.
+  // mid-campaign (off the refit cadence) must continue bitwise, for each
+  // learner.
   constexpr std::uint64_t kWorkers = 3;
-  const auto ingest_request = [&](std::uint64_t round) {
-    Request request;
-    request.op = Op::kIngest;
-    request.session = "lobs";
-    for (std::uint64_t w = 0; w < kWorkers; ++w) {
-      IngestObservation obs;
-      obs.effort = 1.0 + 0.25 * static_cast<double>((round + w) % 5);
-      obs.feedback = 2.0 + 7.5 * obs.effort - 0.9 * obs.effort * obs.effort;
-      obs.accuracy_sample = w == 0 ? 1.6 : 0.3;
-      request.observations.push_back(obs);
-    }
-    return request;
-  };
-  Request open;
-  open.op = Op::kOpen;
-  open.session = "lobs";
-  open.open.mode = SessionMode::kIngest;
-  open.open.rounds = 0;
-  open.open.workers = kWorkers;
-  open.open.refit_every = 4;
-  open.open.policy = policy::Kind::kZoomingBandit;
+  for (const policy::Kind kind :
+       {policy::Kind::kZoomingBandit, policy::Kind::kPostedPrice}) {
+    SCOPED_TRACE(policy::to_string(kind));
+    const std::string id = std::string("lobs_") + policy::to_string(kind);
+    const auto ingest_request = [&](std::uint64_t round) {
+      Request request;
+      request.op = Op::kIngest;
+      request.session = id;
+      for (std::uint64_t w = 0; w < kWorkers; ++w) {
+        IngestObservation obs;
+        obs.effort = 1.0 + 0.25 * static_cast<double>((round + w) % 5);
+        obs.feedback = 2.0 + 7.5 * obs.effort - 0.9 * obs.effort * obs.effort;
+        obs.accuracy_sample = w == 0 ? 1.6 : 0.3;
+        request.observations.push_back(obs);
+      }
+      return request;
+    };
+    Request open;
+    open.op = Op::kOpen;
+    open.session = id;
+    open.open.mode = SessionMode::kIngest;
+    open.open.rounds = 0;
+    open.open.workers = kWorkers;
+    open.open.refit_every = 4;
+    open.open.policy = kind;
 
-  std::vector<contract::Contract> reference;
-  {
-    Engine engine(config());
-    ASSERT_EQ(engine.call(open).status, Status::kOk);
-    for (std::uint64_t t = 0; t < 10; ++t) {
-      const Response r = engine.call(ingest_request(t));
-      ASSERT_EQ(r.status, Status::kOk) << r.message;
-      // Learners post every round, not just on refit boundaries.
-      EXPECT_TRUE(r.redesigned);
+    std::vector<contract::Contract> reference;
+    {
+      Engine engine(config());
+      ASSERT_EQ(engine.call(open).status, Status::kOk);
+      for (std::uint64_t t = 0; t < 10; ++t) {
+        const Response r = engine.call(ingest_request(t));
+        ASSERT_EQ(r.status, Status::kOk) << r.message;
+        // Learners post every round, not just on refit boundaries.
+        EXPECT_TRUE(r.redesigned);
+      }
+      reference = engine.call(make_contracts(id)).contracts;
     }
-    reference = engine.call(make_contracts("lobs")).contracts;
-  }
 
-  EngineConfig durable = config();
-  durable.checkpoint_dir = dir_.string();
-  {
+    const std::filesystem::path backend_dir = dir_ / id;
+    std::filesystem::create_directories(backend_dir);
+    EngineConfig durable = config();
+    durable.checkpoint_dir = backend_dir.string();
+    {
+      Engine engine(durable);
+      ASSERT_EQ(engine.call(open).status, Status::kOk);
+      for (std::uint64_t t = 0; t < 6; ++t) {
+        ASSERT_EQ(engine.call(ingest_request(t)).status, Status::kOk);
+      }
+    }
     Engine engine(durable);
-    ASSERT_EQ(engine.call(open).status, Status::kOk);
-    for (std::uint64_t t = 0; t < 6; ++t) {
+    ASSERT_EQ(engine.resume_sessions().restored, 1u);
+    for (std::uint64_t t = 6; t < 10; ++t) {
       ASSERT_EQ(engine.call(ingest_request(t)).status, Status::kOk);
     }
+    expect_contracts_equal(engine.call(make_contracts(id)).contracts,
+                           reference);
   }
-  Engine engine(durable);
-  ASSERT_EQ(engine.resume_sessions().restored, 1u);
-  for (std::uint64_t t = 6; t < 10; ++t) {
-    ASSERT_EQ(engine.call(ingest_request(t)).status, Status::kOk);
-  }
-  expect_contracts_equal(engine.call(make_contracts("lobs")).contracts,
-                         reference);
 }
 
 TEST_F(EngineTest, OpenValidationAndIdempotence) {
@@ -642,6 +650,23 @@ TEST_F(EngineTest, OpenValidationAndIdempotence) {
   EXPECT_EQ(engine.call(big).status, Status::kConfigError);
   big.open.mode = SessionMode::kIngest;
   EXPECT_EQ(engine.call(big).status, Status::kConfigError);
+
+  // Requester parameters core::Requester::validate refuses (mu, ema_alpha)
+  // are config errors in either mode, like any other bad open.
+  for (const SessionMode mode :
+       {SessionMode::kSimulation, SessionMode::kIngest}) {
+    Request bad_mu = make_open("bad_mu", 4, 1);
+    bad_mu.open.mode = mode;
+    bad_mu.open.mu = 0.0;
+    EXPECT_EQ(engine.call(bad_mu).status, Status::kConfigError);
+    for (const double alpha : {0.0, 1.5}) {
+      Request bad_alpha = make_open("bad_alpha", 4, 1);
+      bad_alpha.open.mode = mode;
+      bad_alpha.open.ema_alpha = alpha;
+      EXPECT_EQ(engine.call(bad_alpha).status, Status::kConfigError)
+          << "ema_alpha " << alpha;
+    }
+  }
 
   ASSERT_EQ(engine.call(make_open("dup", 4, 1)).status, Status::kOk);
   EXPECT_EQ(engine.call(make_open("dup", 4, 1)).status, Status::kConfigError);

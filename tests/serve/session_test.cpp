@@ -5,7 +5,8 @@
 // same feed always designs the same contracts, the 256-sample window
 // slides past its wrap and through a checkpoint bitwise, and a rejected
 // round leaves no trace. Opens and restored checkpoints are bounded in
-// workers and window length.
+// workers and window length, restored beliefs are range-checked, and ISES
+// v1 files still restore.
 #include "serve/session.hpp"
 
 #include <gtest/gtest.h>
@@ -23,6 +24,7 @@
 
 #include "core/checkpoint.hpp"
 #include "core/requester.hpp"
+#include "policy/policy.hpp"
 #include "util/cancellation.hpp"
 #include "util/error.hpp"
 #include "util/wire.hpp"
@@ -433,6 +435,132 @@ TEST(SessionRestoreTest, RefusesWorkerCountPastTheCap) {
                                      with_workers(kMaxSessionWorkers + 1),
                                      Session::Env{}),
                DataError);
+}
+
+std::uint32_t frame_version(const std::string& blob, const char* tag) {
+  return util::wire::decode_frame_header(blob, tag, 0, ~0u, blob.size(),
+                                         "test blob")
+      .version;
+}
+
+// A checksummed blob must not restore beliefs the Eq. 5 weight refuses or
+// an EMA rate an open refuses: such a session would fail every later round
+// (or, at rate 0, never move its estimates). The restore fails with
+// DataError instead, in both modes.
+TEST(SessionRestoreTest, RefusesOutOfRangeBeliefs) {
+  const ScratchDir dir("ccd_belief_range");
+  Session ingest("ises", ingest_open(), dir.env());
+  ingest.ingest(round_of(0), nullptr);
+  const std::string ises = read_bytes(ingest.checkpoint_path());
+  ASSERT_NO_THROW(Session::restore_blob("ises", ises, Session::Env{}));
+  const std::uint32_t version = frame_version(ises, "ISES");
+  const std::string payload = ises.substr(util::wire::kFrameHeaderSize);
+  // ema_alpha is the payload's fourth 8-byte field; worker 0's record
+  // opens at byte 128 with est_accuracy, then est_malicious.
+  constexpr std::size_t kEmaAlphaAt = 3 * 8;
+  constexpr std::size_t kAccuracyAt = 128;
+  constexpr std::size_t kMaliciousAt = 128 + 8;
+  ASSERT_EQ(util::wire::Reader(payload.substr(kEmaAlphaAt, 8)).f64(), 0.3);
+  const auto with_double = [&](std::size_t at, double value) {
+    util::wire::Writer w;
+    w.f64(value);
+    std::string edited = payload;
+    edited.replace(at, 8, w.take());
+    return util::wire::encode_frame("ISES", version, edited);
+  };
+  for (const double alpha : {7.0, std::nan(""), 0.0}) {
+    EXPECT_THROW(Session::restore_blob("ises", with_double(kEmaAlphaAt, alpha),
+                                       Session::Env{}),
+                 DataError)
+        << "ema_alpha " << alpha;
+  }
+  EXPECT_THROW(Session::restore_blob("ises", with_double(kMaliciousAt, 2.0),
+                                     Session::Env{}),
+               DataError);
+  for (const double accuracy : {-1.0, std::nan("")}) {
+    EXPECT_THROW(Session::restore_blob("ises",
+                                       with_double(kAccuracyAt, accuracy),
+                                       Session::Env{}),
+                 DataError)
+        << "est_accuracy " << accuracy;
+  }
+  // The file path checks the same.
+  {
+    std::ofstream out(ingest.checkpoint_path(),
+                      std::ios::binary | std::ios::trunc);
+    out << with_double(kMaliciousAt, 2.0);
+  }
+  EXPECT_THROW(Session::restore("ises", ingest.checkpoint_path(),
+                                Session::Env{}),
+               DataError);
+
+  // Simulation (SCKP): est_malicious[0] = 2 through the checkpoint codec.
+  OpenParams sim_params;
+  sim_params.rounds = 4;
+  Session sim("sckp", sim_params, dir.env());
+  sim.advance(2, nullptr);
+  const std::string sckp = read_bytes(sim.checkpoint_path());
+  ASSERT_NO_THROW(Session::restore_blob("sckp", sckp, Session::Env{}));
+  const std::uint32_t sim_version = frame_version(sckp, "SCKP");
+  core::SimCheckpoint checkpoint = core::decode_checkpoint(
+      sckp.substr(util::wire::kFrameHeaderSize), sim_version);
+  checkpoint.est_malicious[0] = 2.0;
+  EXPECT_THROW(
+      Session::restore_blob(
+          "sckp",
+          util::wire::encode_frame("SCKP", sim_version,
+                                   core::encode_checkpoint(checkpoint,
+                                                           sim_version)),
+          Session::Env{}),
+      DataError);
+}
+
+// ISES v1 predates the policy section: a v1 file has no backend config,
+// learner state or RNG state, and restores as a default-BiP session. A v2
+// BiP file framed as v1 without that tail must restore and post what the
+// v2 restore posts, through the next two refits.
+TEST(SessionRestoreTest, IngestV1CheckpointRestoresAsBip) {
+  const ScratchDir dir("ccd_ises_v1");
+  Session session("ises", ingest_open(), dir.env());
+  for (std::uint64_t t = 0; t < 3; ++t) session.ingest(round_of(t), nullptr);
+  const std::string v2 = read_bytes(session.checkpoint_path());
+  ASSERT_EQ(frame_version(v2, "ISES"), 2u);
+  const std::string payload = v2.substr(util::wire::kFrameHeaderSize);
+  // The v2 tail: BiP's policy config, its empty learner state, the RNG.
+  util::wire::Writer tail;
+  core::encode_policy_config(tail, policy::PolicyConfig{});
+  tail.str("");
+  const std::string policy_tail = tail.take();
+  util::wire::Writer rng;
+  core::encode_rng_state(rng, util::RngState{});
+  const std::size_t tail_size = policy_tail.size() + rng.take().size();
+  ASSERT_GT(payload.size(), tail_size);
+  ASSERT_EQ(payload.substr(payload.size() - tail_size, policy_tail.size()),
+            policy_tail);
+  const std::string v1 = util::wire::encode_frame(
+      "ISES", 1, payload.substr(0, payload.size() - tail_size));
+
+  const std::unique_ptr<Session> from_v1 =
+      Session::restore_blob("v1", v1, Session::Env{});
+  const std::unique_ptr<Session> from_v2 =
+      Session::restore_blob("v2", v2, Session::Env{});
+  EXPECT_EQ(from_v1->status().next_round, 3u);
+  EXPECT_EQ(contract_bits(from_v1->contracts()),
+            contract_bits(from_v2->contracts()));
+  std::size_t refits = 0;
+  for (std::uint64_t t = 3; t < 7; ++t) {
+    const bool refit = from_v2->ingest(round_of(t), nullptr);
+    EXPECT_EQ(from_v1->ingest(round_of(t), nullptr), refit) << "round " << t;
+    EXPECT_EQ(contract_bits(from_v1->contracts()),
+              contract_bits(from_v2->contracts()))
+        << "round " << t;
+    if (refit) ++refits;
+  }
+  EXPECT_EQ(refits, 2u);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                from_v1->status().cumulative_requester_utility),
+            std::bit_cast<std::uint64_t>(
+                from_v2->status().cumulative_requester_utility));
 }
 
 }  // namespace
