@@ -17,8 +17,11 @@
 #include "util/config.hpp"
 #include "util/string_util.hpp"
 #include "util/table.hpp"
+#include "bench_main.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace ccd;
   const util::ParamMap params = util::ParamMap::from_args(argc, argv);
   params.assert_all_consumed();
@@ -61,4 +64,10 @@ int main(int argc, char** argv) {
               "utility there; the capped variant obeys the cap at every m, "
               "and the two coincide as m grows (epsilon -> 0).\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ccd::bench::run_main("bench_ablation_epsilon", run, argc, argv);
 }

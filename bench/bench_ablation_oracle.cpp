@@ -12,8 +12,11 @@
 #include "util/config.hpp"
 #include "util/string_util.hpp"
 #include "util/table.hpp"
+#include "bench_main.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace ccd;
   const util::ParamMap params = util::ParamMap::from_args(argc, argv);
   params.assert_all_consumed();
@@ -57,4 +60,10 @@ int main(int argc, char** argv) {
   std::printf("shape check: the ratio climbs toward 100%% as m grows, for "
               "every psi and omega.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ccd::bench::run_main("bench_ablation_oracle", run, argc, argv);
 }

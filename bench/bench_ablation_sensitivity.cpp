@@ -11,6 +11,7 @@
 #include "util/string_util.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
+#include "bench_main.hpp"
 
 namespace {
 
@@ -22,9 +23,7 @@ double mean_comp(const ccd::core::PipelineResult& r,
   return v.empty() ? 0.0 : total / static_cast<double>(v.size());
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace ccd;
   const util::ParamMap params = util::ParamMap::from_args(argc, argv);
   const std::string scale = params.get_string("scale", "medium");
@@ -98,4 +97,10 @@ int main(int argc, char** argv) {
                 "them.\n");
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ccd::bench::run_main("bench_ablation_sensitivity", run, argc, argv);
 }

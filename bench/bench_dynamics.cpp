@@ -12,8 +12,11 @@
 #include "util/config.hpp"
 #include "util/string_util.hpp"
 #include "util/table.hpp"
+#include "bench_main.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace ccd;
   const util::ParamMap params = util::ParamMap::from_args(argc, argv);
   const std::size_t rounds =
@@ -74,4 +77,10 @@ int main(int argc, char** argv) {
               "stable.\n",
               rounds / 2);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ccd::bench::run_main("bench_dynamics", run, argc, argv);
 }

@@ -12,8 +12,11 @@
 #include "util/config.hpp"
 #include "util/string_util.hpp"
 #include "util/table.hpp"
+#include "bench_main.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace ccd;
   const util::ParamMap params = util::ParamMap::from_args(argc, argv);
   const std::string scale = params.get_string("scale", "medium");
@@ -94,4 +97,10 @@ int main(int argc, char** argv) {
               "stays high even at 1%% budget while the shadow price lambda "
               "climbs.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ccd::bench::run_main("bench_ext_budget", run, argc, argv);
 }

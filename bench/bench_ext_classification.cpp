@@ -11,8 +11,11 @@
 #include "util/config.hpp"
 #include "util/string_util.hpp"
 #include "util/table.hpp"
+#include "bench_main.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace ccd;
   const util::ParamMap params = util::ParamMap::from_args(argc, argv);
   const auto pool_size = static_cast<std::size_t>(params.get_int("pool", 12));
@@ -53,4 +56,10 @@ int main(int argc, char** argv) {
               "adversarial share grows; the flat-pay baseline degrades and "
               "its utility can go negative.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ccd::bench::run_main("bench_ext_classification", run, argc, argv);
 }

@@ -8,6 +8,7 @@
 #include "util/config.hpp"
 #include "util/string_util.hpp"
 #include "util/table.hpp"
+#include "bench_main.hpp"
 
 namespace {
 
@@ -23,9 +24,7 @@ ccd::core::SimWorkerSpec masker(double duty) {
   return w;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace ccd;
   const util::ParamMap params = util::ParamMap::from_args(argc, argv);
   const auto rounds = static_cast<std::size_t>(params.get_int("rounds", 90));
@@ -71,4 +70,10 @@ int main(int argc, char** argv) {
               "so paying it is the right call and requester utility stays "
               "high.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ccd::bench::run_main("bench_ext_masking", run, argc, argv);
 }

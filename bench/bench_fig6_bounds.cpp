@@ -12,8 +12,11 @@
 #include "util/config.hpp"
 #include "util/string_util.hpp"
 #include "util/table.hpp"
+#include "bench_main.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace ccd;
   const util::ParamMap params = util::ParamMap::from_args(argc, argv);
   const double mu = params.get_double("mu", 1.0);
@@ -59,4 +62,10 @@ int main(int argc, char** argv) {
   std::printf("paper shape check: utility approaches the upper bound as m "
               "grows; the optimum lies inside the shrinking gap.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ccd::bench::run_main("bench_fig6_bounds", run, argc, argv);
 }

@@ -14,8 +14,11 @@
 #include "util/string_util.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
+#include "bench_main.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace ccd;
   const util::ParamMap params = util::ParamMap::from_args(argc, argv);
   const std::string scale = params.get_string("scale", "full");
@@ -67,4 +70,10 @@ int main(int argc, char** argv) {
               " feedback ratio cm/honest = %.2f (paper: >> 1)\n",
               cm_effort / honest_effort, cm_feedback / honest_feedback);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ccd::bench::run_main("bench_fig7_worker_classes", run, argc, argv);
 }

@@ -24,8 +24,11 @@
 #include "util/string_util.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
+#include "bench_main.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace ccd;
   const util::ParamMap params = util::ParamMap::from_args(argc, argv);
   const std::size_t want_workers =
@@ -105,4 +108,10 @@ int main(int argc, char** argv) {
   std::printf("paper shape check: the compensation-vs-bound gap shrinks as "
               "m grows (10 -> 20 -> 40).\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ccd::bench::run_main("bench_fig8a_compensation", run, argc, argv);
 }

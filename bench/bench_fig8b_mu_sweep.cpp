@@ -16,8 +16,11 @@
 #include "util/string_util.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
+#include "bench_main.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace ccd;
   const util::ParamMap params = util::ParamMap::from_args(argc, argv);
   const std::string scale = params.get_string("scale", "full");
@@ -55,4 +58,10 @@ int main(int argc, char** argv) {
   std::printf("paper shape checks: mean pay rises as mu falls; honest mean "
               "> ncm mean and honest mean > cm mean for every mu.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ccd::bench::run_main("bench_fig8b_mu_sweep", run, argc, argv);
 }

@@ -14,8 +14,11 @@
 #include "util/config.hpp"
 #include "util/string_util.hpp"
 #include "util/table.hpp"
+#include "bench_main.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace ccd;
   const util::ParamMap params = util::ParamMap::from_args(argc, argv);
   const std::string scale = params.get_string("scale", "full");
@@ -57,4 +60,10 @@ int main(int argc, char** argv) {
   std::printf("%s\n", table.render().c_str());
   std::printf("paper shape check: ours > exclusion for every mu.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ccd::bench::run_main("bench_fig8c_vs_baseline", run, argc, argv);
 }

@@ -60,6 +60,7 @@
 #include "util/config.hpp"
 #include "util/error.hpp"
 #include "util/metrics.hpp"
+#include "bench_main.hpp"
 
 namespace {
 
@@ -164,9 +165,7 @@ void wait_for_daemon(const std::string& socket) {
   throw ccd::Error("daemon on " + socket + " did not come up");
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   namespace metrics = util::metrics;
   const util::ParamMap params = util::ParamMap::from_args(argc, argv);
   const std::size_t shards =
@@ -810,4 +809,10 @@ int main(int argc, char** argv) {
   }
   std::filesystem::remove_all(dir);
   return exit_code;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ccd::bench::run_main("bench_gateway_chaos", run, argc, argv);
 }

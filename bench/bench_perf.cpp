@@ -23,8 +23,10 @@
 
 #include "contract/design_cache.hpp"
 #include "contract/designer.hpp"
+#include "contract/fleet_soa.hpp"
 #include "core/pipeline.hpp"
 #include "data/generator.hpp"
+#include "data/metrics.hpp"
 #include "detect/collusion.hpp"
 #include "effort/fitting.hpp"
 #include "math/polyfit.hpp"
@@ -33,12 +35,25 @@
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 #include "release_gate.hpp"
+#include "bench_main.hpp"
 
 namespace {
 
 const ccd::data::ReviewTrace& medium_trace() {
   static const ccd::data::ReviewTrace trace =
       ccd::data::generate_trace(ccd::data::GeneratorParams::medium());
+  return trace;
+}
+
+/// The amazon2015-sized trace at seed 1, the trace of `ccdctl design
+/// preset=full` and of perfbench's design_full.
+const ccd::data::ReviewTrace& amazon2015_trace() {
+  static const ccd::data::ReviewTrace trace = [] {
+    ccd::data::GeneratorParams params =
+        ccd::data::GeneratorParams::amazon2015();
+    params.seed = 1;
+    return ccd::data::generate_trace(params);
+  }();
   return trace;
 }
 
@@ -112,6 +127,18 @@ void BM_FitEffortFunction(benchmark::State& state) {
 BENCHMARK(BM_FitEffortFunction)->Arg(256)->Arg(101835)
     ->Unit(benchmark::kMicrosecond);
 
+// The class fits as the pipeline runs them, from the trace: fit_all_classes
+// on the amazon2015-sized trace (seed 1), whose honest, NCM and CM classes
+// hold 101,835, 7,413 and 1,104 samples.
+void BM_FitAllClasses(benchmark::State& state) {
+  const ccd::data::WorkerMetrics metrics(amazon2015_trace());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ccd::effort::fit_all_classes(metrics));
+  }
+}
+BENCHMARK(BM_FitAllClasses)->MeasureProcessCPUTime()
+    ->Unit(benchmark::kMicrosecond);
+
 // An ingest refit's fits: 200 workers' 256-sample windows through the
 // batched fit, four per AVX2 lane where the CPU has it (compare with 200 x
 // BM_FitEffortFunction/256). One thread, like the session's refit.
@@ -171,6 +198,32 @@ std::vector<ccd::contract::SubproblemSpec> fleet_specs(std::size_t n) {
   }
   return specs;
 }
+
+// The solve stage's grouping of a design_full run: FleetSoA::from_specs on
+// the subproblem specs of the pipeline on the amazon2015-sized trace (seed
+// 1; 19,608 specs in 20 classes, arriving in long runs of one class).
+void BM_FleetFromSpecs(benchmark::State& state) {
+  static const std::vector<ccd::contract::SubproblemSpec> specs = [] {
+    ccd::core::PipelineConfig config;
+    config.threads = 1;
+    const ccd::core::PipelineResult r =
+        ccd::core::run_pipeline(amazon2015_trace(), config);
+    std::vector<ccd::contract::SubproblemSpec> out;
+    out.reserve(r.subproblems.size());
+    for (const ccd::core::SubproblemOutcome& s : r.subproblems) {
+      out.push_back(s.spec);
+    }
+    return out;
+  }();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ccd::contract::FleetSoA::from_specs(specs));
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations() * specs.size()));
+  state.counters["specs"] = static_cast<double>(specs.size());
+}
+BENCHMARK(BM_FleetFromSpecs)->MeasureProcessCPUTime()
+    ->Unit(benchmark::kMicrosecond);
 
 // Solve-stage throughput, batched + cached: one k-sweep per distinct spec,
 // cheap per-worker resolve. Args are {workers, threads}.
@@ -410,12 +463,10 @@ void BM_CancelPoll(benchmark::State& state) {
 }
 BENCHMARK(BM_CancelPoll)->Arg(0)->Arg(1);
 
-}  // namespace
-
 // BENCHMARK_MAIN(), plus a default JSON sink: unless the caller supplied
 // --benchmark_out, write results to BENCH_perf.json so CI always has a
 // machine-readable artifact.
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   // Peel our own force=1 flag off argv before google-benchmark sees it
   // (it would be reported as an unrecognized argument), then apply the
   // Release gate.
@@ -450,4 +501,10 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ccd::bench::run_main("bench_perf", run, argc, argv);
 }

@@ -44,6 +44,7 @@
 #include "policy/policy.hpp"
 #include "util/rng.hpp"
 #include "release_gate.hpp"
+#include "bench_main.hpp"
 
 namespace {
 
@@ -182,9 +183,7 @@ void write_json(const std::string& path, std::size_t rounds,
   std::printf("wrote %s\n", path.c_str());
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   std::size_t rounds = 2400;
   std::size_t workers = 12;
   double sublinear_factor = 0.8;
@@ -278,4 +277,10 @@ int main(int argc, char** argv) {
                 sublinear_factor);
   }
   return ok ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ccd::bench::run_main("bench_policy_regret", run, argc, argv);
 }

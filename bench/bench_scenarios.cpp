@@ -24,8 +24,11 @@
 
 #include "scenario/scenario.hpp"
 #include "util/config.hpp"
+#include "bench_main.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace ccd;
   const util::ParamMap params = util::ParamMap::from_args(argc, argv);
   const std::uint64_t seed =
@@ -88,4 +91,10 @@ int main(int argc, char** argv) {
   std::printf("all invariants hold (%zu cells, recall floor %.2f)\n",
               result.cells.size(), recall_floor);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ccd::bench::run_main("bench_scenarios", run, argc, argv);
 }

@@ -38,6 +38,7 @@
 #include "serve/server.hpp"
 #include "util/config.hpp"
 #include "util/metrics.hpp"
+#include "bench_main.hpp"
 
 namespace {
 
@@ -59,9 +60,7 @@ double counter_value(const char* name) {
 }
 #endif
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace ccd;
   namespace metrics = util::metrics;
   const util::ParamMap params = util::ParamMap::from_args(argc, argv);
@@ -302,4 +301,10 @@ int main(int argc, char** argv) {
                    "requests\n"
                  : "serve load: FAILED\n");
   return ok ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ccd::bench::run_main("bench_serve_load", run, argc, argv);
 }

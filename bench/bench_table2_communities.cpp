@@ -13,8 +13,11 @@
 #include "util/config.hpp"
 #include "util/string_util.hpp"
 #include "util/table.hpp"
+#include "bench_main.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace ccd;
   const util::ParamMap params = util::ParamMap::from_args(argc, argv);
   const std::string scale = params.get_string("scale", "full");
@@ -59,4 +62,10 @@ int main(int argc, char** argv) {
                   ? "agrees"
                   : "MISMATCH");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ccd::bench::run_main("bench_table2_communities", run, argc, argv);
 }

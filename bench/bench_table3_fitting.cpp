@@ -20,8 +20,11 @@
 #include "util/config.hpp"
 #include "util/string_util.hpp"
 #include "util/table.hpp"
+#include "bench_main.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace ccd;
   const util::ParamMap params = util::ParamMap::from_args(argc, argv);
   const std::string scale = params.get_string("scale", "full");
@@ -74,4 +77,10 @@ int main(int argc, char** argv) {
   std::printf("  cm:     %s%s\n", fits.cm.model.to_string(4).c_str(),
               fits.cm.projected ? "  [projected]" : "");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ccd::bench::run_main("bench_table3_fitting", run, argc, argv);
 }

@@ -34,6 +34,7 @@
 #include "contract/ksweep.hpp"
 #include "util/thread_pool.hpp"
 #include "release_gate.hpp"
+#include "bench_main.hpp"
 
 namespace {
 
@@ -130,9 +131,7 @@ bool menu_matches_sweep(const contract::BudgetMenu& menu,
   return same_bits(menu.pay, pay) && same_bits(menu.utility, utility);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   std::size_t workers = 20000;
   std::size_t classes = 6;
   std::size_t intervals = 20;
@@ -228,4 +227,10 @@ int main(int argc, char** argv) {
       build_type.c_str(), contract::simd_kernel_name().c_str(), wps, min_wps,
       bitwise ? "ok" : "FAIL", pass ? "PASS" : "FAIL");
   return pass ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return ccd::bench::run_main("bench_throughput", run, argc, argv);
 }

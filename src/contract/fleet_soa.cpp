@@ -24,28 +24,38 @@ FleetSoA FleetSoA::from_specs(const std::vector<SubproblemSpec>& specs) {
   std::unordered_map<DesignCacheKey, std::size_t, DesignCacheKeyHash>
       class_of_key;
   std::vector<std::size_t> counts;
+  // Specs arrive in runs of one class (the pipeline's workers of a detected
+  // class share its fit), so a spec whose key is bitwise-equal to the
+  // previous spec's takes that spec's class without a lookup, and
+  // try_emplace allocates a map node only for a new class.
+  DesignCacheKey previous_key;
+  std::size_t cls = npos;
   for (std::size_t i = 0; i < n; ++i) {
     specs[i].validate();
     const DesignCacheKey key = DesignCacheKey::of(specs[i]);
-    const auto [it, inserted] = class_of_key.emplace(key, fleet.classes());
-    if (inserted) {
-      fleet.r2.push_back(key.r2);
-      fleet.r1.push_back(key.r1);
-      fleet.r0.push_back(key.r0);
-      fleet.beta.push_back(key.beta);
-      fleet.omega.push_back(key.omega);
-      fleet.mu.push_back(key.mu);
-      fleet.intervals.push_back(static_cast<std::size_t>(key.intervals));
-      fleet.domain.push_back(key.domain);
-      fleet.first_positive.push_back(npos);
-      counts.push_back(0);
+    if (cls == npos || key != previous_key) {
+      const auto [it, inserted] =
+          class_of_key.try_emplace(key, fleet.classes());
+      if (inserted) {
+        fleet.r2.push_back(key.r2);
+        fleet.r1.push_back(key.r1);
+        fleet.r0.push_back(key.r0);
+        fleet.beta.push_back(key.beta);
+        fleet.omega.push_back(key.omega);
+        fleet.mu.push_back(key.mu);
+        fleet.intervals.push_back(static_cast<std::size_t>(key.intervals));
+        fleet.domain.push_back(key.domain);
+        fleet.first_positive.push_back(npos);
+        counts.push_back(0);
+      }
+      cls = it->second;
+      previous_key = key;
     }
-    const std::size_t c = it->second;
-    fleet.class_of[i] = c;
+    fleet.class_of[i] = cls;
     fleet.weight[i] = specs[i].weight;
-    ++counts[c];
-    if (specs[i].weight > 0.0 && fleet.first_positive[c] == npos) {
-      fleet.first_positive[c] = i;
+    ++counts[cls];
+    if (specs[i].weight > 0.0 && fleet.first_positive[cls] == npos) {
+      fleet.first_positive[cls] = i;
     }
   }
 

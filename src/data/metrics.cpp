@@ -51,14 +51,17 @@ double WorkerMetrics::feedback(ReviewId id) const {
   return static_cast<double>(trace_.review(id).upvotes);
 }
 
-std::vector<EffortSample> WorkerMetrics::samples_of_class(
-    WorkerClass cls) const {
+std::size_t WorkerMetrics::class_sample_count(WorkerClass cls) const {
   std::size_t count = 0;
   for (const Worker& w : trace_.workers()) {
     if (w.true_class == cls) count += trace_.reviews_of_worker(w.id).size();
   }
-  std::vector<EffortSample> out;
-  out.reserve(count);
+  return count;
+}
+
+template <typename Visit>
+void WorkerMetrics::for_each_class_sample(WorkerClass cls,
+                                          Visit&& visit) const {
   // The ids come from the trace's own index, which build_indexes()
   // validated; each sample is effort_level(rid), feedback(rid) inline.
   const std::vector<Review>& reviews = trace_.reviews();
@@ -66,13 +69,45 @@ std::vector<EffortSample> WorkerMetrics::samples_of_class(
     if (w.true_class != cls) continue;
     for (const ReviewId rid : trace_.reviews_of_worker(w.id)) {
       const Review& r = reviews[rid];
-      out.push_back({w.id, rid,
-                     expertise_[r.worker] *
-                         static_cast<double>(r.length_chars) * effort_scale_,
-                     static_cast<double>(r.upvotes)});
+      visit(w.id, rid,
+            expertise_[r.worker] * static_cast<double>(r.length_chars) *
+                effort_scale_,
+            static_cast<double>(r.upvotes));
     }
   }
+}
+
+std::vector<EffortSample> WorkerMetrics::samples_of_class(
+    WorkerClass cls) const {
+  std::vector<EffortSample> out;
+  out.reserve(class_sample_count(cls));
+  for_each_class_sample(cls, [&](WorkerId worker, ReviewId rid, double effort,
+                                 double feedback) {
+    out.push_back({worker, rid, effort, feedback});
+  });
   return out;
+}
+
+WorkerId WorkerMetrics::class_columns(WorkerClass cls,
+                                      std::span<double> effort,
+                                      std::span<double> feedback) const {
+  const std::size_t count = effort.size();
+  CCD_CHECK_MSG(feedback.size() == count,
+                "class_columns: effort and feedback columns differ in size");
+  WorkerId first = 0;
+  std::size_t i = 0;
+  for_each_class_sample(cls, [&](WorkerId worker, ReviewId, double e,
+                                 double f) {
+    CCD_CHECK_MSG(i < count, "class_columns: the class has more than "
+                                 << count << " samples");
+    if (i == 0) first = worker;
+    effort[i] = e;
+    feedback[i] = f;
+    ++i;
+  });
+  CCD_CHECK_MSG(i == count, "class_columns: the class has " << i
+                                << " samples, the columns hold " << count);
+  return first;
 }
 
 std::vector<EffortSample> WorkerMetrics::samples_of_worker(WorkerId id) const {

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "data/trace.hpp"
@@ -54,6 +55,16 @@ class WorkerMetrics {
   /// All samples of workers in the given class.
   std::vector<EffortSample> samples_of_class(WorkerClass cls) const;
 
+  /// Number of samples of workers in the given class.
+  std::size_t class_sample_count(WorkerClass cls) const;
+
+  /// samples_of_class(cls) read as two columns into caller-owned buffers of
+  /// class_sample_count(cls) doubles each: effort[i] and feedback[i] are
+  /// sample i's fields, in its order and bit for bit. Returns sample 0's
+  /// worker (0 when the class has no samples).
+  WorkerId class_columns(WorkerClass cls, std::span<double> effort,
+                         std::span<double> feedback) const;
+
   /// All samples of one worker.
   std::vector<EffortSample> samples_of_worker(WorkerId id) const;
 
@@ -62,6 +73,11 @@ class WorkerMetrics {
   double mean_feedback_of_worker(WorkerId id) const;
 
  private:
+  /// visit(worker, review, effort, feedback) on each sample of class cls,
+  /// in samples_of_class's order.
+  template <typename Visit>
+  void for_each_class_sample(WorkerClass cls, Visit&& visit) const;
+
   const ReviewTrace& trace_;
   std::vector<double> expertise_;
   double effort_scale_ = 1.0;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <memory>
+#include <optional>
 
 #include "math/polyfit.hpp"
 #include "util/error.hpp"
@@ -205,14 +207,38 @@ ClassFits fit_all_classes(const data::WorkerMetrics& metrics,
                           const FitConfig& config) {
   const auto fit_or = [&](data::WorkerClass cls,
                           const EffortFit& fallback_fit) {
-    const auto samples = metrics.samples_of_class(cls);
-    if (samples.size() < 3) {
+    const std::size_t m = metrics.class_sample_count(cls);
+    if (m < 3) {
       EffortFit fit = fallback_fit;
       fit.fallback = true;
-      fit.sample_count = samples.size();
+      fit.sample_count = m;
       return fit;
     }
-    return fit_effort_function(samples, config);
+    // fit_effort_function on the class's samples, fitted in place: its
+    // effort and feedback columns and the kernel's scratch share one
+    // uninitialized block, which the fit overwrites.
+    const auto block = std::make_unique_for_overwrite<double[]>(3 * m);
+    const std::span<double> effort(block.get(), m);
+    const std::span<double> feedback(block.get() + m, m);
+    const data::WorkerId first = metrics.class_columns(cls, effort, feedback);
+    CCD_FAULT_POINT("effort.fit", fit_fault_key(first, m), MathError);
+    if (const std::optional<math::PolyFitResult> quad =
+            math::polyfit_quadratic_in_place(
+                effort, feedback, std::span<double>(block.get() + 2 * m, m))) {
+      const double r0 = quad->polynomial.coefficient(0);
+      const double r1 = quad->polynomial.coefficient(1);
+      const double r2 = quad->polynomial.coefficient(2);
+      if (r2 < 0.0 && r1 > 0.0) {
+        EffortFit fit;
+        fit.model = QuadraticEffort(r2, r1, r0);
+        fit.norm_of_residuals = quad->norm_of_residuals;
+        fit.sample_count = m;
+        return fit;
+      }
+    }
+    // A flagged window, or a fit that needs the projection. Its fault
+    // points did not fire above, so they do not fire here either.
+    return fit_effort_function(metrics.samples_of_class(cls), config);
   };
 
   // The library default, should even the honest class be (nearly) empty.

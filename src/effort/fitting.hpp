@@ -11,7 +11,10 @@
 // fit_effort_functions is the ingest refit's batch: fit_effort_function on
 // many windows, four equal-length windows per AVX2 vector where the CPU
 // has one (math::polyfit_quadratic_lanes), with bit-for-bit the scalar
-// fit's results.
+// fit's results. fit_all_classes reads each class's samples straight from
+// the trace as two columns and fits them in place with the one-window
+// kernel (math::polyfit_quadratic_in_place), again with bit-for-bit
+// fit_effort_function's results.
 #pragma once
 
 #include <cstddef>
@@ -82,7 +85,13 @@ std::vector<double> nor_comparison(
 /// the paper's evaluation uses. Classes with fewer than 3 samples (e.g. a
 /// trace with no malicious workers at all) fall back to the honest fit,
 /// marked with EffortFit::fallback; an all-but-empty trace falls back to
-/// the library's default curve.
+/// the library's default curve. Every other class's fit is
+/// fit_effort_function(metrics.samples_of_class(cls), config) bit for bit,
+/// with the same "effort.fit" and "math.polyfit" fault points: the class's
+/// columns (WorkerMetrics::class_columns) are fitted in place, and only a
+/// window the kernel flags, or a fit that needs the projection, is refit
+/// through fit_effort_function. The columns live only while their class
+/// is fitted.
 struct ClassFits {
   EffortFit honest;
   EffortFit ncm;

@@ -5,17 +5,28 @@
 // on the Vandermonde system, and reports the norm of residuals (NoR) — the
 // same deviation measure the paper tabulates.
 //
-// polyfit_quadratic_lanes runs polyfit(xs, ys, 2) on four windows of one
-// length at once, one window per AVX2 lane. Each lane performs polyfit's
-// IEEE operations in polyfit's order (multiplies, adds, subtracts,
-// divides, square roots, ordered compares and blends; no FMA), so every
-// fit it returns is bit-for-bit polyfit's. A lane where polyfit would
-// throw or skip a reflection is flagged instead, for the caller to refit
-// through polyfit.
+// Quadratic fits (degree 2: the concave psi of every class, community and
+// ingest window) run through fused kernels. They make 7 passes over a
+// window where building the design and running the generic Householder
+// loop make 14: the centering scan, then one pass per round of
+// reductions, each reduction summed as the pass before it writes its
+// rows. They perform the generic loop's IEEE operations in its order
+// (multiplies, adds, subtracts, divides, square roots, ordered compares;
+// no FMA), so every fit they return is bit-for-bit the generic loop's. A
+// window where that loop would throw or skip a reflection is flagged
+// instead, for the generic loop to fit. The two kernels are kept side by
+// side with matching comments:
+//  * the one-window kernel (polyfit.cpp, baseline ISA) behind
+//    polyfit(xs, ys, 2) and polyfit_quadratic_in_place, for one window of
+//    any length held as plain columns;
+//  * the lane kernel (polyfit_avx2.cpp) behind polyfit_quadratic_lanes,
+//    four equal-length windows at once, interleaved one per AVX2 lane.
 #pragma once
 
 #include <cstddef>
 #include <exception>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "math/polynomial.hpp"
@@ -30,8 +41,21 @@ struct PolyFitResult {
 /// Fit a degree-`degree` polynomial. Requires xs.size() == ys.size() and at
 /// least degree+1 samples. For numerical stability the x values are centered
 /// and scaled internally; returned coefficients are in the original units.
+/// Degree 2 runs the one-window kernel on copies of xs and ys, and the
+/// generic loop only for a window the kernel flags; other degrees run the
+/// generic loop.
 PolyFitResult polyfit(const std::vector<double>& xs,
                       const std::vector<double>& ys, std::size_t degree);
+
+/// polyfit(x, y, 2) on one window held in caller-owned columns, with no
+/// copy: x and y hold the window's samples, work is scratch of the same
+/// length (>= 3), and all three are overwritten. Runs polyfit's
+/// "math.polyfit" fault point with polyfit's key first. Returns polyfit's
+/// result, or std::nullopt where polyfit would throw for a rank-deficient
+/// design or skip a reflection: refit such a window through polyfit, from
+/// its samples.
+std::optional<PolyFitResult> polyfit_quadratic_in_place(
+    std::span<double> x, std::span<double> y, std::span<double> work);
 
 /// True when this CPU runs polyfit_quadratic_lanes (x86-64 with AVX2).
 bool quadratic_lanes_available();

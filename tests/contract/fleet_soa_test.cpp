@@ -3,12 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
 #include <limits>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -251,6 +253,109 @@ TEST(FleetSoATest, AllExcludedClassHasNoRepresentative) {
   specs[2].weight = 0.0;
   const FleetSoA fleet = FleetSoA::from_specs(specs);
   EXPECT_EQ(fleet.first_positive[fleet.class_of[2]], FleetSoA::npos);
+}
+
+/// from_specs' grouping rebuilt with a std::map over the bit patterns of
+/// the canonical keys: classes in first-occurrence order, each class's
+/// workers in input order.
+struct ReferenceGrouping {
+  std::vector<std::size_t> class_of;
+  std::vector<std::size_t> order;
+  std::vector<std::size_t> class_begin{0};
+  std::vector<std::size_t> first_positive;
+};
+
+ReferenceGrouping reference_grouping(const std::vector<SubproblemSpec>& specs) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  std::map<std::array<std::uint64_t, 8>, std::size_t> class_of_key;
+  std::vector<std::vector<std::size_t>> members;
+  ReferenceGrouping g;
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const DesignCacheKey k = DesignCacheKey::of(specs[i]);
+    const std::array<std::uint64_t, 8> key = {
+        bits(k.r2),    bits(k.r1), bits(k.r0),  bits(k.beta),
+        bits(k.omega), bits(k.mu), k.intervals, bits(k.domain)};
+    const auto [it, inserted] = class_of_key.emplace(key, members.size());
+    if (inserted) {
+      members.emplace_back();
+      g.first_positive.push_back(FleetSoA::npos);
+    }
+    const std::size_t c = it->second;
+    g.class_of.push_back(c);
+    members[c].push_back(i);
+    if (specs[i].weight > 0.0 && g.first_positive[c] == FleetSoA::npos) {
+      g.first_positive[c] = i;
+    }
+  }
+  for (const std::vector<std::size_t>& m : members) {
+    g.order.insert(g.order.end(), m.begin(), m.end());
+    g.class_begin.push_back(g.order.size());
+  }
+  return g;
+}
+
+// The grouping from_specs builds with its previous-spec shortcut equals
+// the reference's, on runs of one class, interleaved classes, a run that
+// carries a sign-of-zero twin, a run broken by one foreign spec, and a
+// class that returns after others.
+TEST(FleetSoATest, RunsAndInterleavingGroupAsReference) {
+  SubproblemSpec a;
+  a.psi = effort::QuadraticEffort(-1.0, 8.0, 0.0);
+  a.incentives = {1.0, 0.0};
+  SubproblemSpec twin = a;  // a's class only through -0.0 normalization
+  twin.psi = effort::QuadraticEffort(-1.0, 8.0, -0.0);
+  twin.incentives.omega = -0.0;
+  SubproblemSpec b = a;
+  b.psi = effort::QuadraticEffort(-0.8, 6.0, 1.5);
+  b.incentives.omega = 0.3;
+  SubproblemSpec c = a;
+  c.intervals = 16;
+  const SubproblemSpec* const pattern[] = {
+      &a, &a, &a, &a,                       // a run
+      &b, &b, &b, &c, &b, &b,               // a run broken by one c
+      &a, &b, &a, &b, &c, &a, &c,           // interleaved
+      &a, &a, &twin, &a, &twin, &twin, &a,  // a run with its twin
+      &c, &c, &b, &a,                       // classes returning
+  };
+  util::Rng rng(31);
+  std::vector<SubproblemSpec> specs;
+  for (int rep = 0; rep < 3; ++rep) {
+    for (const SubproblemSpec* spec : pattern) {
+      specs.push_back(*spec);
+      // Some members weight-excluded, so first_positive is not always a
+      // class's first member.
+      specs.back().weight = rng.bernoulli(0.3) ? 0.0 : rng.uniform(0.1, 3.0);
+    }
+  }
+  const FleetSoA fleet = FleetSoA::from_specs(specs);
+  const ReferenceGrouping want = reference_grouping(specs);
+  ASSERT_EQ(fleet.classes(), 3u);
+  EXPECT_EQ(fleet.class_of, want.class_of);
+  EXPECT_EQ(fleet.order, want.order);
+  EXPECT_EQ(fleet.class_begin, want.class_begin);
+  EXPECT_EQ(fleet.first_positive, want.first_positive);
+  for (std::size_t pos = 0; pos < specs.size(); ++pos) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(fleet.grouped_weight[pos]),
+              std::bit_cast<std::uint64_t>(specs[want.order[pos]].weight));
+  }
+  // The class fields are the canonical key: a's +0.0, not the twin's -0.0.
+  EXPECT_FALSE(std::signbit(fleet.r0[fleet.class_of[0]]));
+  EXPECT_FALSE(std::signbit(fleet.omega[fleet.class_of[0]]));
+
+  // The same on a shuffled copy and on random fleets with few runs.
+  std::vector<SubproblemSpec> shuffled = specs;
+  for (std::size_t i = shuffled.size(); i > 1; --i) {
+    std::swap(shuffled[i - 1], shuffled[rng.next_u64() % i]);
+  }
+  for (const std::vector<SubproblemSpec>& fleet_specs :
+       {shuffled, random_fleet(500, 5), random_fleet(64, 6)}) {
+    const FleetSoA got = FleetSoA::from_specs(fleet_specs);
+    const ReferenceGrouping ref = reference_grouping(fleet_specs);
+    EXPECT_EQ(got.class_of, ref.class_of);
+    EXPECT_EQ(got.order, ref.order);
+    EXPECT_EQ(got.class_begin, ref.class_begin);
+    EXPECT_EQ(got.first_positive, ref.first_positive);
+  }
 }
 
 // The one fleet-design path against the reference, field by field and bit

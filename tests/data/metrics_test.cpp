@@ -93,6 +93,35 @@ TEST(WorkerMetricsTest, SamplesOfClassMatchAccessorsBitwise) {
   }
 }
 
+// class_columns is samples_of_class read as two columns: the same samples,
+// in the same order, bit for bit, and sample 0's worker.
+TEST(WorkerMetricsTest, ClassColumnsMatchSamplesOfClassBitwise) {
+  const ReviewTrace t = generate_trace(GeneratorParams::small());
+  const WorkerMetrics m(t);
+  for (const WorkerClass cls :
+       {WorkerClass::kHonest, WorkerClass::kNonCollusiveMalicious,
+        WorkerClass::kCollusiveMalicious}) {
+    const std::vector<EffortSample> samples = m.samples_of_class(cls);
+    ASSERT_EQ(m.class_sample_count(cls), samples.size());
+    ASSERT_FALSE(samples.empty());
+    std::vector<double> effort(samples.size());
+    std::vector<double> feedback(samples.size());
+    EXPECT_EQ(m.class_columns(cls, effort, feedback), samples.front().worker);
+    for (std::size_t i = 0; i < samples.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(effort[i]),
+                std::bit_cast<std::uint64_t>(samples[i].effort));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(feedback[i]),
+                std::bit_cast<std::uint64_t>(samples[i].feedback));
+    }
+    // Columns of any other length are refused.
+    std::vector<double> short_column(samples.size() - 1);
+    std::vector<double> long_column(samples.size() + 1);
+    EXPECT_THROW(m.class_columns(cls, short_column, short_column), Error);
+    EXPECT_THROW(m.class_columns(cls, long_column, long_column), Error);
+    EXPECT_THROW(m.class_columns(cls, effort, short_column), Error);
+  }
+}
+
 // The expert panel reads a worker's mean feedback as expertise(); both are
 // the same sum in the same order, so they agree bit for bit.
 TEST(WorkerMetricsTest, ExpertiseIsMeanFeedbackBitwise) {

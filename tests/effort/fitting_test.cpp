@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "data/generator.hpp"
 #include "util/error.hpp"
+#include "util/fault_injection.hpp"
 #include "util/rng.hpp"
 
 namespace ccd::effort {
@@ -204,6 +210,202 @@ TEST(CommunitySumSamplesTest, RejectsEmptyCommunity) {
       data::generate_trace(data::GeneratorParams::small());
   const data::WorkerMetrics metrics(trace);
   EXPECT_THROW(community_sum_samples(trace, metrics, {}), Error);
+}
+
+// ---------------------------------------------------------------------------
+// fit_all_classes against the scalar fit of each class's samples.
+
+/// fit_all_classes as a scalar fit of every class's sample vector (the
+/// reference the in-place class fits must reproduce).
+ClassFits scalar_class_fits(const data::WorkerMetrics& metrics) {
+  const auto fit_or = [&](data::WorkerClass cls,
+                          const EffortFit& fallback_fit) {
+    const auto samples = metrics.samples_of_class(cls);
+    if (samples.size() < 3) {
+      EffortFit fit = fallback_fit;
+      fit.fallback = true;
+      fit.sample_count = samples.size();
+      return fit;
+    }
+    return fit_effort_function(samples);
+  };
+  EffortFit default_fit;
+  default_fit.model = QuadraticEffort(-1.0, 8.0, 2.0);
+  default_fit.fallback = true;
+  ClassFits fits;
+  fits.honest = fit_or(data::WorkerClass::kHonest, default_fit);
+  fits.ncm = fit_or(data::WorkerClass::kNonCollusiveMalicious, fits.honest);
+  fits.cm = fit_or(data::WorkerClass::kCollusiveMalicious, fits.honest);
+  return fits;
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+void expect_same_fit(const EffortFit& got, const EffortFit& want,
+                     const char* cls) {
+  SCOPED_TRACE(cls);
+  EXPECT_EQ(bits(got.model.r2()), bits(want.model.r2()));
+  EXPECT_EQ(bits(got.model.r1()), bits(want.model.r1()));
+  EXPECT_EQ(bits(got.model.r0()), bits(want.model.r0()));
+  EXPECT_EQ(bits(got.norm_of_residuals), bits(want.norm_of_residuals));
+  EXPECT_EQ(got.projected, want.projected);
+  EXPECT_EQ(got.fallback, want.fallback);
+  EXPECT_EQ(got.sample_count, want.sample_count);
+}
+
+/// Returns the reference fits, after checking fit_all_classes against them.
+ClassFits expect_class_fits_match_scalar(const data::ReviewTrace& trace) {
+  const data::WorkerMetrics metrics(trace);
+  const ClassFits want = scalar_class_fits(metrics);
+  const ClassFits got = fit_all_classes(metrics);
+  expect_same_fit(got.honest, want.honest, "honest");
+  expect_same_fit(got.ncm, want.ncm, "ncm");
+  expect_same_fit(got.cm, want.cm, "cm");
+  return want;
+}
+
+TEST(FitAllClassesBitwiseTest, Amazon2015SeedsMatchScalarFit) {
+  for (const std::uint64_t seed : {1ULL, 90417ULL}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    data::GeneratorParams params = data::GeneratorParams::amazon2015();
+    params.seed = seed;
+    const ClassFits fits =
+        expect_class_fits_match_scalar(data::generate_trace(params));
+    EXPECT_GT(fits.honest.sample_count, 100000u);
+    EXPECT_FALSE(fits.cm.fallback);
+  }
+}
+
+TEST(FitAllClassesBitwiseTest, PresetsMatchScalarFit) {
+  expect_class_fits_match_scalar(
+      data::generate_trace(data::GeneratorParams::small()));
+  expect_class_fits_match_scalar(
+      data::generate_trace(data::GeneratorParams::medium()));
+}
+
+TEST(FitAllClassesBitwiseTest, EmptyClassesFallBackAsScalarFitDoes) {
+  data::GeneratorParams params = data::GeneratorParams::small();
+  params.n_ncm = 0;
+  params.community_sizes.clear();
+  const ClassFits fits =
+      expect_class_fits_match_scalar(data::generate_trace(params));
+  EXPECT_TRUE(fits.ncm.fallback);
+  EXPECT_TRUE(fits.cm.fallback);
+}
+
+/// One honest worker whose feedback rises and bends with review length, one
+/// NCM worker with `ncm_lengths` and falling feedback, and no CM worker.
+/// Within a worker, effort is proportional to length.
+data::ReviewTrace two_worker_trace(
+    const std::vector<std::uint32_t>& ncm_lengths) {
+  data::ReviewTrace t;
+  t.add_worker({0, data::WorkerClass::kHonest, data::kNoCommunity, 1.0,
+                false});
+  t.add_worker({1, data::WorkerClass::kNonCollusiveMalicious,
+                data::kNoCommunity, 1.0, false});
+  t.add_product({0, 3.0});
+  data::ReviewId id = 0;
+  for (std::uint32_t j = 0; j < 12; ++j) {
+    const auto upvotes = static_cast<std::uint32_t>(2 + 3 * j - j * j / 6);
+    t.add_review({id++, 0, 0, j, 4.0, 100 * (j + 1), upvotes, true});
+  }
+  for (std::uint32_t j = 0; j < ncm_lengths.size(); ++j) {
+    t.add_review({id++, 1, 0, j, 4.0, ncm_lengths[j], 40 - 3 * j, true});
+  }
+  t.build_indexes();
+  return t;
+}
+
+TEST(FitAllClassesBitwiseTest, ProjectedClassMatchesScalarFit) {
+  std::vector<std::uint32_t> lengths;
+  for (std::uint32_t j = 0; j < 12; ++j) lengths.push_back(100 * (j + 1));
+  const ClassFits fits =
+      expect_class_fits_match_scalar(two_worker_trace(lengths));
+  EXPECT_FALSE(fits.honest.projected);
+  EXPECT_TRUE(fits.ncm.projected);
+  EXPECT_TRUE(fits.cm.fallback);
+}
+
+// A class the kernel flags (its efforts take one or two values, so the
+// quadratic design is rank-deficient) throws what the scalar fit throws.
+TEST(FitAllClassesBitwiseTest, FlaggedClassThrowsWhatScalarFitThrows) {
+  for (const std::vector<std::uint32_t>& lengths :
+       {std::vector<std::uint32_t>(6, 500),
+        std::vector<std::uint32_t>{300, 900, 300, 900, 300, 900}}) {
+    const data::ReviewTrace trace = two_worker_trace(lengths);
+    const data::WorkerMetrics metrics(trace);
+    std::string want;
+    try {
+      scalar_class_fits(metrics);
+    } catch (const MathError& e) {
+      want = e.what();
+    }
+    ASSERT_FALSE(want.empty());
+    try {
+      fit_all_classes(metrics);
+      ADD_FAILURE() << "fit_all_classes did not throw";
+    } catch (const MathError& e) {
+      EXPECT_EQ(std::string(e.what()), want);
+    }
+  }
+}
+
+/// What one fault-armed run did: its fits' bits or its error, and the
+/// injections fired at each site.
+struct ArmedRun {
+  std::vector<std::uint64_t> fits;
+  std::string error;
+  std::size_t effort_fit = 0;
+  std::size_t polyfit = 0;
+
+  bool operator==(const ArmedRun&) const = default;
+};
+
+template <typename Fit>
+ArmedRun armed_run(const util::FaultInjectorConfig& chaos, Fit&& fit) {
+  util::FaultInjector& injector = util::FaultInjector::instance();
+  injector.configure(chaos);
+  ArmedRun run;
+  try {
+    const ClassFits fits = fit();
+    for (const EffortFit* f : {&fits.honest, &fits.ncm, &fits.cm}) {
+      run.fits.push_back(bits(f->model.r2()));
+      run.fits.push_back(bits(f->model.r1()));
+      run.fits.push_back(bits(f->model.r0()));
+      run.fits.push_back(bits(f->norm_of_residuals));
+    }
+  } catch (const MathError& e) {
+    run.error = e.what();
+  }
+  run.effort_fit = injector.injected("effort.fit");
+  run.polyfit = injector.injected("math.polyfit");
+  injector.disable();
+  return run;
+}
+
+// With the fit sites armed, fit_all_classes fails (or not) where the
+// scalar fits do, with the same error, after the same injections per site.
+TEST(FitAllClassesBitwiseTest, ArmedFaultSitesFireAsUnderScalarFit) {
+  const data::ReviewTrace trace =
+      data::generate_trace(data::GeneratorParams::small());
+  const data::WorkerMetrics metrics(trace);
+  std::size_t failed = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    util::FaultInjectorConfig chaos;
+    chaos.enabled = true;
+    chaos.seed = seed;
+    chaos.site_rates["effort.fit"] = 0.2;
+    chaos.site_rates["math.polyfit"] = 0.2;
+    const ArmedRun want =
+        armed_run(chaos, [&] { return scalar_class_fits(metrics); });
+    const ArmedRun got =
+        armed_run(chaos, [&] { return fit_all_classes(metrics); });
+    EXPECT_TRUE(got == want) << "seed " << seed << ": error '" << got.error
+                             << "' vs '" << want.error << "'";
+    failed += want.error.empty() ? 0 : 1;
+  }
+  EXPECT_GT(failed, 5u);
+  EXPECT_LT(failed, 35u);
 }
 
 }  // namespace

@@ -1,8 +1,10 @@
 // Least squares: the column-major Householder kernel, through both of its
-// callers (solve_least_squares and polyfit), against the textbook row-major
-// loop it replaced. That loop is kept below, verbatim, as the bitwise
-// reference: every fit must match it in every coefficient and in the
-// residual norm, bit for bit, or throw the same MathError message. This
+// callers (solve_least_squares and polyfit), and the one-window quadratic
+// kernel (polyfit(xs, ys, 2) and polyfit_quadratic_in_place), against the
+// textbook row-major loop they replaced. That loop is kept below,
+// verbatim, as the bitwise reference: every fit must match it in every
+// coefficient and in the residual norm, bit for bit, or throw the same
+// MathError message; the in-place kernel may instead flag a window. This
 // file is compiled with -ffp-contract=off (tests/CMakeLists.txt), as
 // ccd_math is, so the reference rounds the same way on FMA targets.
 #include "math/linalg.hpp"
@@ -13,14 +15,17 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "data/generator.hpp"
 #include "data/metrics.hpp"
 #include "effort/fitting.hpp"
 #include "math/polyfit.hpp"
 #include "util/error.hpp"
+#include "util/fault_injection.hpp"
 #include "util/rng.hpp"
 
 namespace ccd::math {
@@ -588,6 +593,215 @@ TEST(LeastSquaresBitwiseTest, Amazon2015ClassFitsMatchRowMajorReference) {
                       fit.norm_of_residuals),
               reference);
   }
+}
+
+// ---------------------------------------------------------------------------
+// The one-window kernel.
+
+/// polyfit_quadratic_in_place on copies of xs and ys: its fit, or the error
+/// "flagged" where it flags the window.
+Outcome in_place_outcome(const std::vector<double>& xs,
+                         const std::vector<double>& ys) {
+  std::vector<double> x = xs;
+  std::vector<double> y = ys;
+  std::vector<double> work(xs.size());
+  const std::optional<PolyFitResult> fit =
+      polyfit_quadratic_in_place(x, y, work);
+  if (!fit) {
+    Outcome out;
+    out.error = "flagged";
+    return out;
+  }
+  return outcome(fit->polynomial.coefficients(), fit->norm_of_residuals);
+}
+
+/// Tallies the kernel against the reference over many windows: a fit must
+/// match the reference bit for bit, and a flag is allowed only where the
+/// reference throws or skips a reflection (polyfit then takes the generic
+/// loop, which must match too).
+struct WindowCheck {
+  Mismatches mismatches;
+  std::size_t fitted = 0;
+  std::size_t flagged = 0;
+  std::size_t reference_threw = 0;
+
+  void run(const std::vector<double>& xs, const std::vector<double>& ys,
+           const std::string& what) {
+    const Outcome reference =
+        fit_outcome([&] { return reference_polyfit(xs, ys, 2); });
+    const Outcome kernel = in_place_outcome(xs, ys);
+    if (!reference.error.empty()) {
+      ++reference_threw;
+      mismatches.compare(kernel, Outcome{{}, 0, "flagged"},
+                         "in place (reference threw) " + what);
+    } else if (kernel.error == "flagged") {
+      ++flagged;
+    } else {
+      ++fitted;
+      mismatches.compare(kernel, reference, "in place " + what);
+    }
+    mismatches.compare(fit_outcome([&] { return polyfit(xs, ys, 2); }),
+                       reference, "polyfit " + what);
+  }
+};
+
+enum class Window {
+  kConcave,       // rising and concave: the fit the classes make
+  kConvex,        // r2 > 0
+  kDecreasing,    // r1 < 0
+  kConstant,      // every x equal: rank-deficient, flagged
+  kTwoValued,     // two distinct x: rank-deficient for a quadratic
+  kSignedZero,    // x mixes -0.0 and 0.0 into a concave law
+  kZeroFeedback,  // every y -0.0 or 0.0
+};
+
+constexpr Window kWindows[] = {Window::kConcave,    Window::kConvex,
+                               Window::kDecreasing, Window::kConstant,
+                               Window::kTwoValued,  Window::kSignedZero,
+                               Window::kZeroFeedback};
+
+/// m samples of a window shape with x and y in units of `scale`.
+void draw_window(util::Rng& rng, std::size_t m, Window shape, double scale,
+                 std::vector<double>& xs, std::vector<double>& ys) {
+  xs.clear();
+  ys.clear();
+  for (std::size_t r = 0; r < m; ++r) {
+    double t = rng.uniform(0.3, 3.5);
+    if (shape == Window::kConstant) t = 1.75;
+    if (shape == Window::kTwoValued) t = r % 2 == 0 ? 0.5 : 2.5;
+    if (shape == Window::kSignedZero && r % 3 == 0) {
+      t = r % 2 == 0 ? -0.0 : 0.0;
+    }
+    const double noise = 0.4 * rng.normal();
+    double y = 0.0;
+    switch (shape) {
+      case Window::kConvex:
+        y = 0.8 * t * t + 0.5 + noise;
+        break;
+      case Window::kDecreasing:
+        y = 12.0 - 2.5 * t + noise;
+        break;
+      case Window::kZeroFeedback:
+        y = r % 2 == 0 ? -0.0 : 0.0;
+        break;
+      default:
+        y = -0.9 * t * t + 7.0 * t + 1.5 + noise;
+        break;
+    }
+    xs.push_back(t * scale);
+    ys.push_back(y * scale);
+  }
+}
+
+// Every window shape at every length 3..12 and at 33..1,000, at scales
+// 1e-6..1e6: the in-place kernel and polyfit(xs, ys, 2) against the
+// reference. Constant windows must be flagged.
+TEST(QuadraticWindowTest, InPlaceKernelMatchesRowMajorReference) {
+  util::Rng rng(0x9a1d'0001ULL);
+  WindowCheck check;
+  std::vector<std::size_t> lengths;
+  for (std::size_t m = 3; m <= 12; ++m) lengths.push_back(m);
+  for (const std::size_t m : {33, 100, 255, 256, 257, 1000}) {
+    lengths.push_back(m);
+  }
+  std::vector<double> xs, ys;
+  for (const std::size_t m : lengths) {
+    for (const double scale : {1e-6, 1e-3, 1.0, 1e3, 1e6}) {
+      for (const Window shape : kWindows) {
+        draw_window(rng, m, shape, scale, xs, ys);
+        const std::string what = "window shape " +
+                                 std::to_string(static_cast<int>(shape)) +
+                                 ", " + std::to_string(m) + " samples, scale " +
+                                 std::to_string(scale);
+        check.run(xs, ys, what);
+        if (shape == Window::kConstant) {
+          EXPECT_EQ(in_place_outcome(xs, ys).error, "flagged") << what;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(check.mismatches.count, 0u) << check.mismatches.first;
+  EXPECT_GT(check.fitted, 300u);
+  EXPECT_GE(check.reference_threw, lengths.size() * 5);  // the constants
+}
+
+// One window the size of the amazon2015 honest class (101,835 samples).
+TEST(QuadraticWindowTest, LargeWindowMatchesRowMajorReference) {
+  util::Rng rng(0x9a1d'0002ULL);
+  std::vector<double> xs, ys;
+  draw_window(rng, 101835, Window::kConcave, 1.0, xs, ys);
+  WindowCheck check;
+  check.run(xs, ys, "101,835 samples");
+  EXPECT_EQ(check.mismatches.count, 0u) << check.mismatches.first;
+  EXPECT_EQ(check.fitted, 1u);
+}
+
+// The seeded systems of the shard test above, each fitted at degree 2:
+// random, repeated-x, -0.0-laden, all-equal-x, all-zero-y and noisy-curve
+// windows of 3..5000 samples.
+TEST(QuadraticWindowTest, SeededWindowsMatchRowMajorReference) {
+  util::Rng rng(0x9a1d'0003ULL);
+  WindowCheck check;
+  for (int i = 0; i < 2000; ++i) {
+    const FitCase c = draw_fit_case(rng);
+    check.run(c.xs, c.ys,
+              "case " + std::to_string(i) + " (" + c.shape + ", " +
+                  std::to_string(c.xs.size()) + " rows)");
+  }
+  EXPECT_EQ(check.mismatches.count, 0u) << check.mismatches.first;
+  EXPECT_GT(check.fitted, 1000u);
+  EXPECT_GT(check.reference_threw, 100u);
+}
+
+// The in-place entry runs polyfit's fault point with polyfit's key, before
+// it touches the columns.
+TEST(QuadraticWindowTest, InPlaceFaultPointElectsPolyfitsWindows) {
+  util::FaultInjectorConfig chaos;
+  chaos.enabled = true;
+  chaos.seed = 11;
+  chaos.site_rates["math.polyfit"] = 0.5;
+  util::FaultInjector::instance().configure(chaos);
+  util::Rng rng(0x9a1d'0004ULL);
+  std::size_t injected = 0;
+  std::vector<double> xs, ys;
+  for (int i = 0; i < 64; ++i) {
+    draw_window(rng, 3 + static_cast<std::size_t>(i), Window::kConcave, 1.0,
+                xs, ys);
+    bool polyfit_threw = false;
+    try {
+      polyfit(xs, ys, 2);
+    } catch (const MathError&) {
+      polyfit_threw = true;
+    }
+    std::vector<double> x = xs;
+    std::vector<double> y = ys;
+    std::vector<double> work(xs.size());
+    bool in_place_threw = false;
+    try {
+      polyfit_quadratic_in_place(x, y, work);
+    } catch (const MathError& e) {
+      in_place_threw = true;
+      EXPECT_EQ(std::string(e.what()), "injected fault at math.polyfit");
+      EXPECT_EQ(x, xs);
+      EXPECT_EQ(y, ys);
+    }
+    EXPECT_EQ(in_place_threw, polyfit_threw) << "window " << i;
+    injected += in_place_threw ? 1 : 0;
+  }
+  util::FaultInjector::instance().disable();
+  EXPECT_GT(injected, 10u);
+  EXPECT_LT(injected, 54u);
+}
+
+TEST(QuadraticWindowTest, InPlaceChecksItsColumns) {
+  std::vector<double> x = {1.0, 2.0, 3.0};
+  std::vector<double> y = {1.0, 4.0, 9.0};
+  std::vector<double> work(2);
+  EXPECT_THROW(polyfit_quadratic_in_place(x, y, work), Error);
+  std::vector<double> two = {1.0, 2.0};
+  std::vector<double> two_y = {1.0, 4.0};
+  std::vector<double> two_work(2);
+  EXPECT_THROW(polyfit_quadratic_in_place(two, two_y, two_work), Error);
 }
 
 }  // namespace
