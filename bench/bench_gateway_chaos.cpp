@@ -473,7 +473,6 @@ int run(int argc, char** argv) {
                     static_cast<unsigned long long>(joined.ring_version),
                     joined.sessions_moved);
         std::fflush(stdout);
-#ifndef CCD_NO_METRICS
         // The handoff ledger must reconcile after every death + rejoin
         // pair, not just at the end.
         const std::uint64_t stage_handed_off =
@@ -488,7 +487,6 @@ int run(int argc, char** argv) {
                        static_cast<unsigned long long>(stage_restored));
           drill_stage_ok = false;
         }
-#endif
         next_kill_floor =
             rounds_done.load(std::memory_order_relaxed) + live_gap;
       }
@@ -612,8 +610,7 @@ int run(int argc, char** argv) {
                    static_cast<unsigned long long>(total.responses));
       ok = false;
     }
-#ifndef CCD_NO_METRICS
-    // The ledger checks: counters only the metrics build keeps.
+    // The ledger checks.
     const std::uint64_t gw_requests = gateway_counter("ccd.gateway.requests");
     const std::uint64_t gw_responses =
         gateway_counter("ccd.gateway.responses");
@@ -688,7 +685,6 @@ int run(int argc, char** argv) {
                    static_cast<unsigned long long>(survivors_restored));
       ok = false;
     }
-#endif
     if (drill && !drill_stage_ok) ok = false;
     if (drill && drill_rejoins != shards) ok = false;
 

@@ -385,8 +385,6 @@ BENCHMARK(BM_TraceGeneration)->Unit(benchmark::kMillisecond);
 // ---------------------------------------------------------------------------
 // util::metrics overhead. Arg 0 = disarmed (set_enabled(false): every
 // mutation should reduce to one relaxed load + branch), arg 1 = armed.
-// Under -DCCD_NO_METRICS the loop bodies are inline no-ops, so the same
-// scenarios double as proof the stubs vanish.
 
 void BM_MetricsCounterAdd(benchmark::State& state) {
   namespace metrics = ccd::util::metrics;

@@ -50,7 +50,6 @@ struct ClientTally {
   double final_utility = 0.0;
 };
 
-#ifndef CCD_NO_METRICS
 double counter_value(const char* name) {
   namespace metrics = ccd::util::metrics;
   for (const metrics::MetricSnapshot& m : metrics::registry().snapshot()) {
@@ -58,7 +57,6 @@ double counter_value(const char* name) {
   }
   return 0.0;
 }
-#endif
 
 int run(int argc, char** argv) {
   using namespace ccd;
@@ -239,7 +237,6 @@ int run(int argc, char** argv) {
                  static_cast<unsigned long long>(expected_rounds));
     ok = false;
   }
-#ifndef CCD_NO_METRICS
   const double submitted = counter_value("ccd.serve.submitted");
   const double answered = counter_value("ccd.serve.responses");
   if (submitted != static_cast<double>(total.requests) ||
@@ -260,7 +257,6 @@ int run(int argc, char** argv) {
                  static_cast<unsigned long long>(total.backpressure));
     ok = false;
   }
-#endif
 
   std::FILE* f = std::fopen(out.c_str(), "w");
   if (f != nullptr) {

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "effort/effort_model.hpp"
-#include "math/piecewise.hpp"
 
 namespace ccd::contract {
 

@@ -12,7 +12,7 @@ const DesignTable kEmptyTable{};
 
 // Process-wide atomic mirrors of every cache's counters (`ccd.cache.*`).
 // Handles are resolved once; increments are lock-free and disarm to a
-// branch (or compile out entirely under -DCCD_NO_METRICS).
+// branch.
 struct CacheMetrics {
   util::metrics::Counter& lookups;
   util::metrics::Counter& hits;

@@ -125,7 +125,8 @@ std::string StageTimings::to_string() const {
   std::ostringstream os;
   os << "timings (ms): sanitize=" << ms(sanitize_s)
      << " detect=" << ms(detect_s) << " cluster=" << ms(cluster_s)
-     << " fit=" << ms(fit_s) << " solve=" << ms(solve_s)
+     << " fit=" << ms(fit_s) << " decompose=" << ms(decompose_s)
+     << " solve=" << ms(solve_s)
      << " total=" << ms(total_s);
   if (solve_spans.count > 0) {
     os << "; solve spans (us): n=" << solve_spans.count
@@ -314,8 +315,7 @@ PipelineResult run_pipeline(const data::ReviewTrace& trace,
   cluster_timer.stop();
 
   // ---- Fitting stage -----------------------------------------------------
-  // The fit span covers the class fits here plus the per-community fits
-  // below (they run inside subproblem construction).
+  // The class fits, then one fit per detected community.
   util::metrics::ScopedTimer fit_timer(stage_histogram("fit"),
                                        &result.timings.fit_s);
   if (poll_cancel(PipelineStage::kFit)) {
@@ -356,7 +356,54 @@ PipelineResult run_pipeline(const data::ReviewTrace& trace,
     }
   }
 
+  // Per-community fits, in community order; without worker metrics, or
+  // once cancelled, every community keeps the CM class fit. A community's
+  // subproblem follows every individual's, so its events carry that index.
+  struct CommunityFit {
+    effort::EffortFit fit;
+    bool quarantined = false;
+  };
+  const std::size_t individuals = static_cast<std::size_t>(std::count_if(
+      result.collusion.community_of.begin(),
+      result.collusion.community_of.end(),
+      [](std::int32_t community) { return community < 0; }));
+  std::vector<CommunityFit> community_fits(
+      result.collusion.communities.size(), {result.class_fits.cm});
+  const bool fit_communities = metrics && !health.cancelled;
+  for (std::size_t c = 0; fit_communities && c < community_fits.size(); ++c) {
+    const detect::Community& community = result.collusion.communities[c];
+    const std::vector<data::EffortSample> samples =
+        effort::community_sum_samples(t, *metrics, community.members);
+    if (samples.size() < config.min_community_fit_samples) continue;
+    try {
+      community_fits[c].fit = effort::fit_effort_function(samples, config.fit);
+    } catch (Error& e) {
+      if (policy.fit == StageMode::kFailFast) {
+        e.with_stage("fit").with_worker(community.members.front());
+        throw;
+      }
+      DegradationEvent ev;
+      ev.stage = PipelineStage::kFit;
+      ev.action = policy.fit;
+      ev.code = e.code();
+      ev.detail = e.message();
+      ev.worker = community.members.front();
+      ev.subproblem = static_cast<std::int64_t>(individuals + c);
+      health.events.push_back(std::move(ev));
+      if (policy.fit == StageMode::kQuarantine) {
+        community_fits[c].quarantined = true;
+      } else {
+        ++health.fit_fallbacks;  // keep the CM class fit
+      }
+    }
+  }
+  fit_timer.stop();
+
   // ---- Per-worker attributes ---------------------------------------------
+  // The decompose span covers these and the subproblem construction.
+  util::metrics::ScopedTimer decompose_timer(stage_histogram("decompose"),
+                                             &result.timings.decompose_s);
+
   // NCM = flagged malicious that clustering did not absorb into a
   // community; derive it from the flagged set itself so the detector and
   // the clustering stay one source of truth.
@@ -400,8 +447,7 @@ PipelineResult run_pipeline(const data::ReviewTrace& trace,
   };
 
   // Individuals: everyone not in a detected community.
-  result.subproblems.reserve(n - result.collusion.collusive_worker_count() +
-                             result.collusion.communities.size());
+  result.subproblems.reserve(individuals + community_fits.size());
   for (data::WorkerId id = 0; id < n; ++id) {
     if (result.collusion.community_of[id] >= 0) continue;
     WorkerOutcome& out = result.workers[id];
@@ -426,39 +472,12 @@ PipelineResult run_pipeline(const data::ReviewTrace& trace,
 
     SubproblemOutcome sub;
     sub.workers = community.members;
-    effort::EffortFit fit = result.class_fits.cm;
-    if (metrics && !health.cancelled) {
-      const std::vector<data::EffortSample> samples =
-          effort::community_sum_samples(t, *metrics, community.members);
-      if (samples.size() >= config.min_community_fit_samples) {
-        try {
-          fit = effort::fit_effort_function(samples, config.fit);
-        } catch (Error& e) {
-          if (policy.fit == StageMode::kFailFast) {
-            e.with_stage("fit").with_worker(community.members.front());
-            throw;
-          }
-          DegradationEvent ev;
-          ev.stage = PipelineStage::kFit;
-          ev.action = policy.fit;
-          ev.code = e.code();
-          ev.detail = e.message();
-          ev.worker = community.members.front();
-          ev.subproblem =
-              static_cast<std::int64_t>(result.subproblems.size());
-          health.events.push_back(std::move(ev));
-          if (policy.fit == StageMode::kQuarantine) {
-            sub.quarantined = true;
-          } else {
-            ++health.fit_fallbacks;  // keep the CM class fit
-          }
-        }
-      }
-    }
-    sub.spec = make_spec(fit, config.requester.omega_malicious, weight);
+    sub.spec = make_spec(community_fits[c].fit,
+                         config.requester.omega_malicious, weight);
+    sub.quarantined = community_fits[c].quarantined;
     result.subproblems.push_back(std::move(sub));
   }
-  fit_timer.stop();
+  decompose_timer.stop();
 
   // ---- Strategy-specific solve (batched, cache-aware) --------------------
   // All workers of one detected class share the same weight-independent

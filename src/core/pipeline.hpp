@@ -214,10 +214,9 @@ struct SubproblemOutcome {
   bool fallback = false;     ///< design is the fixed-payment fallback
 };
 
-/// Wall-clock timings of one run. Stage seconds are measured whenever
-/// metrics are compiled in (two clock reads per stage, independent of the
-/// runtime enable flag); the solve-span histogram obeys the enable flag.
-/// Everything is zero/empty under -DCCD_NO_METRICS. Every figure is also
+/// Wall-clock timings of one run. Stage seconds are always measured (two
+/// clock reads per stage, independent of the runtime enable flag); the
+/// solve-span histogram obeys the enable flag. Every figure is also
 /// rolled up into the process-wide `ccd.pipeline.*` registry metrics, so
 /// p50/p95 across runs are exportable (util/metrics.hpp). Timing fields
 /// never feed back into results: two runs on the same trace and config
@@ -227,9 +226,10 @@ struct StageTimings {
   double sanitize_s = 0.0;
   double detect_s = 0.0;
   double cluster_s = 0.0;
-  double fit_s = 0.0;     ///< class fits + per-community fits
-  double solve_s = 0.0;   ///< strategy solve over all subproblems
-  double total_s = 0.0;   ///< whole run_pipeline call
+  double fit_s = 0.0;        ///< class fits + per-community fits
+  double decompose_s = 0.0;  ///< per-worker attributes + subproblem specs
+  double solve_s = 0.0;      ///< strategy solve over all subproblems
+  double total_s = 0.0;      ///< whole run_pipeline call
   /// Per-community / per-distinct-spec solve spans in microseconds: one
   /// entry per k-sweep in the batched path, one per subproblem task in
   /// the lenient (quarantine/fallback) path.

@@ -9,6 +9,7 @@
 #include <set>
 #include <utility>
 
+#include "serve/server.hpp"
 #include "serve/session.hpp"
 #include "util/atomic_file.hpp"
 #include "util/error.hpp"
@@ -21,8 +22,6 @@ namespace metrics = util::metrics;
 
 namespace {
 
-/// Accept poll granularity: how quickly stop() is observed.
-constexpr int kAcceptPollMs = 200;
 /// Route-and-forward attempts per request. Each retry re-routes, so an
 /// attempt after a failover lands on the session's new owner.
 constexpr std::size_t kMaxForwardAttempts = 4;
@@ -206,14 +205,6 @@ struct Gateway::Shard {
   bool health_valid = false;
 };
 
-struct Gateway::Connection {
-  util::Socket socket;
-  /// Accepted on the Unix listener: the token handshake is never required
-  /// there (filesystem permissions are the access control).
-  bool via_unix = false;
-  std::atomic<bool> finished{false};
-};
-
 Gateway::Gateway(GatewayConfig config) : config_(std::move(config)) {
   config_.validate();
   GatewayMetrics& m = GatewayMetrics::instance();
@@ -230,28 +221,39 @@ Gateway::Gateway(GatewayConfig config) : config_(std::move(config)) {
   }
   m.shards_alive.set(static_cast<double>(shards_.size()));
 
-  if (!config_.unix_socket.empty()) {
-    unix_listener_ = util::Socket::listen_unix(config_.unix_socket);
-  }
-  if (config_.tcp_port >= 0) {
-    tcp_listener_ = util::Socket::listen_tcp(config_.tcp_port);
-    tcp_port_ = tcp_listener_.local_port();
-  }
-  if (unix_listener_.valid()) {
-    accept_threads_.emplace_back([this] { accept_loop(&unix_listener_); });
-  }
-  if (tcp_listener_.valid()) {
-    accept_threads_.emplace_back([this] { accept_loop(&tcp_listener_); });
-  }
   if (config_.health_interval_ms > 0) {
     prober_ = std::thread([this] { prober_loop(); });
+  }
+
+  // Listen last: the server hands requests to handle() as soon as it
+  // accepts. The gateway answers inline (it is I/O-bound; the shards own
+  // the queues). A bind failure stops the prober before it propagates.
+  ServerConfig server_config;
+  server_config.unix_socket = config_.unix_socket;
+  server_config.tcp_port = config_.tcp_port;
+  server_config.auth_token = config_.auth_token;
+  server_config.require_auth = config_.require_auth;
+  server_config.io_timeout_ms = config_.io_timeout_ms;
+  server_config.idle_timeout_ms = config_.idle_timeout_ms;
+  try {
+    server_ = std::make_unique<Server>(
+        std::move(server_config),
+        [this](Request request, std::function<void(Response)> respond) {
+          respond(handle(request));
+        });
+  } catch (...) {
+    stop();
+    throw;
   }
 }
 
 Gateway::~Gateway() { stop(); }
 
+int Gateway::tcp_port() const { return server_->tcp_port(); }
+
 void Gateway::stop() {
   if (stopping_.exchange(true)) return;
+  if (server_) server_->stop();
   {
     std::lock_guard<std::mutex> lock(prober_mutex_);
     prober_stop_ = true;
@@ -259,26 +261,9 @@ void Gateway::stop() {
   prober_cv_.notify_all();
   if (prober_.joinable()) prober_.join();
 
-  unix_listener_.shutdown_both();
-  tcp_listener_.shutdown_both();
-  for (std::thread& t : accept_threads_) t.join();
-  accept_threads_.clear();
-
-  std::vector<Handler> handlers;
-  {
-    std::lock_guard<std::mutex> lock(handlers_mutex_);
-    handlers.swap(handlers_);
-  }
-  for (Handler& handler : handlers) {
-    handler.connection->socket.shutdown_both();
-    handler.thread.join();
-  }
   for (Shard* shard : shard_snapshot()) {
     std::lock_guard<std::mutex> lock(shard->pool_mutex);
     shard->pool.clear();
-  }
-  if (!config_.unix_socket.empty()) {
-    ::unlink(config_.unix_socket.c_str());
   }
 }
 
@@ -923,80 +908,6 @@ void Gateway::handoff_locked(Shard& dead) {
       // Do not cascade failovers from inside one — a survivor failing
       // here is caught by the prober or by live traffic.
       m.handoff_failures.add(1);
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Socket front end (mirrors serve::Server, but handling is synchronous:
-// the gateway is I/O-bound and the shards own the queues).
-
-void Gateway::accept_loop(util::Socket* listener) {
-  while (!stopping_.load(std::memory_order_relaxed)) {
-    std::optional<util::Socket> accepted;
-    try {
-      accepted = listener->accept(kAcceptPollMs);
-    } catch (const ccd::Error&) {
-      if (stopping_.load(std::memory_order_relaxed)) return;
-      continue;
-    }
-    if (!accepted) continue;  // poll timeout
-
-    auto connection = std::make_shared<Connection>();
-    connection->socket = std::move(*accepted);
-    connection->via_unix = (listener == &unix_listener_);
-    std::lock_guard<std::mutex> lock(handlers_mutex_);
-    reap_finished_handlers_locked();
-    Handler handler;
-    handler.connection = connection;
-    handler.thread =
-        std::thread([this, connection] { handle_connection(connection); });
-    handlers_.push_back(std::move(handler));
-  }
-}
-
-void Gateway::handle_connection(std::shared_ptr<Connection> connection) {
-  AuthGate gate;
-  gate.token = config_.auth_token;
-  // Unix sockets are guarded by filesystem permissions and loopback TCP
-  // is trusted by default; everything else must prove the token (when one
-  // is configured). require_auth extends the gate to loopback TCP.
-  gate.require = !gate.token.empty() && !connection->via_unix &&
-                 (config_.require_auth ||
-                  !connection->socket.peer_is_loopback());
-  try {
-    for (;;) {
-      const std::optional<std::string> payload = recv_message(
-          connection->socket, config_.idle_timeout_ms, config_.io_timeout_ms);
-      if (!payload) break;  // clean peer close
-      const Request request = decode_request(*payload);
-      bool close_connection = false;
-      if (const std::optional<Response> intercepted =
-              auth_intercept(gate, request, close_connection)) {
-        send_message(connection->socket, encode_response(*intercepted),
-                     config_.io_timeout_ms);
-        if (close_connection) break;
-        continue;
-      }
-      const Response response = handle(request);
-      send_message(connection->socket, encode_response(response),
-                   config_.io_timeout_ms);
-    }
-  } catch (const ccd::Error&) {
-    // Corrupt frame or transport failure: framing is unrecoverable on a
-    // byte stream, drop the connection.
-  }
-  connection->socket.shutdown_both();
-  connection->finished.store(true, std::memory_order_release);
-}
-
-void Gateway::reap_finished_handlers_locked() {
-  for (auto it = handlers_.begin(); it != handlers_.end();) {
-    if (it->connection->finished.load(std::memory_order_acquire)) {
-      it->thread.join();
-      it = handlers_.erase(it);
-    } else {
-      ++it;
     }
   }
 }

@@ -50,6 +50,8 @@
 
 namespace ccd::serve {
 
+class Server;
+
 /// One backend ccdd shard: where to dial it and where it keeps its
 /// session checkpoints (scavenged on failover).
 struct ShardSpec {
@@ -83,7 +85,8 @@ struct ShardSpec {
 struct GatewayConfig {
   std::vector<ShardSpec> shards;
 
-  /// Gateway's own listeners (same semantics as ServerConfig).
+  /// Gateway's own listeners (same semantics as ServerConfig; the TCP
+  /// listener binds loopback).
   std::string unix_socket;
   int tcp_port = -1;
 
@@ -118,17 +121,17 @@ struct GatewayConfig {
 
 class Gateway {
  public:
-  /// Binds listeners, connects nothing eagerly, starts accepting and
-  /// (when configured) probing. Throws ccd::ConfigError / ccd::DataError
-  /// on bad config or bind failure.
+  /// Connects nothing eagerly, starts probing (when configured), then
+  /// listens through a serve::Server whose handler is handle(). Throws
+  /// ccd::ConfigError / ccd::DataError on bad config or bind failure.
   explicit Gateway(GatewayConfig config);
   ~Gateway();  ///< stop()s.
 
   Gateway(const Gateway&) = delete;
   Gateway& operator=(const Gateway&) = delete;
 
-  /// Stop accepting, close client connections and shard pools, join all
-  /// threads. Does not touch the shards themselves. Idempotent.
+  /// Stop the listener (closing client connections), then the prober and
+  /// the shard pools. Does not touch the shards themselves. Idempotent.
   void stop();
 
   /// Handle one decoded request exactly as a connection would (in-process
@@ -180,19 +183,11 @@ class Gateway {
 
   /// Bound TCP port (resolved when config asked for port 0); -1 when the
   /// TCP listener is disabled.
-  int tcp_port() const { return tcp_port_; }
+  int tcp_port() const;
 
  private:
   struct Shard;
-  struct Connection;
-  struct Handler {
-    std::thread thread;
-    std::shared_ptr<Connection> connection;
-  };
 
-  void accept_loop(util::Socket* listener);
-  void handle_connection(std::shared_ptr<Connection> connection);
-  void reap_finished_handlers_locked();
   void prober_loop();
 
   void rebuild_ring_locked();
@@ -245,23 +240,18 @@ class Gateway {
   std::atomic<bool> rebalance_active_{false};
   std::mutex failover_mutex_;
 
-  util::Socket unix_listener_;
-  util::Socket tcp_listener_;
-  int tcp_port_ = -1;
-
   std::atomic<bool> stopping_{false};
   std::atomic<bool> shutdown_requested_{false};
   std::atomic<std::uint64_t> internal_request_id_{1};
   std::atomic<std::size_t> inflight_{0};
-  std::vector<std::thread> accept_threads_;
 
   std::mutex prober_mutex_;
   std::condition_variable prober_cv_;
   bool prober_stop_ = false;
   std::thread prober_;
 
-  std::mutex handlers_mutex_;
-  std::vector<Handler> handlers_;
+  /// The socket front end; built last, stopped first.
+  std::unique_ptr<Server> server_;
 };
 
 }  // namespace ccd::serve

@@ -31,8 +31,8 @@ struct Server::Connection {
   std::atomic<bool> finished{false};
 };
 
-Server::Server(ServerConfig config, Engine& engine)
-    : config_(std::move(config)), engine_(engine) {
+Server::Server(ServerConfig config, RequestHandler handler)
+    : config_(std::move(config)), handler_(std::move(handler)) {
   config_.validate();
   if (!config_.unix_socket.empty()) {
     unix_listener_ = util::Socket::listen_unix(config_.unix_socket);
@@ -49,6 +49,12 @@ Server::Server(ServerConfig config, Engine& engine)
     accept_threads_.emplace_back([this] { accept_loop(&tcp_listener_); });
   }
 }
+
+Server::Server(ServerConfig config, Engine& engine)
+    : Server(std::move(config),
+             [&engine](Request request, std::function<void(Response)> respond) {
+               engine.submit(std::move(request), std::move(respond));
+             }) {}
 
 Server::~Server() { stop(); }
 
@@ -106,8 +112,8 @@ void Server::handle_connection(std::shared_ptr<Connection> connection) {
       // this loop moved on (pipelining) — the shared_ptr keeps the
       // connection alive until the last pending response is written.
       const int io_timeout_ms = config_.io_timeout_ms;
-      engine_.submit(std::move(request),
-                     [connection, io_timeout_ms](Response response) {
+      handler_(std::move(request),
+               [connection, io_timeout_ms](Response response) {
         try {
           const std::string encoded = encode_response(response);
           std::lock_guard<std::mutex> lock(connection->write_mutex);

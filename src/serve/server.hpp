@@ -1,16 +1,18 @@
-// Socket front end of the serve engine: the accept loop and connection
-// handlers that `ccdd` (and in-process tests/benches) run.
+// Socket front end of the serve layer: the listeners, accept loop,
+// connection threads and token gate that `ccdd` (over its engine),
+// `ccd-gateway` (over its router) and in-process tests/benches run.
 //
-// One thread accepts (poll-based, so stop() is observed within
-// kAcceptPollMs without signals); each connection gets a handler thread
-// that reads framed requests and submits them to the engine. Responses
-// are written under a per-connection mutex — the engine may answer out of
-// executor threads concurrently, and frames must never interleave.
-// Request pipelining falls out naturally: a client may send several
-// requests before reading responses; each response carries the echoed
-// request_id for correlation.
+// One thread accepts per listener (poll-based, so stop() is observed
+// within kAcceptPollMs without signals); each connection gets a handler
+// thread that reads framed requests, runs them through the auth gate and
+// passes them to the request handler. Responses are written under a
+// per-connection mutex — the engine may answer out of executor threads
+// concurrently, and frames must never interleave. Request pipelining
+// falls out naturally: a client may send several requests before reading
+// responses; each response carries the echoed request_id for correlation.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -48,11 +50,19 @@ struct ServerConfig {
   void validate() const;
 };
 
+/// Answers one request by calling `respond` exactly once, before returning
+/// or later from another thread (the connection keeps reading meanwhile).
+using RequestHandler =
+    std::function<void(Request request, std::function<void(Response)> respond)>;
+
 class Server {
  public:
-  /// Binds listeners immediately (so callers can read tcp_port() before
-  /// start()) and starts accepting. Throws ccd::ConfigError /
-  /// ccd::DataError on bad config or bind failure.
+  /// Binds listeners immediately (so callers can read tcp_port() at once)
+  /// and starts accepting; every request that passes the token gate goes
+  /// to `handler`. Throws ccd::ConfigError / ccd::DataError on bad config
+  /// or bind failure.
+  Server(ServerConfig config, RequestHandler handler);
+  /// Serves `engine`: each request goes to Engine::submit.
   Server(ServerConfig config, Engine& engine);
   ~Server();  ///< stop()s.
 
@@ -60,7 +70,8 @@ class Server {
   Server& operator=(const Server&) = delete;
 
   /// Stop accepting, close all connections, join handler threads. Does
-  /// NOT stop the engine (the owner decides when to drain it). Idempotent.
+  /// NOT stop the engine behind the handler (the owner decides when to
+  /// drain it). Idempotent.
   void stop();
 
   /// Bound TCP port (resolved when config asked for port 0); -1 when the
@@ -79,7 +90,7 @@ class Server {
   void reap_finished_handlers_locked();
 
   ServerConfig config_;
-  Engine& engine_;
+  RequestHandler handler_;
   util::Socket unix_listener_;
   util::Socket tcp_listener_;
   int tcp_port_ = -1;

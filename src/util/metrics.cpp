@@ -61,8 +61,6 @@ void HistogramSnapshot::merge(const HistogramSnapshot& other) {
   sum += other.sum;
 }
 
-#ifndef CCD_NO_METRICS
-
 namespace {
 
 std::atomic<bool> g_enabled{true};
@@ -267,21 +265,6 @@ double ScopedTimer::stop() {
 
 MetricsRegistry& registry() { return MetricsRegistry::instance(); }
 
-bool compiled_in() { return true; }
-
-#else  // CCD_NO_METRICS
-
-MetricsRegistry& MetricsRegistry::instance() {
-  static MetricsRegistry* const reg = new MetricsRegistry();
-  return *reg;
-}
-
-MetricsRegistry& registry() { return MetricsRegistry::instance(); }
-
-bool compiled_in() { return false; }
-
-#endif  // CCD_NO_METRICS
-
 namespace {
 
 std::string json_escape(const std::string& s) {
@@ -427,7 +410,8 @@ std::string render_summary() {
   // Per-stage pipeline latencies.
   bool any_stage = false;
   for (const char* stage :
-       {"sanitize", "detect", "cluster", "fit", "solve", "total"}) {
+       {"sanitize", "detect", "cluster", "fit", "decompose", "solve",
+        "total"}) {
     const MetricSnapshot* m =
         find(std::string("ccd.pipeline.") + stage + "_us");
     if (m == nullptr || m->histogram.count == 0) continue;

@@ -9,10 +9,7 @@
 //    Instrument hot loops through cached handles, never by name.
 //  * Disarmed cost is a branch. Every mutation first checks the global
 //    `enabled()` flag (one relaxed atomic load); `set_enabled(false)`
-//    reduces the entire subsystem to that branch. Compiling with
-//    -DCCD_NO_METRICS replaces every type in this header with an inline
-//    no-op stub, so instrumentation vanishes from the binary while call
-//    sites compile unchanged.
+//    reduces the entire subsystem to that branch (about 1 ns).
 //  * Histograms are fixed-bucket (powers of two, unit-agnostic — the
 //    conventional unit for latency metrics here is microseconds), so
 //    snapshots merge across threads and runs by bucket-wise addition, and
@@ -27,19 +24,15 @@
 #pragma once
 
 #include <array>
-#include <cstddef>
-#include <cstdint>
-#include <string>
-#include <vector>
-
-#include <string_view>
-
-#ifndef CCD_NO_METRICS
 #include <atomic>
 #include <chrono>
+#include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <memory>
-#endif
+#include <string>
+#include <string_view>
+#include <vector>
 
 namespace ccd::util::metrics {
 
@@ -75,8 +68,6 @@ struct HistogramSnapshot {
 
   void merge(const HistogramSnapshot& other);
 };
-
-#ifndef CCD_NO_METRICS
 
 /// True when instrumentation is armed (the default). The flag is global on
 /// purpose: it makes "disarm everything" one store, and every mutation
@@ -202,84 +193,8 @@ class ScopedTimer {
   bool running_;
 };
 
-#else  // CCD_NO_METRICS — same API, all no-ops, nothing in the binary.
-
-inline bool enabled() { return false; }
-inline void set_enabled(bool) {}
-
-class Counter {
- public:
-  void add(std::uint64_t = 1) {}
-  std::uint64_t value() const { return 0; }
-  void reset() {}
-};
-
-class Gauge {
- public:
-  void set(double) {}
-  void add(double) {}
-  double value() const { return 0.0; }
-  void reset() {}
-};
-
-class Histogram {
- public:
-  void record(double) {}
-  void merge(const HistogramSnapshot&) {}
-  HistogramSnapshot snapshot() const { return {}; }
-  std::uint64_t count() const { return 0; }
-  void reset() {}
-};
-
-struct MetricSnapshot {
-  std::string name;
-  MetricKind kind = MetricKind::kCounter;
-  std::uint64_t counter = 0;
-  double gauge = 0.0;
-  HistogramSnapshot histogram;
-};
-
-class MetricsRegistry {
- public:
-  static MetricsRegistry& instance();
-  Counter& counter(std::string_view) { return dummy_counter_; }
-  Gauge& gauge(std::string_view) { return dummy_gauge_; }
-  Histogram& histogram(std::string_view) { return dummy_histogram_; }
-  void reset() {}
-  std::vector<MetricSnapshot> snapshot() const { return {}; }
-
- private:
-  Counter dummy_counter_;
-  Gauge dummy_gauge_;
-  Histogram dummy_histogram_;
-};
-
-class ScopedTimer {
- public:
-  explicit ScopedTimer(Histogram*, double* out_seconds = nullptr)
-      : out_seconds_(out_seconds) {}
-  ~ScopedTimer() { stop(); }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-  double stop() {
-    if (out_seconds_) *out_seconds_ = 0.0;
-    out_seconds_ = nullptr;
-    return 0.0;
-  }
-
- private:
-  double* out_seconds_;
-};
-
-#endif  // CCD_NO_METRICS
-
 /// Shorthand for MetricsRegistry::instance().
 MetricsRegistry& registry();
-
-/// Whether instrumentation exists in this build (false under
-/// -DCCD_NO_METRICS). Lets tools print "metrics compiled out" instead of
-/// an empty report.
-bool compiled_in();
 
 /// JSON object keyed by metric name, sorted; histograms carry count, sum,
 /// extrema, p50/p95/p99, and their non-empty buckets.

@@ -35,8 +35,7 @@
 // task counter. A parallel_for runner is one task; its metrics are
 // recorded before it reports to the caller, so they are complete when
 // parallel_for returns. `ccd.pool.threads` carries the shared pool's size.
-// See util/metrics.hpp for the export paths and the -DCCD_NO_METRICS
-// switch.
+// See util/metrics.hpp for the export paths and the runtime disarm switch.
 #pragma once
 
 #include <condition_variable>
@@ -128,7 +127,7 @@ class ThreadPool {
 
   // Observability handles (process-wide `ccd.pool.*` metrics, aggregated
   // across every pool). Resolved once at construction; all mutation is
-  // lock-free and compiles out under -DCCD_NO_METRICS.
+  // lock-free and disarms to a branch under metrics::set_enabled(false).
   metrics::Counter* tasks_completed_;
   metrics::Histogram* task_us_;
   metrics::Gauge* queue_depth_;

@@ -809,7 +809,6 @@ TEST(FleetDesignTest, PreCancelledBatchResolvesNothing) {
   EXPECT_EQ(cache.size(), 0u);
 }
 
-#ifndef CCD_NO_METRICS
 // sweep_histogram gets one span per class with a positive-weight member:
 // the k-sweep on a miss, the table lookup on a hit. Weight-excluded-only
 // classes and per-worker resolves record nothing.
@@ -839,7 +838,6 @@ TEST(FleetDesignTest, SweepHistogramRecordsOneSpanPerClass) {
   design_contracts_batch(specs, options);  // warm: lookups only
   EXPECT_EQ(spans.count(), 2 * with_positive);
 }
-#endif
 
 // The batch runs the "contract.design" site with the key resolve_design
 // uses, so under any seed and rate a spec faults in the batch exactly when

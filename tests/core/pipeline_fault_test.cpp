@@ -346,5 +346,42 @@ TEST_F(PipelineChaosTest, RateZeroIsBitwiseIdenticalToDisabled) {
   expect_identical(off, armed);
 }
 
+// A community whose own fit throws inside polyfit keeps the CM class fit,
+// as a fallback or beside its quarantine: nothing of the half-built fit
+// reaches its spec.
+TEST(CommunityFitFaultTest, FailedCommunityFitKeepsTheCmClassFit) {
+  const data::ReviewTrace trace =
+      data::generate_trace(data::GeneratorParams::small());
+  InjectorGuard guard;
+  std::size_t community_events = 0;
+  for (const FaultPolicy& faults :
+       {FaultPolicy::quarantine(), FaultPolicy::fallback()}) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      util::FaultInjectorConfig chaos;
+      chaos.enabled = true;
+      chaos.seed = seed;
+      chaos.site_rates["math.polyfit"] = 0.3;
+      util::FaultInjector::instance().configure(chaos);
+      PipelineConfig config;
+      config.faults = faults;
+      config.min_community_fit_samples = 3;
+      const PipelineResult r = run_pipeline(trace, config);
+      for (const DegradationEvent& ev : r.health.events) {
+        if (ev.stage != PipelineStage::kFit || ev.subproblem < 0) continue;
+        ++community_events;
+        const effort::QuadraticEffort& psi =
+            r.subproblems[static_cast<std::size_t>(ev.subproblem)].spec.psi;
+        const effort::QuadraticEffort& cm = r.class_fits.cm.model;
+        const std::string where =
+            "seed " + std::to_string(seed) + ", " + ev.to_string();
+        EXPECT_EQ(psi.r2(), cm.r2()) << where;
+        EXPECT_EQ(psi.r1(), cm.r1()) << where;
+        EXPECT_EQ(psi.r0(), cm.r0()) << where;
+      }
+    }
+  }
+  EXPECT_GT(community_events, 0u);
+}
+
 }  // namespace
 }  // namespace ccd::core

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "data/generator.hpp"
 #include "util/error.hpp"
+#include "util/metrics.hpp"
 #include "util/thread_pool.hpp"
 
 namespace ccd::core {
@@ -217,6 +222,75 @@ TEST_F(PipelineTest, RunsNestedInsideAPoolTask) {
   EXPECT_DOUBLE_EQ(nested.total_requester_utility,
                    direct.total_requester_utility);
   EXPECT_DOUBLE_EQ(nested.total_compensation, direct.total_compensation);
+}
+
+TEST_F(PipelineTest, StageSpansAreDisjointAndEachRecordsOnce) {
+  // Each stage records one ccd.pipeline.<stage>_us span per call, and the
+  // stages run one after another inside the call's total.
+  namespace metrics = util::metrics;
+  metrics::set_enabled(true);
+  const std::vector<std::string> stages = {
+      "sanitize", "detect", "cluster", "fit", "decompose", "solve", "total"};
+  const auto span_count = [](const std::string& stage) {
+    return metrics::registry()
+        .histogram("ccd.pipeline." + stage + "_us")
+        .count();
+  };
+  std::vector<std::uint64_t> before;
+  for (const std::string& stage : stages) before.push_back(span_count(stage));
+
+  const PipelineResult r = run_pipeline(*trace_, PipelineConfig{});
+  for (std::size_t i = 0; i < stages.size(); ++i) {
+    EXPECT_EQ(span_count(stages[i]) - before[i], 1u) << stages[i];
+  }
+  const StageTimings& t = r.timings;
+  EXPECT_GT(t.fit_s, 0.0);
+  EXPECT_GT(t.decompose_s, 0.0);
+  EXPECT_LE(t.sanitize_s + t.detect_s + t.cluster_s + t.fit_s +
+                t.decompose_s + t.solve_s,
+            t.total_s);
+  EXPECT_NE(t.to_string().find(" decompose="), std::string::npos);
+}
+
+TEST_F(PipelineTest, DisarmedMetricsRecordNoSpansButKeepTimingsAndResults) {
+  // set_enabled(false) is the one way to switch metrics off: no stage
+  // span is recorded, yet StageTimings are filled and the result is the
+  // armed run's.
+  namespace metrics = util::metrics;
+  const std::vector<std::string> stages = {
+      "sanitize", "detect", "cluster", "fit", "decompose", "solve", "total"};
+  const auto span_count = [](const std::string& stage) {
+    return metrics::registry()
+        .histogram("ccd.pipeline." + stage + "_us")
+        .count();
+  };
+  metrics::set_enabled(true);
+  const PipelineResult armed = run_pipeline(*trace_, PipelineConfig{});
+  std::vector<std::uint64_t> before;
+  for (const std::string& stage : stages) before.push_back(span_count(stage));
+
+  metrics::set_enabled(false);
+  const PipelineResult disarmed = run_pipeline(*trace_, PipelineConfig{});
+  metrics::set_enabled(true);
+  for (std::size_t i = 0; i < stages.size(); ++i) {
+    EXPECT_EQ(span_count(stages[i]), before[i]) << stages[i];
+  }
+
+  const StageTimings& t = disarmed.timings;
+  EXPECT_GT(t.fit_s, 0.0);
+  EXPECT_GT(t.decompose_s, 0.0);
+  EXPECT_GT(t.solve_s, 0.0);
+  EXPECT_GT(t.total_s, 0.0);
+  EXPECT_EQ(disarmed.total_requester_utility, armed.total_requester_utility);
+  EXPECT_EQ(disarmed.total_compensation, armed.total_compensation);
+  EXPECT_EQ(disarmed.excluded_workers, armed.excluded_workers);
+  ASSERT_EQ(disarmed.workers.size(), armed.workers.size());
+  for (std::size_t i = 0; i < armed.workers.size(); ++i) {
+    EXPECT_EQ(disarmed.workers[i].compensation, armed.workers[i].compensation)
+        << "worker " << i;
+    EXPECT_EQ(disarmed.workers[i].effort, armed.workers[i].effort)
+        << "worker " << i;
+  }
 }
 
 TEST(PipelineValidationTest, RequiresIndexes) {

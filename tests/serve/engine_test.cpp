@@ -344,9 +344,7 @@ TEST_F(EngineTest, ResumeSkipsCorruptCheckpointsWithoutBlockingTheRest) {
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size() / 2));
   }
 
-#ifndef CCD_NO_METRICS
   const std::uint64_t skipped0 = counter_value("ccd.serve.resume_skipped");
-#endif
   Engine engine(durable);
   const ResumeReport report = engine.resume_sessions();
   EXPECT_EQ(report.restored, 1u);
@@ -354,9 +352,7 @@ TEST_F(EngineTest, ResumeSkipsCorruptCheckpointsWithoutBlockingTheRest) {
   EXPECT_EQ(report.skipped[0].id, "bad");
   EXPECT_EQ(report.skipped[0].path, bad_path);
   EXPECT_FALSE(report.skipped[0].error.empty());
-#ifndef CCD_NO_METRICS
   EXPECT_EQ(counter_value("ccd.serve.resume_skipped") - skipped0, 1u);
-#endif
 
   // The survivor is untouched by its neighbor's corruption.
   ASSERT_EQ(engine.call(make_advance("good", kRounds)).status, Status::kOk);
@@ -373,10 +369,8 @@ TEST_F(EngineTest, IdleSessionsEvictToDiskAndResurrectBitwise) {
   EngineConfig c = config();
   c.checkpoint_dir = dir_.string();
   c.idle_ttl_ms = 25;
-#ifndef CCD_NO_METRICS
   const std::uint64_t evicted0 = counter_value("ccd.serve.sessions_evicted");
   const std::uint64_t reloaded0 = counter_value("ccd.serve.sessions_reloaded");
-#endif
   Engine engine(c);
   ASSERT_EQ(engine.call(make_open("idle", kRounds, kSeed)).status,
             Status::kOk);
@@ -387,9 +381,7 @@ TEST_F(EngineTest, IdleSessionsEvictToDiskAndResurrectBitwise) {
     ::usleep(10 * 1000);
   }
   ASSERT_EQ(engine.session_count(), 0u);
-#ifndef CCD_NO_METRICS
   EXPECT_GE(counter_value("ccd.serve.sessions_evicted") - evicted0, 1u);
-#endif
 
   // Eviction freed the slot, not the campaign: the next op transparently
   // reloads and the trajectory stays bitwise-exact.
@@ -398,9 +390,7 @@ TEST_F(EngineTest, IdleSessionsEvictToDiskAndResurrectBitwise) {
   EXPECT_TRUE(rest.session.finished);
   expect_contracts_equal(engine.call(make_contracts("idle")).contracts,
                          reference_contracts(kRounds, kSeed));
-#ifndef CCD_NO_METRICS
   EXPECT_GE(counter_value("ccd.serve.sessions_reloaded") - reloaded0, 1u);
-#endif
 
   // Evicting without durability is refused up front, not at eviction time.
   EngineConfig undurable = config();
@@ -683,7 +673,6 @@ TEST_F(EngineTest, OpenValidationAndIdempotence) {
   EXPECT_NE(full.message.find("session limit"), std::string::npos);
 }
 
-#ifndef CCD_NO_METRICS
 TEST_F(EngineTest, ServeCountersReconcileWithClientObservedCounts) {
   const std::uint64_t submitted0 = counter_value("ccd.serve.submitted");
   const std::uint64_t responses0 = counter_value("ccd.serve.responses");
@@ -752,7 +741,6 @@ TEST_F(EngineTest, ServeCountersReconcileWithClientObservedCounts) {
   EXPECT_EQ(counter_value("ccd.serve.sessions_opened") - opened0, 1u);
   EXPECT_EQ(counter_value("ccd.serve.sessions_closed") - closed0, 1u);
 }
-#endif  // CCD_NO_METRICS
 
 }  // namespace
 }  // namespace ccd::serve

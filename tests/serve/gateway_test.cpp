@@ -3,12 +3,15 @@
 // bitwise-identical to the bare simulator, checkpoint handoff on shard
 // retirement continuing campaigns bitwise on the survivors, restore
 // idempotence, health aggregation, the socket front end (a Client cannot
-// tell the gateway from a single ccdd), and shutdown broadcast.
+// tell the gateway from a single ccdd, and its listener drops corrupt
+// frames, gates tokens and times out idle clients like ccdd's), and
+// shutdown broadcast.
 #include "serve/gateway.hpp"
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <filesystem>
 #include <map>
 #include <memory>
@@ -21,6 +24,7 @@
 #include "serve/server.hpp"
 #include "util/atomic_file.hpp"
 #include "util/error.hpp"
+#include "util/socket.hpp"
 
 namespace ccd::serve {
 namespace {
@@ -373,9 +377,7 @@ TEST_F(GatewayTest, SocketFrontEndIsIndistinguishableFromASingleDaemon) {
   EXPECT_GT(health.max_sessions, 0u);
 
   const std::string metrics = client.metrics(false);
-#ifndef CCD_NO_METRICS  // a no-metrics build has no counters to export
   EXPECT_NE(metrics.find("ccd.gateway.requests"), std::string::npos);
-#endif
 
   // Shutdown broadcasts to every shard and drains the gateway itself.
   client.shutdown_server();
@@ -573,6 +575,132 @@ TEST_F(GatewayTest, TinyInflightCapStillServesEveryConcurrentDriver) {
     expect_contracts_equal(got.contracts,
                            reference_contracts(kRounds, 800 + s));
   }
+}
+
+/// The gateway's own listener, pinned the way ServerTest/AuthTest pin
+/// ccdd's: a corrupt frame drops only its connection, the token gate
+/// holds on loopback TCP when required, the idle deadline closes only
+/// silent clients, stop() closes both listeners and their connections,
+/// and a bind failure surfaces as an error. Each runs against a
+/// one-shard fleet.
+class GatewayListenerTest : public GatewayTest {
+ protected:
+  /// One shard backend behind a gateway built from `config` (shards,
+  /// prober and dial retry filled in here).
+  void start_gateway(GatewayConfig config) {
+    start_shard_backend(0);
+    config.shards = {shard_spec(0)};
+    config.health_interval_ms = 0;
+    config.connect_retry.sleep = false;
+    gateway_ = std::make_unique<Gateway>(std::move(config));
+  }
+
+  std::string socket_path() const { return (dir_ / "gateway.sock").string(); }
+};
+
+TEST_F(GatewayListenerTest, CorruptFrameDropsOnlyThatConnection) {
+  GatewayConfig config;
+  config.unix_socket = socket_path();
+  start_gateway(std::move(config));
+
+  // A garbage blob instead of a frame: the gateway closes this connection.
+  util::Socket raw = util::Socket::connect_unix(socket_path());
+  raw.send_all(std::string(64, 'x'));
+  char byte = 0;
+  EXPECT_FALSE(raw.read_exact(&byte, 1, 5'000));  // clean close, no response
+
+  // Other connections are unaffected.
+  Client client = Client::connect_unix(socket_path());
+  EXPECT_EQ(client.ping(), "ccd-gateway/3");
+}
+
+TEST_F(GatewayListenerTest, RequiredTokenGatesLoopbackTcp) {
+  constexpr char kToken[] = "open-sesame";
+  GatewayConfig config;
+  config.tcp_port = 0;
+  config.auth_token = kToken;
+  config.require_auth = true;
+  start_gateway(std::move(config));
+  const int port = gateway_->tcp_port();
+  ASSERT_GT(port, 0);
+
+  OpenParams open;
+  open.rounds = 3;
+  open.workers = 5;
+  open.malicious = 2;
+  open.seed = 41;
+  // The gateway drops a connection it refused, so each refusal gets a
+  // fresh client (a reused one would wait out its redial backoff).
+  Client anonymous = Client::connect_tcp("127.0.0.1", port);
+  EXPECT_THROW(anonymous.ping(), AuthError);
+  Client again = Client::connect_tcp("127.0.0.1", port);
+  EXPECT_THROW(again.open("gw-auth", open), AuthError);
+
+  ClientOptions options;
+  options.auth_token = kToken;
+  Client client = Client::connect_tcp("127.0.0.1", port, options);
+  EXPECT_EQ(client.ping(), "ccd-gateway/3");
+  client.open("gw-auth", open);
+  EXPECT_EQ(client.advance("gw-auth", 3).session.next_round, 3u);
+}
+
+TEST_F(GatewayListenerTest, IdleTimeoutClosesOnlySilentClients) {
+  constexpr int kIdleMs = 100;
+  GatewayConfig config;
+  config.unix_socket = socket_path();
+  config.idle_timeout_ms = kIdleMs;
+  start_gateway(std::move(config));
+
+  util::Socket silent = util::Socket::connect_unix(socket_path());
+  ClientOptions no_redial;
+  no_redial.max_reconnects = 0;  // a dropped connection must surface
+  Client active = Client::connect_unix(socket_path(), no_redial);
+
+  // Keep the active client talking for three idle deadlines, never
+  // pausing for more than a fifth of one.
+  const auto until = std::chrono::steady_clock::now() +
+                     std::chrono::milliseconds(3 * kIdleMs);
+  while (std::chrono::steady_clock::now() < until) {
+    ASSERT_EQ(active.ping(), "ccd-gateway/3");
+    ::usleep(kIdleMs / 5 * 1000);
+  }
+
+  // The silent client was dropped at its deadline: a clean close.
+  char byte = 0;
+  EXPECT_FALSE(silent.read_exact(&byte, 1, 5'000));
+  EXPECT_EQ(active.ping(), "ccd-gateway/3");
+}
+
+TEST_F(GatewayListenerTest, StopClosesBothListenersAndTheirConnections) {
+  GatewayConfig config;
+  config.unix_socket = socket_path();
+  config.tcp_port = 0;
+  start_gateway(std::move(config));
+  const int port = gateway_->tcp_port();
+  ASSERT_GT(port, 0);
+
+  ClientOptions no_redial;
+  no_redial.max_reconnects = 0;  // a dropped connection must surface
+  Client via_unix = Client::connect_unix(socket_path(), no_redial);
+  Client via_tcp = Client::connect_tcp("127.0.0.1", port, no_redial);
+  EXPECT_EQ(via_unix.ping(), "ccd-gateway/3");
+  EXPECT_EQ(via_tcp.ping(), "ccd-gateway/3");
+
+  // stop() closes the open connections and the listeners with them.
+  gateway_->stop();
+  EXPECT_THROW(via_unix.ping(), DataError);
+  EXPECT_THROW(via_tcp.ping(), DataError);
+  EXPECT_FALSE(std::filesystem::exists(socket_path()));
+  EXPECT_THROW(util::Socket::connect_unix(socket_path()), DataError);
+}
+
+TEST_F(GatewayListenerTest, BindFailureThrowsWithTheProberRunning) {
+  const util::Socket taken = util::Socket::listen_tcp(0);
+  GatewayConfig config;
+  config.shards = {shard_spec(0)};
+  config.tcp_port = taken.local_port();
+  config.health_interval_ms = 60'000;  // started, never due
+  EXPECT_THROW(Gateway{std::move(config)}, DataError);
 }
 
 }  // namespace

@@ -69,7 +69,6 @@ void expect_contracts_equal(const std::vector<contract::Contract>& a,
   }
 }
 
-#ifndef CCD_NO_METRICS
 std::uint64_t counter_value(const std::string& name) {
   namespace metrics = util::metrics;
   for (const metrics::MetricSnapshot& m : metrics::registry().snapshot()) {
@@ -77,7 +76,6 @@ std::uint64_t counter_value(const std::string& name) {
   }
   return 0;
 }
-#endif
 
 TEST(ScenarioIngestTest, EngineFeedMatchesBareSessionBitwise) {
   const scenario::ScenarioSpec spec = sybil_spec();
@@ -103,13 +101,10 @@ TEST(ScenarioIngestTest, EngineFeedMatchesBareSessionBitwise) {
     EXPECT_FALSE(c.is_zero());
   }
 
-  // Same scenario over the engine's request path, counters reconciled
-  // where the build keeps them.
-#ifndef CCD_NO_METRICS
+  // Same scenario over the engine's request path, counters reconciled.
   const std::uint64_t submitted0 = counter_value("ccd.serve.submitted");
   const std::uint64_t responses0 = counter_value("ccd.serve.responses");
   const std::uint64_t rounds0 = counter_value("ccd.serve.rounds");
-#endif
 
   EngineConfig config;
   config.worker_threads = 2;
@@ -158,13 +153,9 @@ TEST(ScenarioIngestTest, EngineFeedMatchesBareSessionBitwise) {
 
   // Counter reconciliation: every request accounted for, every ingested
   // round counted.
-#ifndef CCD_NO_METRICS
   EXPECT_EQ(counter_value("ccd.serve.submitted") - submitted0, issued);
   EXPECT_EQ(counter_value("ccd.serve.responses") - responses0, issued);
   EXPECT_EQ(counter_value("ccd.serve.rounds") - rounds0, kRounds);
-#else
-  (void)issued;  // the serve counters are compiled out
-#endif
 }
 
 TEST(ScenarioIngestTest, WrongArityFeedIsRefused) {

@@ -2,14 +2,26 @@
 // trips, Unix-domain and loopback-TCP transport, concurrent sessions from
 // concurrent connections (bitwise-identical to the simulator), corrupt
 // frames dropping only the offending connection, and shutdown plumbing.
+// Over a bare request handler: replies keep their request ids, deferred
+// replies answer pipelined requests in any order, the token gate answers
+// before the handler, a blocked handler stalls only its connection, and
+// stop() does not wait for an outstanding reply.
 #include "serve/server.hpp"
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <filesystem>
+#include <functional>
+#include <memory>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/stackelberg.hpp"
@@ -194,9 +206,7 @@ TEST_F(ServerTest, EphemeralTcpPortServes) {
   Client client = Client::connect_tcp("127.0.0.1", server.tcp_port());
   EXPECT_EQ(client.ping(), "ccd-serve/4");
   const std::string metrics = client.metrics(true);
-#ifndef CCD_NO_METRICS  // a no-metrics build has no counters to export
   EXPECT_NE(metrics.find("ccd_serve_responses"), std::string::npos);
-#endif
 }
 
 TEST_F(ServerTest, ConcurrentConnectionsDriveIndependentSessions) {
@@ -273,6 +283,206 @@ TEST_F(ServerTest, ShutdownRequestReachesTheEngine) {
   server.stop();
   engine.stop();
   // The socket file is gone after a clean stop.
+  EXPECT_FALSE(std::filesystem::exists(socket_path_));
+}
+
+/// Server over a bare request handler (the form ccd-gateway listens
+/// through): every request past the token gate reaches the handler, which
+/// answers inline or later from a thread the server does not own.
+class ServerHandlerTest : public ServerTest {
+ protected:
+  /// An ok reply to `request` carrying `text` under the request's id.
+  static Response reply(const Request& request, std::string text) {
+    Response response;
+    response.request_id = request.request_id;
+    response.text = std::move(text);
+    return response;
+  }
+
+  static Request status_request(std::uint64_t id, std::string session) {
+    Request request;
+    request.op = Op::kStatus;
+    request.request_id = id;
+    request.session = std::move(session);
+    return request;
+  }
+};
+
+TEST_F(ServerHandlerTest, HandlerAnswersEachRequestUnderItsId) {
+  std::mutex mutex;
+  std::vector<Op> seen;
+  ServerConfig sc;
+  sc.unix_socket = socket_path_;
+  Server server(sc, [&](Request request,
+                        std::function<void(Response)> respond) {
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      seen.push_back(request.op);
+    }
+    respond(reply(request, "echo:" + request.session));
+  });
+
+  Client client = Client::connect_unix(socket_path_);
+  const std::uint64_t ids[] = {7, 8, 42};
+  for (const std::uint64_t id : ids) {
+    const std::string session = "s" + std::to_string(id);
+    const Response response = client.call(status_request(id, session));
+    EXPECT_EQ(response.request_id, id);
+    EXPECT_EQ(response.status, Status::kOk);
+    EXPECT_EQ(response.text, "echo:" + session);
+  }
+  EXPECT_EQ(client.ping(), "echo:");
+  std::lock_guard<std::mutex> lock(mutex);
+  EXPECT_EQ(seen, (std::vector<Op>{Op::kStatus, Op::kStatus, Op::kStatus,
+                                   Op::kPing}));
+}
+
+TEST_F(ServerHandlerTest, DeferredRepliesAnswerPipelinedRequestsInAnyOrder) {
+  // The handler only parks each responder. The connection keeps reading,
+  // so both pipelined requests arrive before either is answered.
+  std::mutex mutex;
+  std::condition_variable arrived;
+  std::vector<std::pair<Request, std::function<void(Response)>>> parked;
+  ServerConfig sc;
+  sc.unix_socket = socket_path_;
+  Server server(sc, [&](Request request,
+                        std::function<void(Response)> respond) {
+    std::lock_guard<std::mutex> lock(mutex);
+    parked.emplace_back(std::move(request), std::move(respond));
+    arrived.notify_all();
+  });
+
+  util::Socket raw = util::Socket::connect_unix(socket_path_);
+  for (std::uint64_t id = 1; id <= 2; ++id) {
+    send_message(raw, encode_request(status_request(id, "pipelined")));
+  }
+  {
+    std::unique_lock<std::mutex> lock(mutex);
+    ASSERT_TRUE(arrived.wait_for(lock, std::chrono::seconds(10),
+                                 [&] { return parked.size() == 2; }));
+  }
+
+  // Answer the later request first, from a thread the server does not own.
+  std::thread answerer([&] {
+    std::lock_guard<std::mutex> lock(mutex);
+    for (auto it = parked.rbegin(); it != parked.rend(); ++it) {
+      it->second(reply(it->first, "late"));
+    }
+  });
+  answerer.join();
+  const std::uint64_t reply_order[] = {2, 1};
+  for (const std::uint64_t id : reply_order) {
+    const std::optional<std::string> payload =
+        recv_message(raw, 10'000, 10'000);
+    ASSERT_TRUE(payload.has_value());
+    const Response response = decode_response(*payload);
+    EXPECT_EQ(response.request_id, id);
+    EXPECT_EQ(response.text, "late");
+  }
+}
+
+TEST_F(ServerHandlerTest, TokenGateAnswersBeforeTheHandler) {
+  constexpr char kToken[] = "open-sesame";
+  std::atomic<int> calls{0};
+  ServerConfig sc;
+  sc.tcp_port = 0;
+  sc.auth_token = kToken;
+  sc.require_auth = true;
+  Server server(sc, [&](Request request,
+                        std::function<void(Response)> respond) {
+    calls.fetch_add(1);
+    respond(reply(request, "handled"));
+  });
+  ASSERT_GT(server.tcp_port(), 0);
+
+  // Refused by the gate: the handler never sees the request.
+  Client anonymous = Client::connect_tcp("127.0.0.1", server.tcp_port());
+  EXPECT_THROW(anonymous.ping(), AuthError);
+  EXPECT_EQ(calls.load(), 0);
+
+  // The handshake frames are the gate's own; only the ping is handed on.
+  ClientOptions options;
+  options.auth_token = kToken;
+  Client client =
+      Client::connect_tcp("127.0.0.1", server.tcp_port(), options);
+  EXPECT_EQ(client.ping(), "handled");
+  EXPECT_EQ(calls.load(), 1);
+}
+
+TEST_F(ServerHandlerTest, BlockedHandlerStallsOnlyItsOwnConnection) {
+  // The handler runs on its connection's thread. The first request blocks
+  // until the second, sent on another connection, has reached the
+  // handler; with one thread for both it would time out instead.
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool first_waiting = false;
+  bool second_arrived = false;
+  ServerConfig sc;
+  sc.unix_socket = socket_path_;
+  Server server(sc, [&](Request request,
+                        std::function<void(Response)> respond) {
+    std::unique_lock<std::mutex> lock(mutex);
+    if (request.session == "first") {
+      first_waiting = true;
+      cv.notify_all();
+      const bool released = cv.wait_for(lock, std::chrono::seconds(10),
+                                        [&] { return second_arrived; });
+      lock.unlock();
+      respond(reply(request, released ? "released" : "timed out"));
+      return;
+    }
+    second_arrived = true;
+    cv.notify_all();
+    lock.unlock();
+    respond(reply(request, "second"));
+  });
+
+  std::string first_text;
+  std::thread first([&] {
+    Client client = Client::connect_unix(socket_path_);
+    first_text = client.call(status_request(1, "first")).text;
+  });
+  {
+    std::unique_lock<std::mutex> lock(mutex);
+    EXPECT_TRUE(cv.wait_for(lock, std::chrono::seconds(10),
+                            [&] { return first_waiting; }));
+  }
+  Client second = Client::connect_unix(socket_path_);
+  EXPECT_EQ(second.call(status_request(1, "second")).text, "second");
+  first.join();
+  EXPECT_EQ(first_text, "released");
+}
+
+TEST_F(ServerHandlerTest, StopReturnsWithARequestUnanswered) {
+  // A responder may outlive the server: stop() closes the connection
+  // without waiting for the reply, and a late reply is dropped.
+  std::mutex mutex;
+  std::condition_variable arrived;
+  Request parked_request;
+  std::function<void(Response)> parked;
+  ServerConfig sc;
+  sc.unix_socket = socket_path_;
+  auto server = std::make_unique<Server>(
+      sc, [&](Request request, std::function<void(Response)> respond) {
+        std::lock_guard<std::mutex> lock(mutex);
+        parked_request = std::move(request);
+        parked = std::move(respond);
+        arrived.notify_all();
+      });
+
+  util::Socket raw = util::Socket::connect_unix(socket_path_);
+  send_message(raw, encode_request(status_request(5, "unanswered")));
+  {
+    std::unique_lock<std::mutex> lock(mutex);
+    ASSERT_TRUE(arrived.wait_for(lock, std::chrono::seconds(10),
+                                 [&] { return parked != nullptr; }));
+  }
+
+  server->stop();
+  char byte = 0;
+  EXPECT_FALSE(raw.read_exact(&byte, 1, 10'000));  // clean close, no reply
+  EXPECT_NO_THROW(parked(reply(parked_request, "late")));
+  server.reset();
   EXPECT_FALSE(std::filesystem::exists(socket_path_));
 }
 

@@ -147,15 +147,11 @@ TEST(ThreadPoolTest, ParallelForRunsOneTaskPerPoolThread) {
                               std::to_string(tc.n);
     ThreadPool pool(tc.threads);
     std::vector<std::atomic<int>> hits(tc.n);
-#ifndef CCD_NO_METRICS
     const metrics::Counter& tasks =
         metrics::registry().counter("ccd.pool.tasks");
     const std::uint64_t before = tasks.value();
-#endif
     pool.parallel_for(tc.n, [&](std::size_t i) { hits[i].fetch_add(1); });
-#ifndef CCD_NO_METRICS
     EXPECT_EQ(tasks.value() - before, tc.runners) << where;
-#endif
     for (std::size_t i = 0; i < tc.n; ++i) {
       EXPECT_EQ(hits[i].load(), 1) << where << ", index " << i;
     }
@@ -274,7 +270,6 @@ TEST(ThreadPoolTest, ShutdownIsIdempotentAndDegradesToInline) {
   EXPECT_THROW(pool.submit([] { return 1; }), std::runtime_error);
 }
 
-#ifndef CCD_NO_METRICS
 double gauge_value(const std::string& name) {
   for (const metrics::MetricSnapshot& m : metrics::registry().snapshot()) {
     if (m.name == name) return m.gauge;
@@ -305,7 +300,6 @@ TEST(ThreadPoolTest, QueueDepthGaugeTracksBacklog) {
   for (std::future<void>& f : queued) f.get();
   EXPECT_EQ(gauge_value("ccd.pool.queue_depth"), 0.0);
 }
-#endif
 
 TEST(SharedPoolTest, IsAProcessWideSingleton) {
   EXPECT_EQ(&shared_pool(), &shared_pool());
@@ -388,7 +382,6 @@ TEST(ThreadPoolContentionTest, SessionStyleBurstsLoseNoTasksAndSettle) {
   EXPECT_FALSE(overcounted.load());
   EXPECT_EQ(clean_hits.load(), expected_clean.load());
 
-#ifndef CCD_NO_METRICS
   // All bursts joined: the gauges must settle back to zero. A runner
   // records its gauges before it reports back to parallel_for, so they
   // have settled once the bursts return; shutdown() joins the workers
@@ -403,7 +396,6 @@ TEST(ThreadPoolContentionTest, SessionStyleBurstsLoseNoTasksAndSettle) {
   }
   EXPECT_EQ(queue_depth, 0.0);
   EXPECT_EQ(busy, 0.0);
-#endif
 }
 
 }  // namespace

@@ -911,10 +911,6 @@ int cmd_submit(const util::ParamMap& params) {
 /// `file`: Prometheus text when the name ends in .prom, JSON otherwise).
 void report_metrics(const std::string& file) {
   namespace metrics = util::metrics;
-  if (!metrics::compiled_in()) {
-    std::printf("\nmetrics: compiled out (-DCCD_NO_METRICS)\n");
-    return;
-  }
   const std::string summary = metrics::render_summary();
   std::printf("\n%s", summary.empty() ? "metrics: nothing recorded\n"
                                       : summary.c_str());
