@@ -42,8 +42,8 @@ int run(int argc, char** argv) {
     specs.push_back(sub.spec);
     if (sub.quarantined || sub.fallback) specs.back().weight = 0.0;
     honest_menu.push_back(
-        sub.workers.size() == 1 &&
-        trace.worker(sub.workers.front()).true_class ==
+        pipeline.workers_of(sub).size() == 1 &&
+        trace.worker(pipeline.workers_of(sub).front()).true_class ==
             data::WorkerClass::kHonest);
   }
   const std::vector<contract::BudgetMenu> menus =

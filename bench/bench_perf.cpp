@@ -1,8 +1,8 @@
 // Performance microbenchmarks (google-benchmark): subproblem solve cost vs
 // partition density, effort-curve fitting, pipeline throughput vs thread
 // count (the paper's motivation for decomposing the bilevel program),
-// clustering cost, and the overhead of the util::metrics instrumentation
-// (armed vs disarmed).
+// detect-stage and clustering cost, and the overhead of the util::metrics
+// instrumentation (armed vs disarmed).
 //
 // Unless the caller passes its own --benchmark_out, results are written as
 // machine-readable JSON to BENCH_perf.json in the working directory (CI
@@ -13,6 +13,7 @@
 // are noise that reads like regressions. Pass `force=1` to override; the
 // benchmark context still records the real build type.
 #include <benchmark/benchmark.h>
+#include <sys/resource.h>
 
 #include <cstddef>
 #include <cstdio>
@@ -28,6 +29,8 @@
 #include "data/generator.hpp"
 #include "data/metrics.hpp"
 #include "detect/collusion.hpp"
+#include "detect/expert.hpp"
+#include "detect/malicious.hpp"
 #include "effort/fitting.hpp"
 #include "math/polyfit.hpp"
 #include "util/cancellation.hpp"
@@ -137,6 +140,22 @@ void BM_FitAllClasses(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FitAllClasses)->MeasureProcessCPUTime()
+    ->Unit(benchmark::kMicrosecond);
+
+// The detect stage as the pipeline runs it, on the amazon2015-sized trace
+// (seed 1): WorkerMetrics, the ExpertPanel over them, the MaliciousDetector
+// over the panel, and the detector's evaluate and flagged.
+void BM_DetectStage(benchmark::State& state) {
+  const ccd::data::ReviewTrace& trace = amazon2015_trace();
+  for (auto _ : state) {
+    const ccd::data::WorkerMetrics metrics(trace);
+    const ccd::detect::ExpertPanel experts(trace, metrics);
+    const ccd::detect::MaliciousDetector detector(trace, experts);
+    benchmark::DoNotOptimize(detector.evaluate(trace));
+    benchmark::DoNotOptimize(detector.flagged());
+  }
+}
+BENCHMARK(BM_DetectStage)->MeasureProcessCPUTime()
     ->Unit(benchmark::kMicrosecond);
 
 // An ingest refit's fits: 200 workers' 256-sample windows through the
@@ -348,13 +367,27 @@ void BM_ParallelForDispatch(benchmark::State& state) {
 BENCHMARK(BM_ParallelForDispatch)->Arg(200)->MeasureProcessCPUTime()
     ->UseRealTime()->Unit(benchmark::kMicrosecond);
 
+/// Minor page faults of the process so far.
+long minor_faults() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_minflt;
+}
+
+// minflt_per_call counts the process's minor page faults per pipeline call:
+// 0 once the allocator reuses the previous call's memory, thousands when
+// the call's buffers land on pages the allocator has just returned.
 void BM_PipelineThreads(benchmark::State& state) {
   const auto& trace = medium_trace();
   ccd::core::PipelineConfig config;
   config.threads = static_cast<std::size_t>(state.range(0));
+  const long faults = minor_faults();
   for (auto _ : state) {
     benchmark::DoNotOptimize(ccd::core::run_pipeline(trace, config));
   }
+  state.counters["minflt_per_call"] =
+      static_cast<double>(minor_faults() - faults) /
+      static_cast<double>(state.iterations());
 }
 BENCHMARK(BM_PipelineThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);

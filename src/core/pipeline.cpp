@@ -456,7 +456,7 @@ PipelineResult run_pipeline(const data::ReviewTrace& trace,
             ? 0.0
             : config.requester.omega_malicious;
     SubproblemOutcome sub;
-    sub.workers = {id};
+    sub.worker = id;
     sub.spec = make_spec(class_fit(result.class_fits, out.detected_class),
                          omega, out.weight);
     result.subproblems.push_back(std::move(sub));
@@ -471,7 +471,8 @@ PipelineResult run_pipeline(const data::ReviewTrace& trace,
     weight /= static_cast<double>(community.members.size());
 
     SubproblemOutcome sub;
-    sub.workers = community.members;
+    sub.worker = community.members.front();
+    sub.community = static_cast<std::int32_t>(c);
     sub.spec = make_spec(community_fits[c].fit,
                          config.requester.omega_malicious, weight);
     sub.quarantined = community_fits[c].quarantined;
@@ -499,9 +500,8 @@ PipelineResult run_pipeline(const data::ReviewTrace& trace,
   }
 
   const auto suspected_malicious = [&](const SubproblemOutcome& sub) {
-    return sub.workers.size() > 1 ||
-           result.workers[sub.workers.front()].detected_class !=
-               DetectedClass::kHonest;
+    return sub.community >= 0 ||
+           result.workers[sub.worker].detected_class != DetectedClass::kHonest;
   };
   const auto fixed_design = [&](const contract::SubproblemSpec& spec) {
     const contract::FixedContractOutcome outcome =
@@ -608,7 +608,7 @@ PipelineResult run_pipeline(const data::ReviewTrace& trace,
         ev.action = solve_mode;
         ev.code = e.code();
         ev.detail = e.message();
-        ev.worker = sub.workers.front();
+        ev.worker = sub.worker;
         ev.subproblem = static_cast<std::int64_t>(i);
         health.events.push_back(std::move(ev));
       }
@@ -626,7 +626,7 @@ PipelineResult run_pipeline(const data::ReviewTrace& trace,
           ev.action = StageMode::kQuarantine;
           ev.code = e.code();
           ev.detail = "fallback failed: " + e.message();
-          ev.worker = sub.workers.front();
+          ev.worker = sub.worker;
           ev.subproblem = static_cast<std::int64_t>(i);
           health.events.push_back(std::move(ev));
         }
@@ -688,10 +688,11 @@ PipelineResult run_pipeline(const data::ReviewTrace& trace,
   // ---- Aggregation --------------------------------------------------------
   for (std::size_t i = 0; i < result.subproblems.size(); ++i) {
     const SubproblemOutcome& sub = result.subproblems[i];
-    const double share = 1.0 / static_cast<double>(sub.workers.size());
+    const std::span<const data::WorkerId> covered = result.workers_of(sub);
+    const double share = 1.0 / static_cast<double>(covered.size());
     result.total_requester_utility += sub.design.requester_utility;
     result.total_compensation += sub.design.response.compensation;
-    for (const data::WorkerId id : sub.workers) {
+    for (const data::WorkerId id : covered) {
       WorkerOutcome& out = result.workers[id];
       out.subproblem = i;
       out.excluded = sub.design.excluded;

@@ -33,6 +33,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -206,8 +207,11 @@ struct WorkerOutcome {
 };
 
 struct SubproblemOutcome {
-  /// Workers covered (one entry for individuals; all members for a community).
-  std::vector<data::WorkerId> workers;
+  /// The individual's worker id; for a community, its first member.
+  data::WorkerId worker = 0;
+  /// Index into PipelineResult::collusion.communities, or -1 for an
+  /// individual. PipelineResult::workers_of lists the workers covered.
+  std::int32_t community = -1;
   contract::SubproblemSpec spec;
   contract::DesignResult design;
   bool quarantined = false;  ///< zero contract due to an absorbed failure
@@ -258,6 +262,17 @@ struct PipelineResult {
 
   /// Compensations of workers whose ground-truth class is `cls`.
   std::vector<double> compensations_of_class(data::WorkerClass cls) const;
+
+  /// Workers covered by `sub`, one of this result's subproblems: the
+  /// individual's id, or every member of its community. A view into `sub`
+  /// or into `collusion`; nothing is stored, so copies and moves of the
+  /// result answer for their own subproblems.
+  std::span<const data::WorkerId> workers_of(
+      const SubproblemOutcome& sub) const {
+    if (sub.community < 0) return {&sub.worker, 1};
+    return collusion.communities[static_cast<std::size_t>(sub.community)]
+        .members;
+  }
 };
 
 /// Run the full pipeline over a trace.

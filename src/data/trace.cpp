@@ -1,6 +1,8 @@
 #include "data/trace.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <set>
 #include <sstream>
 
@@ -74,36 +76,65 @@ const Review& ReviewTrace::review(ReviewId id) const {
   return reviews_[id];
 }
 
-const std::vector<ReviewId>& ReviewTrace::reviews_of_worker(WorkerId id) const {
+std::span<const ReviewId> ReviewTrace::reviews_of_worker(WorkerId id) const {
   CCD_CHECK_MSG(indexes_built_, "call build_indexes() first");
-  CCD_CHECK_MSG(id < by_worker_.size(), "worker id out of range");
-  return by_worker_[id];
+  CCD_CHECK_MSG(std::size_t{id} + 1 < worker_offsets_.size(),
+                "worker id out of range");
+  return std::span<const ReviewId>(worker_reviews_)
+      .subspan(worker_offsets_[id],
+               worker_offsets_[id + 1] - worker_offsets_[id]);
 }
 
-const std::vector<ReviewId>& ReviewTrace::reviews_of_product(
+std::span<const ReviewId> ReviewTrace::reviews_of_product(
     ProductId id) const {
   CCD_CHECK_MSG(indexes_built_, "call build_indexes() first");
-  CCD_CHECK_MSG(id < by_product_.size(), "product id out of range");
-  return by_product_[id];
+  CCD_CHECK_MSG(std::size_t{id} + 1 < product_offsets_.size(),
+                "product id out of range");
+  return std::span<const ReviewId>(product_reviews_)
+      .subspan(product_offsets_[id],
+               product_offsets_[id + 1] - product_offsets_[id]);
 }
 
 std::vector<ProductId> ReviewTrace::products_of_worker(WorkerId id) const {
-  std::set<ProductId> seen;
-  for (const ReviewId rid : reviews_of_worker(id)) {
-    seen.insert(reviews_[rid].product);
+  const std::span<const ReviewId> review_ids = reviews_of_worker(id);
+  std::vector<ProductId> products;
+  products.reserve(review_ids.size());
+  for (const ReviewId rid : review_ids) {
+    products.push_back(reviews_[rid].product);
   }
-  return {seen.begin(), seen.end()};
+  std::sort(products.begin(), products.end());
+  products.erase(std::unique(products.begin(), products.end()),
+                 products.end());
+  return products;
 }
 
 void ReviewTrace::build_indexes() {
-  by_worker_.assign(workers_.size(), {});
-  by_product_.assign(products_.size(), {});
+  // A counting sort by worker and by product: count each row's reviews,
+  // turn the counts into row starts, then place every id at its row's
+  // cursor in review order, so each row lists its ids ascending.
+  indexes_built_ = false;
+  worker_offsets_.assign(workers_.size() + 1, 0);
+  product_offsets_.assign(products_.size() + 1, 0);
   for (const Review& r : reviews_) {
     CCD_CHECK_MSG(r.worker < workers_.size(), "review references bad worker");
     CCD_CHECK_MSG(r.product < products_.size(),
                   "review references bad product");
-    by_worker_[r.worker].push_back(r.id);
-    by_product_[r.product].push_back(r.id);
+    ++worker_offsets_[r.worker + 1];
+    ++product_offsets_[r.product + 1];
+  }
+  std::partial_sum(worker_offsets_.begin(), worker_offsets_.end(),
+                   worker_offsets_.begin());
+  std::partial_sum(product_offsets_.begin(), product_offsets_.end(),
+                   product_offsets_.begin());
+  std::vector<std::size_t> worker_next(worker_offsets_.begin(),
+                                       worker_offsets_.end() - 1);
+  std::vector<std::size_t> product_next(product_offsets_.begin(),
+                                        product_offsets_.end() - 1);
+  worker_reviews_.resize(reviews_.size());
+  product_reviews_.resize(reviews_.size());
+  for (const Review& r : reviews_) {
+    worker_reviews_[worker_next[r.worker]++] = r.id;
+    product_reviews_[product_next[r.product]++] = r.id;
   }
   indexes_built_ = true;
 }

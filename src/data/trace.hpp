@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -42,13 +43,17 @@ class ReviewTrace {
   const Product& product(ProductId id) const;
   const Review& review(ReviewId id) const;
 
-  /// Review ids authored by `id` (chronological). Requires build_indexes().
-  const std::vector<ReviewId>& reviews_of_worker(WorkerId id) const;
+  /// Review ids authored by `id`, ascending (chronological): a view into
+  /// the index, valid until the next add_* or build_indexes(). Requires
+  /// build_indexes().
+  std::span<const ReviewId> reviews_of_worker(WorkerId id) const;
 
-  /// Review ids on `id`. Requires build_indexes().
-  const std::vector<ReviewId>& reviews_of_product(ProductId id) const;
+  /// Review ids on `id`, ascending; a view like reviews_of_worker's.
+  /// Requires build_indexes().
+  std::span<const ReviewId> reviews_of_product(ProductId id) const;
 
-  /// Distinct product ids reviewed by `id`. Requires build_indexes().
+  /// Distinct product ids reviewed by `id`, ascending. Requires
+  /// build_indexes().
   std::vector<ProductId> products_of_worker(WorkerId id) const;
 
   /// (Re)build the per-worker / per-product indexes; call after loading.
@@ -65,8 +70,13 @@ class ReviewTrace {
   std::vector<Worker> workers_;
   std::vector<Product> products_;
   std::vector<Review> reviews_;
-  std::vector<std::vector<ReviewId>> by_worker_;
-  std::vector<std::vector<ReviewId>> by_product_;
+  /// The two indexes in compressed-row form: worker w's review ids are
+  /// worker_reviews_[worker_offsets_[w] .. worker_offsets_[w + 1]), in
+  /// ascending order; likewise per product.
+  std::vector<std::size_t> worker_offsets_;
+  std::vector<ReviewId> worker_reviews_;
+  std::vector<std::size_t> product_offsets_;
+  std::vector<ReviewId> product_reviews_;
   bool indexes_built_ = false;
 };
 

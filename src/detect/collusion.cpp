@@ -1,8 +1,12 @@
 #include "detect/collusion.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <map>
+#include <numeric>
 #include <set>
+#include <span>
 #include <sstream>
 
 #include "graph/components.hpp"
@@ -14,7 +18,11 @@
 namespace ccd::detect {
 namespace {
 
-/// Map each product to the (dense) indices of malicious workers targeting it.
+constexpr std::size_t kNoLabel = std::numeric_limits<std::size_t>::max();
+constexpr std::uint32_t kNoWorker = std::numeric_limits<std::uint32_t>::max();
+
+/// Map each product to the (dense) indices of malicious workers targeting
+/// it (the DFS backend's edge source).
 std::map<data::ProductId, std::vector<std::size_t>> product_incidence(
     const data::ReviewTrace& trace,
     const std::vector<data::WorkerId>& workers) {
@@ -27,23 +35,37 @@ std::map<data::ProductId, std::vector<std::size_t>> product_incidence(
   return incidence;
 }
 
-/// Partition (as dense-index component labels) via union-find.
+/// Partition (as dense-index component labels, numbered by first
+/// appearance) via union-find. One per-product slot remembers the first
+/// worker seen on the product; every later worker on it is united with
+/// that one, the edges a star per product gives, without building the
+/// product -> workers incidence.
 std::vector<std::size_t> partition_union_find(
     const data::ReviewTrace& trace,
     const std::vector<data::WorkerId>& workers) {
+  CCD_CHECK_MSG(workers.size() < kNoWorker,
+                "too many malicious workers to cluster: " << workers.size());
+  const std::vector<data::Review>& reviews = trace.reviews();
   graph::UnionFind uf(workers.size());
-  for (const auto& [pid, indices] : product_incidence(trace, workers)) {
-    for (std::size_t i = 1; i < indices.size(); ++i) {
-      uf.unite(indices[0], indices[i]);
+  std::vector<std::uint32_t> first_on_product(trace.products().size(),
+                                              kNoWorker);
+  for (std::size_t idx = 0; idx < workers.size(); ++idx) {
+    for (const data::ReviewId rid : trace.reviews_of_worker(workers[idx])) {
+      std::uint32_t& first = first_on_product[reviews[rid].product];
+      if (first == kNoWorker) {
+        first = static_cast<std::uint32_t>(idx);
+      } else {
+        uf.unite(first, idx);
+      }
     }
   }
   std::vector<std::size_t> label(workers.size());
-  std::map<std::size_t, std::size_t> root_to_label;
+  std::vector<std::size_t> label_of_root(workers.size(), kNoLabel);
+  std::size_t labels = 0;
   for (std::size_t i = 0; i < workers.size(); ++i) {
-    const std::size_t root = uf.find(i);
-    const auto [it, inserted] =
-        root_to_label.emplace(root, root_to_label.size());
-    label[i] = it->second;
+    std::size_t& root_label = label_of_root[uf.find(i)];
+    if (root_label == kNoLabel) root_label = labels++;
+    label[i] = root_label;
   }
   return label;
 }
@@ -86,29 +108,41 @@ CollusionResult cluster_collusive_workers(
           ? partition_union_find(trace, malicious_workers)
           : partition_dfs(trace, malicious_workers);
 
-  // Group dense indices by component label.
-  std::map<std::size_t, std::vector<std::size_t>> groups;
-  for (std::size_t i = 0; i < malicious_workers.size(); ++i) {
-    groups[label[i]].push_back(i);
-  }
+  // Group dense indices by component label: a counting sort into label
+  // buckets, each listing its indices ascending.
+  const std::size_t groups =
+      label.empty() ? 0 : *std::max_element(label.begin(), label.end()) + 1;
+  std::vector<std::size_t> group_start(groups + 1, 0);
+  for (const std::size_t l : label) ++group_start[l + 1];
+  std::partial_sum(group_start.begin(), group_start.end(),
+                   group_start.begin());
+  std::vector<std::size_t> next(group_start.begin(), group_start.end() - 1);
+  std::vector<std::size_t> grouped(label.size());
+  for (std::size_t i = 0; i < label.size(); ++i) grouped[next[label[i]]++] = i;
 
+  const std::vector<data::Review>& reviews = trace.reviews();
   CollusionResult result;
   result.community_of.assign(trace.workers().size(), -1);
-  for (const auto& [component, indices] : groups) {
+  for (std::size_t g = 0; g < groups; ++g) {
+    const std::span<const std::size_t> indices(
+        grouped.data() + group_start[g], group_start[g + 1] - group_start[g]);
     if (indices.size() < 2) {
       result.non_collusive.push_back(malicious_workers[indices.front()]);
       continue;
     }
     Community community;
-    std::set<data::ProductId> targets;
+    community.members.reserve(indices.size());
     for (const std::size_t idx : indices) {
       const data::WorkerId wid = malicious_workers[idx];
       community.members.push_back(wid);
-      for (const data::ProductId pid : trace.products_of_worker(wid)) {
-        targets.insert(pid);
+      for (const data::ReviewId rid : trace.reviews_of_worker(wid)) {
+        community.targets.push_back(reviews[rid].product);
       }
     }
-    community.targets.assign(targets.begin(), targets.end());
+    std::sort(community.targets.begin(), community.targets.end());
+    community.targets.erase(
+        std::unique(community.targets.begin(), community.targets.end()),
+        community.targets.end());
     result.communities.push_back(std::move(community));
   }
 

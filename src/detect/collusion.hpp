@@ -7,9 +7,10 @@
 // non-collusive malicious ("NCM") workers.
 //
 // Materializing same-product edges is quadratic per product in the worst
-// case, so the default backend links via union-find over the
-// worker -> product incidence (identical partition, near-linear time); the
-// explicit DFS backend is kept to mirror the paper and cross-check.
+// case, so the default backend links via union-find, uniting each worker
+// with the first worker seen on each of its products (identical partition,
+// near-linear time, flat arrays only); the explicit DFS backend is kept to
+// mirror the paper and cross-check.
 #pragma once
 
 #include <cstddef>

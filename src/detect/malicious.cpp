@@ -95,6 +95,12 @@ double MaliciousDetector::Quality::f1() const {
 
 MaliciousDetector::Quality MaliciousDetector::evaluate(
     const data::ReviewTrace& trace, double threshold) const {
+  // The probabilities are indexed by the worker ids of the trace the
+  // detector was built on; any other worker count is another trace.
+  CCD_CHECK_MSG(trace.workers().size() == probability_.size(),
+                "evaluate: the trace has " << trace.workers().size()
+                    << " workers, the detector was built on "
+                    << probability_.size());
   Quality q;
   for (const data::Worker& w : trace.workers()) {
     const bool truly_malicious = w.true_class != data::WorkerClass::kHonest;

@@ -59,6 +59,8 @@ class MaliciousDetector {
     double recall() const;
     double f1() const;
   };
+  /// `trace` must be the trace the detector was built on; a different
+  /// worker count throws ccd::Error.
   Quality evaluate(const data::ReviewTrace& trace, double threshold = 0.5) const;
 
  private:

@@ -40,8 +40,10 @@ class Accumulator {
   double max_ = -std::numeric_limits<double>::infinity();
 };
 
-/// Linear-interpolation percentile (p in [0, 100]) of a sample.
-/// Copies and sorts; fine for experiment-sized data.
+/// Linear-interpolation percentile (p in [0, 100]) of a sample: the value
+/// of sorting it and interpolating between ranks floor(r) and floor(r) + 1,
+/// r = p/100 * (n - 1). Selects those two order statistics in linear time
+/// instead of sorting.
 double percentile(std::vector<double> values, double p);
 
 double mean(const std::vector<double>& values);

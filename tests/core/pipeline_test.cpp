@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -42,7 +44,7 @@ TEST_F(PipelineTest, SubproblemsPartitionWorkers) {
   const PipelineResult r = run_pipeline(*trace_, PipelineConfig{});
   std::vector<int> covered(trace_->workers().size(), 0);
   for (const SubproblemOutcome& sub : r.subproblems) {
-    for (const data::WorkerId id : sub.workers) ++covered[id];
+    for (const data::WorkerId id : r.workers_of(sub)) ++covered[id];
   }
   for (std::size_t i = 0; i < covered.size(); ++i) {
     EXPECT_EQ(covered[i], 1) << "worker " << i;
@@ -65,7 +67,7 @@ TEST_F(PipelineTest, PerWorkerSharesSumToSubproblemTotals) {
   const PipelineResult r = run_pipeline(*trace_, PipelineConfig{});
   for (const SubproblemOutcome& sub : r.subproblems) {
     double share_sum = 0.0;
-    for (const data::WorkerId id : sub.workers) {
+    for (const data::WorkerId id : r.workers_of(sub)) {
       share_sum += r.workers[id].compensation;
     }
     EXPECT_NEAR(share_sum, sub.design.response.compensation, 1e-9);
@@ -80,8 +82,39 @@ TEST_F(PipelineTest, CommunitiesShareOneContract) {
     for (const data::WorkerId id : members) {
       EXPECT_EQ(r.workers[id].subproblem, sub);
     }
-    EXPECT_EQ(r.subproblems[sub].workers.size(), members.size());
+    EXPECT_EQ(r.workers_of(r.subproblems[sub]).size(), members.size());
   }
+}
+
+// workers_of keeps no view: a result moved into a new object, with the
+// source destroyed, and a copy of that, with the moved-to result destroyed
+// too, still list every subproblem's workers (a view into the old storage
+// would read freed memory, which the address-sanitizer build reports).
+TEST_F(PipelineTest, WorkersOfSurvivesMovesAndCopies) {
+  auto source =
+      std::make_unique<PipelineResult>(run_pipeline(*trace_, PipelineConfig{}));
+  ASSERT_FALSE(source->collusion.communities.empty());
+  std::vector<std::vector<data::WorkerId>> expected;
+  for (const SubproblemOutcome& sub : source->subproblems) {
+    const std::span<const data::WorkerId> ids = source->workers_of(sub);
+    expected.emplace_back(ids.begin(), ids.end());
+  }
+  const auto expect_lists = [&](const PipelineResult& r) {
+    ASSERT_EQ(r.subproblems.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      const std::span<const data::WorkerId> ids =
+          r.workers_of(r.subproblems[i]);
+      EXPECT_EQ(std::vector<data::WorkerId>(ids.begin(), ids.end()),
+                expected[i])
+          << "subproblem " << i;
+    }
+  };
+  auto moved = std::make_unique<PipelineResult>(std::move(*source));
+  source.reset();
+  expect_lists(*moved);
+  const PipelineResult copy = *moved;
+  moved.reset();
+  expect_lists(copy);
 }
 
 TEST_F(PipelineTest, DetectedClassesAreConsistentWithCollusion) {
@@ -145,7 +178,8 @@ TEST_F(PipelineTest, FixedPaymentStrategyRuns) {
   const PipelineResult r = run_pipeline(*trace_, config);
   // Accepting workers earn exactly the fixed payment (individuals).
   for (const SubproblemOutcome& sub : r.subproblems) {
-    if (sub.workers.size() == 1 && sub.design.response.compensation > 0.0) {
+    if (r.workers_of(sub).size() == 1 &&
+        sub.design.response.compensation > 0.0) {
       EXPECT_DOUBLE_EQ(sub.design.response.compensation, 2.0);
     }
   }

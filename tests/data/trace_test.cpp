@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <span>
+#include <vector>
+
 #include "util/error.hpp"
 
 namespace ccd::data {
@@ -70,6 +74,81 @@ TEST(ReviewTraceTest, ProductsOfWorkerDeduplicates) {
   t.add_review({1, 0, 0, 1, 3.5, 50, 1, true});
   t.build_indexes();
   EXPECT_EQ(t.products_of_worker(0).size(), 1u);
+}
+
+/// The indexes as the per-row vectors they once were: one list per worker
+/// and one per product, each review id appended in review order.
+struct ReferenceIndex {
+  std::vector<std::vector<ReviewId>> by_worker;
+  std::vector<std::vector<ReviewId>> by_product;
+};
+
+ReferenceIndex reference_index(const ReviewTrace& t) {
+  ReferenceIndex ref;
+  ref.by_worker.assign(t.workers().size(), {});
+  ref.by_product.assign(t.products().size(), {});
+  for (const Review& r : t.reviews()) {
+    ref.by_worker[r.worker].push_back(r.id);
+    ref.by_product[r.product].push_back(r.id);
+  }
+  return ref;
+}
+
+void expect_index_matches_reference(const ReviewTrace& t) {
+  const ReferenceIndex ref = reference_index(t);
+  for (const Worker& w : t.workers()) {
+    const std::span<const ReviewId> ids = t.reviews_of_worker(w.id);
+    EXPECT_EQ(std::vector<ReviewId>(ids.begin(), ids.end()),
+              ref.by_worker[w.id])
+        << "worker " << w.id;
+    std::set<ProductId> products;
+    for (const ReviewId rid : ref.by_worker[w.id]) {
+      products.insert(t.review(rid).product);
+    }
+    EXPECT_EQ(t.products_of_worker(w.id),
+              std::vector<ProductId>(products.begin(), products.end()))
+        << "worker " << w.id;
+  }
+  for (const Product& p : t.products()) {
+    const std::span<const ReviewId> ids = t.reviews_of_product(p.id);
+    EXPECT_EQ(std::vector<ReviewId>(ids.begin(), ids.end()),
+              ref.by_product[p.id])
+        << "product " << p.id;
+  }
+}
+
+// Reviews in id order interleave workers and products, as a loaded CSV
+// may list them; worker 2 and product 3 have no reviews, and worker 1
+// reviews product 2 twice.
+TEST(ReviewTraceTest, CompressedIndexMatchesPerRowReference) {
+  ReviewTrace t;
+  for (WorkerId w = 0; w < 4; ++w) {
+    t.add_worker({w, WorkerClass::kHonest, kNoCommunity, 1.0, false});
+  }
+  for (ProductId p = 0; p < 4; ++p) t.add_product({p, 3.0});
+  const WorkerId workers[] = {1, 0, 3, 1, 0, 1, 3, 0};
+  const ProductId products[] = {2, 0, 1, 2, 2, 0, 1, 1};
+  for (ReviewId i = 0; i < 8; ++i) {
+    t.add_review({i, workers[i], products[i], 0, 3.0, 50, 1, true});
+  }
+  t.build_indexes();
+  expect_index_matches_reference(t);
+  EXPECT_TRUE(t.reviews_of_worker(2).empty());
+  EXPECT_TRUE(t.reviews_of_product(3).empty());
+  EXPECT_TRUE(t.products_of_worker(2).empty());
+  EXPECT_EQ(t.products_of_worker(1), (std::vector<ProductId>{0, 2}));
+  EXPECT_THROW(t.reviews_of_worker(4), Error);
+  EXPECT_THROW(t.reviews_of_product(4), Error);
+
+  // Another review drops the index until it is rebuilt, and the rebuilt
+  // index lists it: worker 2 and product 3 now have one review each.
+  t.add_review({8, 2, 3, 0, 3.0, 50, 1, true});
+  EXPECT_FALSE(t.indexes_built());
+  EXPECT_THROW(t.reviews_of_worker(2), Error);
+  t.build_indexes();
+  expect_index_matches_reference(t);
+  EXPECT_EQ(t.reviews_of_worker(2).size(), 1u);
+  EXPECT_EQ(t.reviews_of_product(3).size(), 1u);
 }
 
 TEST(ReviewTraceTest, IndexRequiredBeforeQueries) {

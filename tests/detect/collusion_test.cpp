@@ -3,11 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "data/generator.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace ccd::detect {
 namespace {
@@ -67,6 +71,75 @@ TEST(CollusionTest, BackendsAgree) {
     EXPECT_EQ(a, b);
   }
   EXPECT_EQ(uf.non_collusive, dfs.non_collusive);
+}
+
+void expect_equal_results(const CollusionResult& a, const CollusionResult& b) {
+  ASSERT_EQ(a.communities.size(), b.communities.size());
+  for (std::size_t c = 0; c < a.communities.size(); ++c) {
+    EXPECT_EQ(a.communities[c].members, b.communities[c].members)
+        << "community " << c;
+    EXPECT_EQ(a.communities[c].targets, b.communities[c].targets)
+        << "community " << c;
+  }
+  EXPECT_EQ(a.non_collusive, b.non_collusive);
+  EXPECT_EQ(a.community_of, b.community_of);
+}
+
+// The flat union-find backend against the paper's DFS over explicit
+// same-product edges: equal results, field for field, on random worker
+// sets of the medium trace (most malicious workers and a few honest ones,
+// which pull in shared popular products), in ascending and in shuffled
+// order, plus the empty set and a single worker.
+TEST(CollusionTest, UnionFindEqualsDfsOnRandomWorkerSets) {
+  const data::ReviewTrace trace =
+      data::generate_trace(data::GeneratorParams::medium());
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u}) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    util::Rng rng(seed);
+    std::vector<data::WorkerId> workers;
+    for (const data::Worker& w : trace.workers()) {
+      const bool malicious = w.true_class != data::WorkerClass::kHonest;
+      if (rng.bernoulli(malicious ? 0.8 : 0.03)) workers.push_back(w.id);
+    }
+    if (seed % 2 == 0) rng.shuffle(workers);
+    const CollusionResult uf =
+        cluster_collusive_workers(trace, workers, ClusterBackend::kUnionFind);
+    const CollusionResult dfs =
+        cluster_collusive_workers(trace, workers, ClusterBackend::kDfsGraph);
+    EXPECT_FALSE(uf.communities.empty());
+    expect_equal_results(uf, dfs);
+    // The grouping both backends share: members keep the input order, and
+    // targets are the members' distinct products, ascending.
+    std::map<data::WorkerId, std::size_t> position;
+    for (std::size_t i = 0; i < workers.size(); ++i) position[workers[i]] = i;
+    for (const Community& c : uf.communities) {
+      std::set<data::ProductId> products;
+      for (std::size_t m = 0; m < c.members.size(); ++m) {
+        const data::WorkerId wid = c.members[m];
+        if (m > 0) {
+          EXPECT_LT(position[c.members[m - 1]], position[wid]);
+        }
+        for (const data::ReviewId rid : trace.reviews_of_worker(wid)) {
+          products.insert(trace.review(rid).product);
+        }
+      }
+      EXPECT_EQ(c.targets,
+                std::vector<data::ProductId>(products.begin(), products.end()));
+    }
+  }
+  const std::vector<data::WorkerId> none;
+  const CollusionResult uf_none =
+      cluster_collusive_workers(trace, none, ClusterBackend::kUnionFind);
+  expect_equal_results(
+      uf_none,
+      cluster_collusive_workers(trace, none, ClusterBackend::kDfsGraph));
+  EXPECT_EQ(uf_none.community_of.size(), trace.workers().size());
+  const std::vector<data::WorkerId> one = {trace.workers().back().id};
+  const CollusionResult uf_one =
+      cluster_collusive_workers(trace, one, ClusterBackend::kUnionFind);
+  expect_equal_results(
+      uf_one, cluster_collusive_workers(trace, one, ClusterBackend::kDfsGraph));
+  EXPECT_EQ(uf_one.non_collusive, one);
 }
 
 TEST(CollusionTest, CommunityOfMapsMembersOnly) {

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <string>
 
 #include "data/generator.hpp"
 #include "data/metrics.hpp"
@@ -106,6 +107,33 @@ TEST_F(MaliciousDetectorTest, OutOfRangeThrows) {
   EXPECT_THROW(detector_->accuracy_distance(static_cast<data::WorkerId>(
                    trace_.workers().size())),
                Error);
+}
+
+// evaluate() indexes its probabilities by the given trace's worker ids, so
+// a trace with another worker count (here the medium preset's, larger
+// than the small preset the detector was built on) must be refused, with
+// both sizes named, instead of reading past the probabilities.
+TEST_F(MaliciousDetectorTest, EvaluateRefusesATraceOfAnotherSize) {
+  const data::ReviewTrace larger =
+      data::generate_trace(data::GeneratorParams::medium());
+  ASSERT_GT(larger.workers().size(), trace_.workers().size());
+  try {
+    detector_->evaluate(larger, 0.5);
+    FAIL() << "evaluate accepted a trace with more workers";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(std::to_string(larger.workers().size())),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find(std::to_string(trace_.workers().size())),
+              std::string::npos)
+        << what;
+  }
+  data::ReviewTrace smaller;
+  smaller.add_worker({0, data::WorkerClass::kHonest, data::kNoCommunity, 1.0,
+                      false});
+  smaller.build_indexes();
+  EXPECT_THROW(detector_->evaluate(smaller, 0.5), Error);
 }
 
 /// Mean |score - consensus| over the worker's reviews, summed in review

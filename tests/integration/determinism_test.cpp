@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <filesystem>
 #include <string>
@@ -56,7 +57,8 @@ void expect_bitwise_equal(const core::PipelineResult& a,
   for (std::size_t i = 0; i < a.subproblems.size(); ++i) {
     const core::SubproblemOutcome& sa = a.subproblems[i];
     const core::SubproblemOutcome& sb = b.subproblems[i];
-    EXPECT_EQ(sa.workers, sb.workers) << "subproblem " << i;
+    EXPECT_TRUE(std::ranges::equal(a.workers_of(sa), b.workers_of(sb)))
+        << "subproblem " << i;
     EXPECT_EQ(sa.design.k_opt, sb.design.k_opt) << "subproblem " << i;
     EXPECT_EQ(sa.design.requester_utility, sb.design.requester_utility)
         << "subproblem " << i;

@@ -98,7 +98,7 @@ TEST_F(EndToEndTest, ClassFitsFeedCommunityDesigns) {
   const core::PipelineResult r =
       run_pipeline(*trace_, core::PipelineConfig{});
   for (const core::SubproblemOutcome& sub : r.subproblems) {
-    if (sub.workers.size() > 1) {
+    if (r.workers_of(sub).size() > 1) {
       // Community spec must carry the malicious omega.
       EXPECT_GT(sub.spec.incentives.omega, 0.0);
     }

@@ -52,7 +52,7 @@ TEST_P(FleetPropertyTest, SubproblemsPartitionAndTotalsAgree) {
   double utility = 0.0;
   double pay = 0.0;
   for (const SubproblemOutcome& sub : r.subproblems) {
-    for (const data::WorkerId id : sub.workers) ++covered[id];
+    for (const data::WorkerId id : r.workers_of(sub)) ++covered[id];
     utility += sub.design.requester_utility;
     pay += sub.design.response.compensation;
   }

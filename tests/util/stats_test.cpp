@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "util/error.hpp"
@@ -87,6 +90,60 @@ TEST(PercentileTest, RejectsBadInput) {
   EXPECT_THROW(percentile({}, 50.0), Error);
   EXPECT_THROW(percentile({1.0}, -1.0), Error);
   EXPECT_THROW(percentile({1.0}, 101.0), Error);
+}
+
+/// The percentile as a full sort reads it: the reference the selection
+/// must reproduce.
+double sorted_percentile(std::vector<double> values, double p) {
+  std::sort(values.begin(), values.end());
+  if (values.size() == 1) return values.front();
+  const double rank = p / 100.0 * static_cast<double>(values.size() - 1);
+  const std::size_t lo = static_cast<std::size_t>(rank);
+  const std::size_t hi = std::min(lo + 1, values.size() - 1);
+  const double frac = rank - static_cast<double>(lo);
+  return values[lo] * (1.0 - frac) + values[hi] * frac;
+}
+
+// Seeded samples of every size 1..1,000, drawn from few distinct values
+// (many duplicates) or from a continuous range, at a grid of p from 0 to
+// 100: bit for bit the sort-based value. Where a sample holds both signed
+// zeros, which of them a sort or a selection puts at a rank is unspecified,
+// so only the values must be equal there.
+TEST(PercentileTest, SelectionEqualsSortReferenceBitwise) {
+  const double grid[] = {0.0,  0.1,  1.0,  5.0,  10.0, 25.0, 100.0 / 3.0,
+                         50.0, 62.5, 75.0, 90.0, 95.0, 99.0, 99.9, 100.0};
+  Rng rng(20260422);
+  for (std::size_t n = 1; n <= 1000; ++n) {
+    const auto last = static_cast<std::int64_t>(n) - 1;
+    const std::int64_t spread = std::max<std::int64_t>(1, last / 4);
+    std::vector<double> values(n);
+    for (double& v : values) {
+      v = n % 3 != 0
+              ? 0.25 * static_cast<double>(rng.uniform_int(-spread, spread))
+              : rng.uniform(-50.0, 50.0);
+    }
+    if (n % 7 == 0) {
+      values[static_cast<std::size_t>(rng.uniform_int(0, last))] = -0.0;
+      values[static_cast<std::size_t>(rng.uniform_int(0, last))] = 0.0;
+    }
+    bool negative_zero = false;
+    bool positive_zero = false;
+    for (const double v : values) {
+      if (v == 0.0) (std::signbit(v) ? negative_zero : positive_zero) = true;
+    }
+    const bool both_zeros = negative_zero && positive_zero;
+    for (const double p : grid) {
+      const double got = percentile(values, p);
+      const double want = sorted_percentile(values, p);
+      if (both_zeros) {
+        EXPECT_EQ(got, want) << "n=" << n << " p=" << p;
+      } else {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+                  std::bit_cast<std::uint64_t>(want))
+            << "n=" << n << " p=" << p << ": " << got << " vs " << want;
+      }
+    }
+  }
 }
 
 TEST(StatsFreeFunctionsTest, MeanStddevMedian) {
