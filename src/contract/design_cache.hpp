@@ -19,6 +19,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -67,10 +68,10 @@ struct DesignCacheKeyHash {
 };
 
 /// Counters describing how much k-sweep work the cache absorbed. A
-/// "lookup" is one cacheable resolution (spec.weight > 0; weight-excluded
-/// workers never touch the cache). One k-sweep answers `intervals`
-/// candidates, so the uncached path would have run `lookups` sweeps where
-/// the cache ran `misses`.
+/// "lookup" is one cacheable resolution: a spec with weight > 0 whose
+/// class's table was acquired, even if its "contract.design" fault then
+/// fires. One k-sweep answers `intervals` candidates, so the uncached path
+/// would have run `lookups` sweeps where the cache ran `misses`.
 ///
 /// These per-cache (or per-call) stats are snapshots taken under the cache
 /// mutex / after the batch joins — safe to read single-threaded. The
@@ -102,7 +103,8 @@ class DesignCache {
   ~DesignCache();
 
   /// Design one contract through the cache. Equivalent (bitwise) to
-  /// design_contract(spec).
+  /// design_contract(spec). No production path calls it: it is the
+  /// per-spec reference for design_contracts_batch's results and counters.
   DesignResult design(const SubproblemSpec& spec);
 
   /// Fetch (or compute and insert) the table for a spec. `was_hit`, when
@@ -159,8 +161,16 @@ struct BatchOptions {
   /// completed entries apart.
   const util::CancellationToken* cancel = nullptr;
   /// When non-null, resized to specs.size(); (*resolved)[i] is 1 iff
-  /// results[i] was actually designed (always all-ones unless cancelled).
+  /// results[i] was actually designed (always all-ones unless cancelled
+  /// or, with `errors`, failed).
   std::vector<std::uint8_t>* resolved = nullptr;
+  /// Per-spec error sink. Null: the first failure propagates. Non-null:
+  /// resized to specs.size(); a spec whose design_contract(spec) would
+  /// throw gets that error here, a default result and resolved 0, and the
+  /// other specs are still designed. Validation fails a whole class, its
+  /// k-sweep every positive-weight member, the "contract.design" fault
+  /// point one spec.
+  std::vector<std::exception_ptr>* errors = nullptr;
 };
 
 /// Design contracts for a whole fleet — the one fleet-design path every

@@ -15,11 +15,13 @@
 
 namespace ccd::contract {
 
-FleetSoA FleetSoA::from_specs(const std::vector<SubproblemSpec>& specs) {
+FleetSoA FleetSoA::from_specs(const std::vector<SubproblemSpec>& specs,
+                              std::vector<std::exception_ptr>* errors) {
   FleetSoA fleet;
   const std::size_t n = specs.size();
   fleet.weight.resize(n);
   fleet.class_of.resize(n);
+  if (errors) errors->assign(n, nullptr);
 
   std::unordered_map<DesignCacheKey, std::size_t, DesignCacheKeyHash>
       class_of_key;
@@ -31,7 +33,14 @@ FleetSoA FleetSoA::from_specs(const std::vector<SubproblemSpec>& specs) {
   DesignCacheKey previous_key;
   std::size_t cls = npos;
   for (std::size_t i = 0; i < n; ++i) {
-    specs[i].validate();
+    bool valid = true;
+    try {
+      specs[i].validate();
+    } catch (...) {
+      if (!errors) throw;
+      (*errors)[i] = std::current_exception();
+      valid = false;
+    }
     const DesignCacheKey key = DesignCacheKey::of(specs[i]);
     if (cls == npos || key != previous_key) {
       const auto [it, inserted] =
@@ -54,7 +63,7 @@ FleetSoA FleetSoA::from_specs(const std::vector<SubproblemSpec>& specs) {
     fleet.class_of[i] = cls;
     fleet.weight[i] = specs[i].weight;
     ++counts[cls];
-    if (specs[i].weight > 0.0 && fleet.first_positive[cls] == npos) {
+    if (valid && specs[i].weight > 0.0 && fleet.first_positive[cls] == npos) {
       fleet.first_positive[cls] = i;
     }
   }
@@ -91,9 +100,9 @@ SubproblemSpec FleetSoA::class_spec(std::size_t c) const {
 namespace {
 
 // The batch's per-call accounting, computed from the fleet arrays once its
-// classes have run. A class with a positive-weight member resolves all its
-// workers once its table is acquired, so its first positive member tells
-// whether it ran (cancellation skips whole classes). Returns the per-call
+// classes have run, by class: a class whose table was acquired counts each
+// positive-weight member as one lookup, also one whose "contract.design"
+// fault then fired, as DesignCache::design would. Returns the per-call
 // snapshot and the `extra` delta the caller records into the cache for
 // per-worker resolutions served without touching the map.
 struct FleetCallStats {
@@ -102,13 +111,13 @@ struct FleetCallStats {
 };
 
 FleetCallStats fleet_call_stats(const FleetSoA& fleet,
-                                const std::vector<std::uint8_t>& resolved,
+                                const std::vector<std::uint8_t>& acquired,
                                 std::size_t sweeps_computed,
                                 std::uint64_t sweep_steps_computed) {
   std::size_t cacheable = 0;
   std::size_t cacheable_steps = 0;
   for (std::size_t i = 0; i < fleet.workers(); ++i) {
-    if (fleet.weight[i] <= 0.0 || !resolved[i]) continue;
+    if (fleet.weight[i] <= 0.0 || !acquired[fleet.class_of[i]]) continue;
     ++cacheable;
     cacheable_steps += fleet.intervals[fleet.class_of[i]];
   }
@@ -127,8 +136,7 @@ FleetCallStats fleet_call_stats(const FleetSoA& fleet,
   std::size_t classes_ran = 0;
   std::size_t classes_ran_steps = 0;
   for (std::size_t c = 0; c < fleet.classes(); ++c) {
-    const std::size_t first = fleet.first_positive[c];
-    if (first == FleetSoA::npos || !resolved[first]) continue;
+    if (!acquired[c]) continue;
     ++classes_ran;
     classes_ran_steps += fleet.intervals[c];
   }
@@ -176,11 +184,16 @@ std::vector<DesignResult> design_contracts_batch(
   std::vector<std::uint8_t>& resolved =
       options.resolved ? *options.resolved : resolved_local;
   resolved.assign(n, 0);
+  std::vector<std::exception_ptr>* const errors = options.errors;
 
   // SoA grouping: a class is the canonical weight-excluded cache key, in
   // first-occurrence order, with each class's workers gathered into a
-  // contiguous CSR slice. Validates every spec in input order.
-  const FleetSoA fleet = FleetSoA::from_specs(specs);
+  // contiguous CSR slice. Validates every spec in input order; with the
+  // sink, an invalid spec's error lands there (validation reads only the
+  // class key, so its whole class fails) and it is never designed.
+  const FleetSoA fleet = FleetSoA::from_specs(specs, errors);
+  // Classes whose table was acquired (written by their own task only).
+  std::vector<std::uint8_t> acquired(fleet.classes(), 0);
 
   std::atomic<std::size_t> computed{0};
   std::atomic<std::uint64_t> steps_computed{0};
@@ -214,13 +227,18 @@ std::vector<DesignResult> design_contracts_batch(
       result.excluded = true;
       result.response = *zero;
     };
-    if (fleet.first_positive[c] == FleetSoA::npos) {
-      // Every member is weight-excluded: no table.
+    // Only weight-excluded members remain to design (every member is one,
+    // or the class's k-sweep failed): no table.
+    const auto exclude_only = [&] {
       for (std::size_t j = 0; j < count; ++j) {
         const std::size_t i = fleet.order[begin + j];
+        if (fleet.weight[i] > 0.0 || (errors && (*errors)[i])) continue;
         exclude(results[i]);
         resolved[i] = 1;
       }
+    };
+    if (fleet.first_positive[c] == FleetSoA::npos) {
+      exclude_only();
       return;
     }
 
@@ -234,7 +252,7 @@ std::vector<DesignResult> design_contracts_batch(
     std::shared_ptr<const DesignTable> cached;
     const DesignTable* table = &scratch.table;
     bool was_hit = false;
-    {
+    try {
       // Span of this class's table (see BatchOptions::sweep_histogram; a
       // cache hit records the cheap lookup instead of a sweep).
       util::metrics::ScopedTimer timer(options.sweep_histogram);
@@ -244,7 +262,19 @@ std::vector<DesignResult> design_contracts_batch(
       } else {
         build_design_table(spec, scratch.table);
       }
+    } catch (...) {
+      if (!errors) throw;
+      // The sweep fails every positive-weight member, as each one's own
+      // design_contract would.
+      const std::exception_ptr error = std::current_exception();
+      for (std::size_t j = 0; j < count; ++j) {
+        const std::size_t i = fleet.order[begin + j];
+        if (fleet.weight[i] > 0.0) (*errors)[i] = error;
+      }
+      exclude_only();
+      return;
     }
+    acquired[c] = 1;
     if (!was_hit) {
       computed.fetch_add(1, std::memory_order_relaxed);
       steps_computed.fetch_add(fleet.intervals[c], std::memory_order_relaxed);
@@ -270,7 +300,14 @@ std::vector<DesignResult> design_contracts_batch(
         resolved[i] = 1;
         continue;
       }
-      CCD_FAULT_POINT("contract.design", fault_key(specs[i]), ContractError);
+      try {
+        CCD_FAULT_POINT("contract.design", fault_key(specs[i]),
+                        ContractError);
+      } catch (...) {
+        if (!errors) throw;
+        (*errors)[i] = std::current_exception();
+        continue;
+      }
       if (utility[j] < 0.0) {
         exclude(result);  // §V fallback: zero contract
       } else {
@@ -296,7 +333,7 @@ std::vector<DesignResult> design_contracts_batch(
   count_built();
 
   const FleetCallStats fcs = fleet_call_stats(
-      fleet, resolved, computed.load(), steps_computed.load());
+      fleet, acquired, computed.load(), steps_computed.load());
   if (stats) *stats = fcs.call;
   if (cache) {
     cache->record(fcs.extra);

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstddef>
+#include <exception>
 #include <vector>
 
 #include "contract/designer.hpp"
@@ -30,9 +31,9 @@ struct FleetSoA {
   std::vector<double> mu;                ///< requester compensation weight
   std::vector<std::size_t> intervals;    ///< m
   std::vector<double> domain;            ///< resolved effort domain (> 0)
-  /// First worker (original index) of the class with weight > 0, or npos
-  /// when every member is weight-excluded (no table needed: §V zero
-  /// contract for all of them).
+  /// First valid worker (original index) of the class with weight > 0,
+  /// or npos when every member is weight-excluded or invalid (no table
+  /// needed: §V zero contract for the valid ones).
   std::vector<std::size_t> first_positive;
 
   // CSR worker grouping.
@@ -51,9 +52,13 @@ struct FleetSoA {
   std::size_t workers() const { return weight.size(); }
   std::size_t classes() const { return intervals.size(); }
 
-  /// Validate and group specs. Throws what SubproblemSpec::validate()
-  /// throws, on the first invalid spec (in input order).
-  static FleetSoA from_specs(const std::vector<SubproblemSpec>& specs);
+  /// Validate and group specs. Without `errors`, throws what
+  /// SubproblemSpec::validate() throws, on the first invalid spec (in
+  /// input order). With `errors`, resized to specs.size(), each invalid
+  /// spec's exception lands at its index instead; the spec is still
+  /// grouped, but never as its class's first positive member.
+  static FleetSoA from_specs(const std::vector<SubproblemSpec>& specs,
+                             std::vector<std::exception_ptr>* errors = nullptr);
 
   /// Reconstruct the class's spec with weight 1. Equal (as values) to any
   /// member spec of the class; bitwise-equal except where canonicalization

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <mutex>
+#include <exception>
 #include <sstream>
 #include <utility>
 
@@ -62,6 +62,14 @@ void check_trace_finite(const data::ReviewTrace& trace) {
 /// payment, no utility. Distinct from the designer's own exclusion result
 /// (`excluded` stays false; WorkerOutcome::quarantined marks the cause).
 contract::DesignResult quarantined_design() { return contract::DesignResult{}; }
+
+/// Record one absorbed failure (or cancellation) in the run's health.
+void record_event(HealthReport& health, PipelineStage stage,
+                  StageMode action, ErrorCode code, std::string detail,
+                  std::int64_t worker = -1, std::int64_t subproblem = -1) {
+  health.events.push_back(
+      {stage, action, code, std::move(detail), worker, subproblem});
+}
 
 }  // namespace
 
@@ -154,25 +162,52 @@ PipelineResult run_pipeline(const data::ReviewTrace& trace,
   HealthReport& health = result.health;
   const FaultPolicy& policy = config.faults;
 
+  // A stage failure: under a fail-fast policy it escapes with the stage
+  // (and the worker, when known) attached; the lenient modes record it as
+  // one event and the caller degrades the stage. Called from inside the
+  // catch handler that holds `e`, so `throw;` rethrows it.
+  const auto absorb = [&](PipelineStage stage, Error& e,
+                          std::int64_t worker = -1,
+                          std::int64_t subproblem = -1) {
+    const StageMode mode = policy.mode_for(stage);
+    if (mode == StageMode::kFailFast) {
+      e.with_stage(to_string(stage));
+      if (worker >= 0) e.with_worker(worker);
+      throw;
+    }
+    record_event(health, stage, mode, e.code(), e.message(), worker,
+                 subproblem);
+  };
+
   // Cooperative cancellation: the first poll that latches the token
   // records one degradation event naming the boundary; every later stage
-  // just observes health.cancelled and degrades the same way its own
-  // catch path would, so the partial result stays well-formed.
+  // just observes health.cancelled.
   const util::CancellationToken* cancel = config.cancel;
   const auto poll_cancel = [&](PipelineStage stage) {
     if (health.cancelled) return true;
     if (cancel == nullptr || !cancel->poll()) return false;
     health.cancelled = true;
     health.cancel_reason = cancel->reason();
-    DegradationEvent ev;
-    ev.stage = stage;
-    ev.action = StageMode::kQuarantine;
-    ev.code = ErrorCode::kDeadline;
-    ev.detail = std::string("run cancelled (") +
-                util::to_string(health.cancel_reason) + ") before the " +
-                to_string(stage) + " stage";
-    health.events.push_back(std::move(ev));
+    record_event(health, stage, StageMode::kQuarantine, ErrorCode::kDeadline,
+                 std::string("run cancelled (") +
+                     util::to_string(health.cancel_reason) + ") before the " +
+                     to_string(stage) + " stage");
     return true;
+  };
+
+  // Run one stage's work. False when the run is cancelled or the stage's
+  // failure was absorbed: either way the caller degrades the stage the
+  // same way, so a partial result stays well-formed. (Cancellation is
+  // silent even under a fail-fast policy.)
+  const auto run_stage = [&](PipelineStage stage, const auto& work) {
+    if (poll_cancel(stage)) return false;
+    try {
+      work();
+      return true;
+    } catch (Error& e) {
+      absorb(stage, e);
+      return false;
+    }
   };
 
   // Observability: per-stage RAII spans write this run's wall clock into
@@ -201,12 +236,8 @@ PipelineResult run_pipeline(const data::ReviewTrace& trace,
     health.sanitize = sanitized_storage->report;
     health.sanitized = true;
     if (!health.sanitize.clean()) {
-      DegradationEvent ev;
-      ev.stage = PipelineStage::kSanitize;
-      ev.action = policy.sanitize;
-      ev.code = ErrorCode::kData;
-      ev.detail = health.sanitize.to_string();
-      health.events.push_back(std::move(ev));
+      record_event(health, PipelineStage::kSanitize, policy.sanitize,
+                   ErrorCode::kData, health.sanitize.to_string());
     }
     active = &sanitized_storage->trace;
   }
@@ -219,12 +250,9 @@ PipelineResult run_pipeline(const data::ReviewTrace& trace,
     health.sanitize.aborted_files += config.load_report->aborted_files;
     health.sanitize.rows_before_abort += config.load_report->rows_before_abort;
     if (!config.load_report->clean()) {
-      DegradationEvent ev;
-      ev.stage = PipelineStage::kSanitize;
-      ev.action = StageMode::kFallback;
-      ev.code = ErrorCode::kData;
-      ev.detail = "lenient load: " + config.load_report->to_string();
-      health.events.push_back(std::move(ev));
+      record_event(health, PipelineStage::kSanitize, StageMode::kFallback,
+                   ErrorCode::kData,
+                   "lenient load: " + config.load_report->to_string());
     }
   }
   sanitize_timer.stop();
@@ -240,41 +268,25 @@ PipelineResult run_pipeline(const data::ReviewTrace& trace,
   std::optional<detect::ExpertPanel> experts;
   std::optional<detect::MaliciousDetector> detector;
   std::vector<data::WorkerId> malicious;
-  try {
-    if (poll_cancel(PipelineStage::kDetect)) {
-      // Same degradation as an absorbed detect failure: fleet treated
-      // honest; the single cancellation event is already recorded.
-      result.detector_quality = {};
-    } else {
-      // Once the panel is built, nothing below throws a ccd::Error: the
-      // detector only checks what the panel and build_indexes() already
-      // verified on this trace (indexes built, ids in range). So a failed
-      // stage never leaves a panel without a detector, and the accuracy
-      // distances, which the detector computes, fall back to 0 exactly
-      // when the stage fails.
-      metrics.emplace(t);
-      experts.emplace(t, *metrics, config.expert);
-      detector.emplace(t, *experts, config.detector);
-      result.detector_quality =
-          detector->evaluate(t, config.malicious_threshold);
-      if (!config.use_ground_truth_labels) {
-        malicious = detector->flagged(config.malicious_threshold);
-      }
-    }
-  } catch (Error& e) {
-    if (policy.detect == StageMode::kFailFast) {
-      e.with_stage("detect");
-      throw;
-    }
+  if (!run_stage(PipelineStage::kDetect, [&] {
+        // Once the panel is built, nothing below throws a ccd::Error: the
+        // detector only checks what the panel and build_indexes() already
+        // verified on this trace (indexes built, ids in range). So a
+        // failed stage never leaves a panel without a detector, and the
+        // accuracy distances, which the detector computes, fall back to 0
+        // exactly when the stage fails.
+        metrics.emplace(t);
+        experts.emplace(t, *metrics, config.expert);
+        detector.emplace(t, *experts, config.detector);
+        result.detector_quality =
+            detector->evaluate(t, config.malicious_threshold);
+        if (!config.use_ground_truth_labels) {
+          malicious = detector->flagged(config.malicious_threshold);
+        }
+      })) {
     // Degraded detection: treat the fleet as honest (no flags, neutral
     // probabilities). Contracts are still designed for everyone, so the
     // run stays useful as an upper bound on trust.
-    DegradationEvent ev;
-    ev.stage = PipelineStage::kDetect;
-    ev.action = policy.detect;
-    ev.code = e.code();
-    ev.detail = e.message();
-    health.events.push_back(std::move(ev));
     malicious.clear();
     result.detector_quality = {};
   }
@@ -288,25 +300,9 @@ PipelineResult run_pipeline(const data::ReviewTrace& trace,
   // ---- Clustering stage --------------------------------------------------
   util::metrics::ScopedTimer cluster_timer(stage_histogram("cluster"),
                                            &result.timings.cluster_s);
-  try {
-    if (poll_cancel(PipelineStage::kCluster)) {
-      result.collusion = {};
-      result.collusion.community_of.assign(n, -1);
-      result.collusion.non_collusive = malicious;
-    } else {
-      result.collusion = detect::cluster_collusive_workers(t, malicious);
-    }
-  } catch (Error& e) {
-    if (policy.cluster == StageMode::kFailFast) {
-      e.with_stage("cluster");
-      throw;
-    }
-    DegradationEvent ev;
-    ev.stage = PipelineStage::kCluster;
-    ev.action = policy.cluster;
-    ev.code = e.code();
-    ev.detail = e.message();
-    health.events.push_back(std::move(ev));
+  if (!run_stage(PipelineStage::kCluster, [&] {
+        result.collusion = detect::cluster_collusive_workers(t, malicious);
+      })) {
     // Degraded clustering: no communities; flagged workers stay NCM.
     result.collusion = {};
     result.collusion.community_of.assign(n, -1);
@@ -318,10 +314,12 @@ PipelineResult run_pipeline(const data::ReviewTrace& trace,
   // The class fits, then one fit per detected community.
   util::metrics::ScopedTimer fit_timer(stage_histogram("fit"),
                                        &result.timings.fit_s);
-  if (poll_cancel(PipelineStage::kFit)) {
-    // Cancelled fitting degrades like an absorbed fit failure: the
-    // library default concave model for every class. (A fail-fast fit
-    // policy must not abort here — cancellation is silent by contract.)
+  if (!run_stage(PipelineStage::kFit, [&] {
+        CCD_CHECK_MSG(metrics.has_value(),
+                      "worker metrics unavailable (detect stage failed)");
+        result.class_fits = effort::fit_all_classes(*metrics, config.fit);
+      })) {
+    // Degraded fitting: the library default concave model for every class.
     effort::EffortFit def;
     def.model = effort::QuadraticEffort(-1.0, 8.0, 2.0);
     def.fallback = true;
@@ -329,31 +327,6 @@ PipelineResult run_pipeline(const data::ReviewTrace& trace,
     result.class_fits.ncm = def;
     result.class_fits.cm = def;
     ++health.fit_fallbacks;
-  } else {
-    try {
-      CCD_CHECK_MSG(metrics.has_value(),
-                    "worker metrics unavailable (detect stage failed)");
-      result.class_fits = effort::fit_all_classes(*metrics, config.fit);
-    } catch (Error& e) {
-      if (policy.fit == StageMode::kFailFast) {
-        e.with_stage("fit");
-        throw;
-      }
-      DegradationEvent ev;
-      ev.stage = PipelineStage::kFit;
-      ev.action = policy.fit;
-      ev.code = e.code();
-      ev.detail = e.message();
-      health.events.push_back(std::move(ev));
-      // Degraded fitting: the library default concave model for every class.
-      effort::EffortFit def;
-      def.model = effort::QuadraticEffort(-1.0, 8.0, 2.0);
-      def.fallback = true;
-      result.class_fits.honest = def;
-      result.class_fits.ncm = def;
-      result.class_fits.cm = def;
-      ++health.fit_fallbacks;
-    }
   }
 
   // Per-community fits, in community order; without worker metrics, or
@@ -378,18 +351,8 @@ PipelineResult run_pipeline(const data::ReviewTrace& trace,
     try {
       community_fits[c].fit = effort::fit_effort_function(samples, config.fit);
     } catch (Error& e) {
-      if (policy.fit == StageMode::kFailFast) {
-        e.with_stage("fit").with_worker(community.members.front());
-        throw;
-      }
-      DegradationEvent ev;
-      ev.stage = PipelineStage::kFit;
-      ev.action = policy.fit;
-      ev.code = e.code();
-      ev.detail = e.message();
-      ev.worker = community.members.front();
-      ev.subproblem = static_cast<std::int64_t>(individuals + c);
-      health.events.push_back(std::move(ev));
+      absorb(PipelineStage::kFit, e, community.members.front(),
+             static_cast<std::int64_t>(individuals + c));
       if (policy.fit == StageMode::kQuarantine) {
         community_fits[c].quarantined = true;
       } else {
@@ -483,13 +446,16 @@ PipelineResult run_pipeline(const data::ReviewTrace& trace,
   // ---- Strategy-specific solve (batched, cache-aware) --------------------
   // All workers of one detected class share the same weight-independent
   // spec, so the contract strategies go through design_contracts_batch:
-  // one k-sweep per distinct spec, then a cheap per-worker resolve. The
-  // fan-out reuses the process-wide shared pool unless the caller pins an
-  // explicit thread count.
+  // one k-sweep per distinct spec, then a cheap per-worker resolve. Every
+  // StageMode makes the same call; the lenient modes give it a per-spec
+  // error sink and absorb each failed subproblem in the post-pass below.
+  // The fan-out reuses the process-wide shared pool unless the caller pins
+  // an explicit thread count.
   util::metrics::ScopedTimer solve_timer(stage_histogram("solve"),
                                          &result.timings.solve_s);
-  // Per-community / per-distinct-spec solve spans for this run; snapshotted
-  // into result.timings and rolled up into ccd.pipeline.solve_task_us.
+  // This run's solve spans, one per class k-sweep (one per subproblem for
+  // the fixed-payment strategy); snapshotted into result.timings and
+  // rolled up into ccd.pipeline.solve_task_us.
   util::metrics::Histogram solve_spans;
   const std::size_t nsub = result.subproblems.size();
   util::ThreadPool* pool = &util::shared_pool();
@@ -498,10 +464,21 @@ PipelineResult run_pipeline(const data::ReviewTrace& trace,
     local_pool.emplace(config.threads);
     pool = &*local_pool;
   }
+  const bool lenient = policy.solve != StageMode::kFailFast;
 
   const auto suspected_malicious = [&](const SubproblemOutcome& sub) {
     return sub.community >= 0 ||
            result.workers[sub.worker].detected_class != DetectedClass::kHonest;
+  };
+  // The spec a subproblem is priced with: the exclusion strategy gives
+  // every suspect weight 0, the zero contract.
+  const auto priced_spec = [&](const SubproblemOutcome& sub) {
+    contract::SubproblemSpec spec = sub.spec;
+    if (config.strategy == PricingStrategy::kExcludeMalicious &&
+        suspected_malicious(sub)) {
+      spec.weight = 0.0;
+    }
+    return spec;
   };
   const auto fixed_design = [&](const contract::SubproblemSpec& spec) {
     const contract::FixedContractOutcome outcome =
@@ -517,124 +494,104 @@ PipelineResult run_pipeline(const data::ReviewTrace& trace,
     return design;
   };
 
-  // Which subproblems the solve actually finished; cancellation leaves
-  // zeros behind and the post-pass below quarantines them.
+  // Which subproblems the solve finished (cancellation leaves zeros behind
+  // and the post-pass below quarantines them) and, in the lenient modes,
+  // the error each failed one raised.
   std::vector<std::uint8_t> task_done(nsub, 0);
-  if (poll_cancel(PipelineStage::kSolve)) {
-    // Cancelled before (or at) the solve boundary: no design work runs;
-    // every live subproblem is quarantined by the post-pass.
-  } else if (policy.solve == StageMode::kFailFast) {
+  std::vector<std::exception_ptr> failures(lenient ? nsub : 0);
+  if (!poll_cancel(PipelineStage::kSolve)) {
     try {
-      switch (config.strategy) {
-        case PricingStrategy::kDynamicContract:
-        case PricingStrategy::kExcludeMalicious: {
-          std::vector<contract::SubproblemSpec> specs(nsub);
-          for (std::size_t i = 0; i < nsub; ++i) {
-            const SubproblemOutcome& sub = result.subproblems[i];
-            specs[i] = sub.spec;
-            // Quarantined (fit stage) and strategy-excluded subproblems get
-            // the zero-weight shortcut: no k-sweep, no fault point.
-            if (sub.quarantined) specs[i].weight = 0.0;
-            if (config.strategy == PricingStrategy::kExcludeMalicious &&
-                suspected_malicious(sub)) {
-              specs[i].weight = 0.0;  // zero contract
-            }
-          }
-          contract::BatchOptions batch;
-          batch.pool = pool;
-          batch.sweep_histogram = &solve_spans;
-          batch.cancel = cancel;
-          batch.resolved = &task_done;
-          std::vector<contract::DesignResult> designs =
-              contract::design_contracts_batch(specs, batch,
-                                               &result.design_cache);
-          for (std::size_t i = 0; i < nsub; ++i) {
-            if (task_done[i]) {
-              result.subproblems[i].design = std::move(designs[i]);
-            }
-          }
-          break;
+      // Lenient modes run the per-subproblem fault site first; a
+      // subproblem it elects is not designed.
+      for (std::size_t i = 0; lenient && i < nsub; ++i) {
+        if (result.subproblems[i].quarantined) continue;
+        try {
+          CCD_FAULT_POINT("pipeline.solve_task", i, Error);
+        } catch (const Error&) {
+          failures[i] = std::current_exception();
         }
-        case PricingStrategy::kFixedPayment: {
-          pool->parallel_for(nsub, [&](std::size_t i) {
-            SubproblemOutcome& sub = result.subproblems[i];
-            if (sub.quarantined) return;
-            util::metrics::ScopedTimer span(&solve_spans);
-            sub.design = fixed_design(sub.spec);
+      }
+      const auto skipped = [&](std::size_t i) {
+        return result.subproblems[i].quarantined || (lenient && failures[i]);
+      };
+      if (config.strategy == PricingStrategy::kFixedPayment) {
+        pool->parallel_for(nsub, [&](std::size_t i) {
+          if (skipped(i)) return;
+          util::metrics::ScopedTimer span(&solve_spans);
+          try {
+            result.subproblems[i].design =
+                fixed_design(result.subproblems[i].spec);
             task_done[i] = 1;
-          }, cancel);
-          break;
+          } catch (const Error&) {
+            if (!lenient) throw;
+            failures[i] = std::current_exception();
+          }
+        }, cancel);
+      } else {
+        // Skipped subproblems (fit-quarantined, or elected by the fault
+        // site) take the zero-weight shortcut: no k-sweep, no fault point.
+        std::vector<contract::SubproblemSpec> specs(nsub);
+        for (std::size_t i = 0; i < nsub; ++i) {
+          specs[i] = priced_spec(result.subproblems[i]);
+          if (skipped(i)) specs[i].weight = 0.0;
+        }
+        std::vector<std::exception_ptr> design_errors;
+        contract::BatchOptions batch;
+        batch.pool = pool;
+        batch.sweep_histogram = &solve_spans;
+        batch.cancel = cancel;
+        batch.resolved = &task_done;
+        if (lenient) batch.errors = &design_errors;
+        std::vector<contract::DesignResult> designs =
+            contract::design_contracts_batch(specs, batch,
+                                             &result.design_cache);
+        for (std::size_t i = 0; i < nsub; ++i) {
+          if (lenient && !skipped(i)) failures[i] = design_errors[i];
+          if (task_done[i]) {
+            result.subproblems[i].design = std::move(designs[i]);
+          }
         }
       }
     } catch (Error& e) {
+      // Fail-fast: the first failure (the lenient modes collected theirs).
       e.with_stage("solve");
       throw;
     }
-    for (std::size_t i = 0; i < nsub; ++i) {
-      if (result.subproblems[i].quarantined) {
-        result.subproblems[i].design = quarantined_design();
+  }
+
+  // Failure post-pass, in subproblem order: fit-quarantined subproblems
+  // keep the zero design, and each failed one is absorbed with one event:
+  // quarantine gives it the zero design, fallback the fixed-payment
+  // baseline (quarantined after a second event if that throws too).
+  for (std::size_t i = 0; i < nsub; ++i) {
+    SubproblemOutcome& sub = result.subproblems[i];
+    if (sub.quarantined) {
+      sub.design = quarantined_design();
+      continue;
+    }
+    if (!lenient || !failures[i]) continue;
+    const auto subproblem = static_cast<std::int64_t>(i);
+    try {
+      std::rethrow_exception(failures[i]);
+    } catch (const Error& e) {
+      record_event(health, PipelineStage::kSolve, policy.solve, e.code(),
+                   e.message(), sub.worker, subproblem);
+    }
+    if (policy.solve == StageMode::kFallback &&
+        config.strategy != PricingStrategy::kFixedPayment) {
+      try {
+        sub.design = fixed_design(priced_spec(sub));
+        sub.fallback = true;
+        task_done[i] = 1;
+        continue;
+      } catch (const Error& e) {
+        record_event(health, PipelineStage::kSolve, StageMode::kQuarantine,
+                     e.code(), "fallback failed: " + e.message(), sub.worker,
+                     subproblem);
       }
     }
-  } else {
-    // Lenient solve: per-subproblem tasks with a shared table cache; each
-    // task absorbs its own failure (quarantine or fixed-payment fallback)
-    // instead of cancelling the fan-out.
-    contract::DesignCache cache;
-    std::mutex events_mutex;
-    const StageMode solve_mode = policy.solve;
-    pool->parallel_for(nsub, [&](std::size_t i) {
-      SubproblemOutcome& sub = result.subproblems[i];
-      if (sub.quarantined) {
-        sub.design = quarantined_design();
-        return;
-      }
-      contract::SubproblemSpec spec = sub.spec;
-      if (config.strategy == PricingStrategy::kExcludeMalicious &&
-          suspected_malicious(sub)) {
-        spec.weight = 0.0;
-      }
-      try {
-        util::metrics::ScopedTimer span(&solve_spans);
-        CCD_FAULT_POINT("pipeline.solve_task", i, Error);
-        sub.design = config.strategy == PricingStrategy::kFixedPayment
-                         ? fixed_design(spec)
-                         : cache.design(spec);
-        task_done[i] = 1;
-        return;
-      } catch (const Error& e) {
-        std::lock_guard<std::mutex> lock(events_mutex);
-        DegradationEvent ev;
-        ev.stage = PipelineStage::kSolve;
-        ev.action = solve_mode;
-        ev.code = e.code();
-        ev.detail = e.message();
-        ev.worker = sub.worker;
-        ev.subproblem = static_cast<std::int64_t>(i);
-        health.events.push_back(std::move(ev));
-      }
-      if (solve_mode == StageMode::kFallback &&
-          config.strategy != PricingStrategy::kFixedPayment) {
-        try {
-          sub.design = fixed_design(spec);
-          sub.fallback = true;
-          task_done[i] = 1;
-          return;
-        } catch (const Error& e) {
-          std::lock_guard<std::mutex> lock(events_mutex);
-          DegradationEvent ev;
-          ev.stage = PipelineStage::kSolve;
-          ev.action = StageMode::kQuarantine;
-          ev.code = e.code();
-          ev.detail = "fallback failed: " + e.message();
-          ev.worker = sub.worker;
-          ev.subproblem = static_cast<std::int64_t>(i);
-          health.events.push_back(std::move(ev));
-        }
-      }
-      sub.quarantined = true;
-      sub.design = quarantined_design();
-    }, cancel);
-    result.design_cache = cache.stats();
+    sub.quarantined = true;
+    sub.design = quarantined_design();
   }
 
   // Cancellation post-pass: anything the solve stage did not finish gets
@@ -656,15 +613,12 @@ PipelineResult run_pipeline(const data::ReviewTrace& trace,
       // own checks): record the one summary event here.
       health.cancelled = true;
       health.cancel_reason = cancel->reason();
-      DegradationEvent ev;
-      ev.stage = PipelineStage::kSolve;
-      ev.action = StageMode::kQuarantine;
-      ev.code = ErrorCode::kDeadline;
-      ev.detail = std::string("solve cancelled mid-stage (") +
-                  util::to_string(health.cancel_reason) + "); " +
-                  std::to_string(unsolved) +
-                  " subproblem(s) quarantined unsolved";
-      health.events.push_back(std::move(ev));
+      record_event(health, PipelineStage::kSolve, StageMode::kQuarantine,
+                   ErrorCode::kDeadline,
+                   std::string("solve cancelled mid-stage (") +
+                       util::to_string(health.cancel_reason) + "); " +
+                       std::to_string(unsolved) +
+                       " subproblem(s) quarantined unsolved");
     }
     util::metrics::registry().counter("ccd.pipeline.cancelled").add(1);
   }
@@ -674,8 +628,10 @@ PipelineResult run_pipeline(const data::ReviewTrace& trace,
       .histogram("ccd.pipeline.solve_task_us")
       .merge(result.timings.solve_spans);
 
-  // Parallel tasks record events in completion order; sort for stable,
-  // reproducible reports.
+  // Events arrive in stage order, each stage's in subproblem order, except
+  // a mid-solve cancellation summary, recorded last; the stable sort puts
+  // it first among the solve events, so reports read in (stage,
+  // subproblem, worker) order.
   std::stable_sort(health.events.begin(), health.events.end(),
                    [](const DegradationEvent& a, const DegradationEvent& b) {
                      if (a.stage != b.stage) return a.stage < b.stage;

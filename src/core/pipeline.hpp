@@ -234,9 +234,10 @@ struct StageTimings {
   double decompose_s = 0.0;  ///< per-worker attributes + subproblem specs
   double solve_s = 0.0;      ///< strategy solve over all subproblems
   double total_s = 0.0;      ///< whole run_pipeline call
-  /// Per-community / per-distinct-spec solve spans in microseconds: one
-  /// entry per k-sweep in the batched path, one per subproblem task in
-  /// the lenient (quarantine/fallback) path.
+  /// Solve spans in microseconds, one per class k-sweep (a table lookup
+  /// on a cache hit) under every StageMode, since fail-fast and lenient
+  /// runs share one batch; the fixed-payment strategy, which sweeps
+  /// nothing, records one per subproblem.
   util::metrics::HistogramSnapshot solve_spans;
 
   std::string to_string() const;

@@ -89,6 +89,9 @@ void SimConfig::validate() const {
   CCD_CHECK_MSG(redesign_every >= 1, "redesign_every must be >= 1");
   CCD_CHECK_MSG(checkpoint_every == 0 || !checkpoint_path.empty(),
                 "checkpoint_every needs a checkpoint_path");
+  if (threads > kMaxSimThreads) {
+    throw ConfigError("threads must be <= " + std::to_string(kMaxSimThreads));
+  }
   policy.validate();
 }
 

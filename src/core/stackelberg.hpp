@@ -94,6 +94,11 @@ struct SimWorkerSpec {
   Behaviour behaviour_at(std::size_t round) const;
 };
 
+/// Largest private pool a SimConfig may ask for. `threads` arrives from
+/// the command line and from checkpoint blobs, and the simulator starts
+/// that many OS threads when it is built.
+inline constexpr std::size_t kMaxSimThreads = 256;
+
 struct SimConfig {
   std::size_t rounds = 30;
   RequesterConfig requester{};
@@ -124,8 +129,8 @@ struct SimConfig {
   std::string checkpoint_path;
 
   /// Threads for the per-round contract-redesign batch: 0 uses the shared
-  /// pool, otherwise the simulator owns a pool of this size. Results are
-  /// thread-count independent.
+  /// pool, otherwise the simulator owns a pool of this size, at most
+  /// kMaxSimThreads. Results are thread-count independent.
   std::size_t threads = 0;
 
   void validate() const;

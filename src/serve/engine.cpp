@@ -1,6 +1,5 @@
 #include "serve/engine.hpp"
 
-#include <dirent.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -71,16 +70,6 @@ struct ServeMetrics {
   }
 };
 
-bool strip_suffix(const std::string& name, const std::string& suffix,
-                  std::string* stem) {
-  if (name.size() <= suffix.size() ||
-      name.compare(name.size() - suffix.size(), suffix.size(), suffix) != 0) {
-    return false;
-  }
-  *stem = name.substr(0, name.size() - suffix.size());
-  return true;
-}
-
 }  // namespace
 
 void EngineConfig::validate() const {
@@ -117,25 +106,8 @@ Session::Env Engine::session_env() {
 ResumeReport Engine::resume_sessions() {
   ResumeReport report;
   if (config_.checkpoint_dir.empty()) return report;
-  DIR* dir = opendir(config_.checkpoint_dir.c_str());
-  if (dir == nullptr) {
-    throw ConfigError("cannot open checkpoint directory '" +
-                      config_.checkpoint_dir + "'");
-  }
-  std::vector<std::pair<std::string, std::string>> found;  // id, path
-  while (dirent* entry = readdir(dir)) {
-    const std::string name = entry->d_name;
-    std::string stem;
-    if (strip_suffix(name, ".sim.ckpt", &stem) ||
-        strip_suffix(name, ".ingest.ckpt", &stem)) {
-      found.emplace_back(stem, config_.checkpoint_dir + "/" + name);
-    }
-  }
-  closedir(dir);
-  // Deterministic restore order (readdir order is filesystem-dependent).
-  std::sort(found.begin(), found.end());
-
-  for (const auto& [id, path] : found) {
+  for (const auto& [id, mode, path] :
+       list_checkpoint_files(config_.checkpoint_dir)) {
     try {
       std::unique_ptr<Session> session =
           Session::restore(id, path, session_env());
@@ -575,20 +547,10 @@ Response Engine::handle_list(const Request& request) {
   // Idle-evicted sessions live only as checkpoint files but are still
   // owned by this shard; a rebalance that missed them would strand them.
   if (!config_.checkpoint_dir.empty()) {
-    DIR* dir = opendir(config_.checkpoint_dir.c_str());
-    if (dir == nullptr) {
-      throw ConfigError("cannot open checkpoint directory '" +
-                        config_.checkpoint_dir + "'");
+    for (const CheckpointFile& file :
+         list_checkpoint_files(config_.checkpoint_dir)) {
+      ids.insert(file.id);
     }
-    while (dirent* entry = readdir(dir)) {
-      const std::string name = entry->d_name;
-      std::string stem;
-      if (strip_suffix(name, ".sim.ckpt", &stem) ||
-          strip_suffix(name, ".ingest.ckpt", &stem)) {
-        ids.insert(stem);
-      }
-    }
-    closedir(dir);
   }
   response.session_ids.assign(ids.begin(), ids.end());
   return response;

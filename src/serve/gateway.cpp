@@ -1,9 +1,7 @@
 #include "serve/gateway.hpp"
 
-#include <dirent.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <set>
@@ -92,16 +90,6 @@ std::uint64_t mix64(std::uint64_t x) {
 
 std::uint64_t ring_hash(const std::string& key) {
   return mix64(util::fnv1a64(key.data(), key.size()));
-}
-
-bool strip_suffix(const std::string& name, const std::string& suffix,
-                  std::string* stem) {
-  if (name.size() <= suffix.size() ||
-      name.compare(name.size() - suffix.size(), suffix.size(), suffix) != 0) {
-    return false;
-  }
-  *stem = name.substr(0, name.size() - suffix.size());
-  return true;
 }
 
 }  // namespace
@@ -854,31 +842,14 @@ void Gateway::handoff_locked(Shard& dead) {
   if (dead.spec.checkpoint_dir.empty()) return;
   GatewayMetrics& m = GatewayMetrics::instance();
 
-  struct Entry {
-    std::string id;
-    std::string path;
-  };
-  std::vector<Entry> entries;
-  DIR* dir = ::opendir(dead.spec.checkpoint_dir.c_str());
-  if (dir == nullptr) return;  // nothing to scavenge
-  const std::string sim_suffix =
-      Session::checkpoint_suffix(SessionMode::kSimulation);
-  const std::string ingest_suffix =
-      Session::checkpoint_suffix(SessionMode::kIngest);
-  while (dirent* e = ::readdir(dir)) {
-    const std::string file = e->d_name;
-    std::string id;
-    if (!strip_suffix(file, sim_suffix, &id) &&
-        !strip_suffix(file, ingest_suffix, &id)) {
-      continue;
-    }
-    entries.push_back({id, dead.spec.checkpoint_dir + "/" + file});
+  std::vector<CheckpointFile> entries;
+  try {
+    entries = list_checkpoint_files(dead.spec.checkpoint_dir);
+  } catch (const ConfigError&) {
+    return;  // nothing to scavenge
   }
-  ::closedir(dir);
-  std::sort(entries.begin(), entries.end(),
-            [](const Entry& a, const Entry& b) { return a.path < b.path; });
 
-  for (const Entry& entry : entries) {
+  for (const CheckpointFile& entry : entries) {
     try {
       Request request;
       request.op = Op::kRestore;

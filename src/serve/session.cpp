@@ -1,9 +1,13 @@
 #include "serve/session.hpp"
 
+#include <dirent.h>
+
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <deque>
+#include <optional>
+#include <string_view>
 #include <utility>
 
 #include "core/checkpoint.hpp"
@@ -21,26 +25,32 @@ constexpr const char* kIngestTag = "ISES";
 constexpr const char* kSimSuffix = ".sim.ckpt";
 constexpr const char* kIngestSuffix = ".ingest.ckpt";
 
-bool ends_with(const std::string& s, const std::string& suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
+/// The mode whose checkpoint suffix ends `name` after a non-empty stem.
+std::optional<SessionMode> checkpoint_mode(const std::string& name) {
+  for (const SessionMode mode :
+       {SessionMode::kSimulation, SessionMode::kIngest}) {
+    const std::string_view suffix = Session::checkpoint_suffix(mode);
+    if (name.size() > suffix.size() && name.ends_with(suffix)) return mode;
+  }
+  return std::nullopt;
 }
 
 std::string checkpoint_file(const std::string& dir, const std::string& id,
                             SessionMode mode) {
   if (dir.empty()) return {};
-  return dir + "/" + id +
-         (mode == SessionMode::kSimulation ? kSimSuffix : kIngestSuffix);
+  return dir + "/" + id + Session::checkpoint_suffix(mode);
 }
 
 /// Resume a simulation from `checkpoint`, its durability re-pointed at
-/// `path` (empty: none): the checkpoint may have been written under
-/// another daemon instance's configuration.
+/// `path` (empty: none) and its redesigns on the daemon's shared pool:
+/// the checkpoint may have been written under another daemon instance's
+/// configuration, or by a client.
 std::unique_ptr<core::StackelbergSimulator> resume_simulator(
     core::SimCheckpoint checkpoint, const std::string& path,
     std::size_t checkpoint_every) {
   checkpoint.config.checkpoint_path = path;
   checkpoint.config.checkpoint_every = path.empty() ? 0 : checkpoint_every;
+  checkpoint.config.threads = 0;
   return std::make_unique<core::StackelbergSimulator>(checkpoint);
 }
 
@@ -48,6 +58,28 @@ std::unique_ptr<core::StackelbergSimulator> resume_simulator(
 
 const char* Session::checkpoint_suffix(SessionMode mode) {
   return mode == SessionMode::kSimulation ? kSimSuffix : kIngestSuffix;
+}
+
+std::vector<CheckpointFile> list_checkpoint_files(const std::string& dir) {
+  DIR* handle = ::opendir(dir.c_str());
+  if (handle == nullptr) {
+    throw ConfigError("cannot open checkpoint directory '" + dir + "'");
+  }
+  std::vector<CheckpointFile> files;
+  while (const dirent* entry = ::readdir(handle)) {
+    const std::string name = entry->d_name;
+    if (const std::optional<SessionMode> mode = checkpoint_mode(name)) {
+      const std::string_view suffix = Session::checkpoint_suffix(*mode);
+      files.push_back({name.substr(0, name.size() - suffix.size()), *mode,
+                       dir + "/" + name});
+    }
+  }
+  ::closedir(handle);
+  std::sort(files.begin(), files.end(),
+            [](const CheckpointFile& a, const CheckpointFile& b) {
+              return a.id != b.id ? a.id < b.id : a.path < b.path;
+            });
+  return files;
 }
 
 bool valid_session_id(const std::string& id) {
@@ -341,9 +373,8 @@ void Session::ingest_checkpoint() const {
 
 std::unique_ptr<Session> Session::restore(const std::string& id,
                                           const std::string& path, Env env) {
-  const SessionMode mode = ends_with(path, kSimSuffix)
-                               ? SessionMode::kSimulation
-                               : SessionMode::kIngest;
+  const SessionMode mode =
+      checkpoint_mode(path).value_or(SessionMode::kIngest);
   auto session =
       std::unique_ptr<Session>(new Session(id, std::move(env), mode));
   if (mode == SessionMode::kSimulation) {

@@ -54,6 +54,19 @@ namespace ccd::serve {
 /// stem): 1..64 chars from [A-Za-z0-9_-].
 bool valid_session_id(const std::string& id);
 
+/// One session checkpoint file, `<dir>/<id>.sim.ckpt` or
+/// `<dir>/<id>.ingest.ckpt`.
+struct CheckpointFile {
+  std::string id;
+  SessionMode mode;
+  std::string path;
+};
+
+/// The session checkpoint files in `dir`, sorted by id, then path (so the
+/// order does not depend on the filesystem). Throws ccd::ConfigError when
+/// the directory cannot be opened.
+std::vector<CheckpointFile> list_checkpoint_files(const std::string& dir);
+
 class Session {
  public:
   /// Engine-provided environment shared by all sessions.

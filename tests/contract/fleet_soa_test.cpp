@@ -8,10 +8,12 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <iterator>
 #include <limits>
 #include <map>
 #include <string>
+#include <typeinfo>
 #include <vector>
 
 #include "contract/arena.hpp"
@@ -873,6 +875,118 @@ TEST(FleetDesignTest, DesignFaultElectsTheSameSpecsAsDesignContract) {
   // The seed elects some specs and spares others.
   EXPECT_GT(faulted, 0u);
   EXPECT_GT(clean, 0u);
+}
+
+// With an error sink the batch designs, bit for bit, every spec that its
+// own design_contract designs, and gives every other spec the error that
+// design_contract throws for it (same type, same message), a default
+// result and resolved 0. Validation reads only the class key, so it fails
+// each member of the invalid class at any weight; the "contract.design"
+// fault point fails its spec alone. Fault decisions depend only on (seed,
+// site, key), so the reference meets the same faults. The counters still
+// equal the per-spec DesignCache::design route's: its table lookup runs
+// before the fault point, and an invalid spec never looks one up.
+TEST(FleetDesignTest, ErrorSinkMatchesPerSpecDesign) {
+  InjectorGuard guard;
+  std::vector<SubproblemSpec> specs = random_fleet(80, 58);
+  const std::vector<SubproblemSpec> tricky = tricky_specs();  // ±0.0 twins
+  specs.insert(specs.end(), tricky.begin(), tricky.end());
+  SubproblemSpec invalid = specs[3];  // beta = 0: fails validation
+  invalid.incentives.beta = 0.0;
+  for (const double weight : {1.2, 0.0, -0.5, 2.0}) {
+    invalid.weight = weight;
+    specs.insert(specs.begin() + static_cast<std::ptrdiff_t>(specs.size() / 2),
+                 invalid);
+  }
+  SubproblemSpec idle = specs[5];  // a §V class: no candidate pays off
+  idle.psi = effort::QuadraticEffort(-1.0, 7.0, 0.0);
+  idle.incentives = {1.0, 0.0};
+  for (const double weight : {1e-4, 2e-4, 0.0}) {
+    idle.weight = weight;
+    specs.push_back(idle);
+  }
+
+  util::ThreadPool one(1);
+  util::ThreadPool four(4);
+  std::size_t faulted = 0;
+  std::size_t invalid_seen = 0;
+  std::size_t excluded_positive = 0;
+  for (const std::uint64_t seed : {3ull, 8ull, 21ull}) {
+    arm_design_site(0.3, seed);
+    std::vector<DesignResult> reference(specs.size());
+    std::vector<std::exception_ptr> reference_error(specs.size());
+    DesignCache per_spec;
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      try {
+        reference[i] = design_contract(specs[i]);
+      } catch (const Error&) {
+        reference_error[i] = std::current_exception();
+      }
+      try {
+        per_spec.design(specs[i]);
+      } catch (const Error&) {
+      }
+    }
+    for (util::ThreadPool* pool : {&one, &four}) {
+      for (const bool cached : {false, true}) {
+        const std::string where = "seed " + std::to_string(seed) +
+                                  (pool == &one ? ", 1 thread" : ", 4 threads") +
+                                  (cached ? ", cached" : ", uncached");
+        DesignCache cache;
+        std::vector<std::uint8_t> resolved;
+        std::vector<std::exception_ptr> errors = {nullptr};  // overwritten
+        BatchOptions options;
+        options.pool = pool;
+        options.cache = cached ? &cache : nullptr;
+        options.resolved = &resolved;
+        options.errors = &errors;
+        DesignCacheStats call;
+        const std::vector<DesignResult> results =
+            design_contracts_batch(specs, options, &call);
+        ASSERT_EQ(results.size(), specs.size()) << where;
+        ASSERT_EQ(errors.size(), specs.size()) << where;
+        ASSERT_EQ(resolved.size(), specs.size()) << where;
+        expect_same_stats(call, per_spec.stats(), where.c_str());
+        for (std::size_t i = 0; i < specs.size(); ++i) {
+          const std::string at = where + ", worker " + std::to_string(i);
+          if (!reference_error[i]) {
+            EXPECT_EQ(errors[i], nullptr) << at;
+            EXPECT_EQ(resolved[i], 1) << at;
+            expect_bitwise(results[i], reference[i], at);
+            if (results[i].excluded && specs[i].weight > 0.0) {
+              ++excluded_positive;
+            }
+            continue;
+          }
+          EXPECT_EQ(resolved[i], 0) << at;
+          expect_bitwise(results[i], DesignResult{}, at);
+          ASSERT_NE(errors[i], nullptr) << at;
+          try {
+            std::rethrow_exception(reference_error[i]);
+          } catch (const Error& want) {
+            try {
+              std::rethrow_exception(errors[i]);
+            } catch (const Error& got) {
+              EXPECT_EQ(typeid(got), typeid(want)) << at;
+              EXPECT_EQ(got.message(), want.message()) << at;
+              if (dynamic_cast<const ContractError*>(&want)) {
+                ++faulted;
+              } else {
+                ++invalid_seen;
+              }
+            } catch (...) {
+              ADD_FAILURE() << at << ": the sink holds a non-ccd::Error";
+            }
+          }
+        }
+      }
+    }
+  }
+  // Each seed faults some specs; the invalid class fails all four members
+  // in every run; the §V class excludes its positive-weight members.
+  EXPECT_GT(faulted, 0u);
+  EXPECT_EQ(invalid_seen, 3u * 4u * 4u);
+  EXPECT_GT(excluded_positive, 0u);
 }
 
 // Weight-excluded workers never reach the site: armed at rate 1.0, a fleet

@@ -275,6 +275,25 @@ TEST_F(CheckpointTest, EncodeDecodeRoundTrips) {
   expect_bitwise_equal(a.history, b.history);
 }
 
+// `threads` is how many OS threads a restored simulator starts, so a
+// checkpoint that asks for more than kMaxSimThreads decodes to a
+// DataError. No simulator or pool is built from the huge value.
+TEST_F(CheckpointTest, RefusesAThreadCountPastTheCap) {
+  SimConfig config = base_config(3);
+  config.checkpoint_every = 3;
+  config.checkpoint_path = path_;
+  StackelbergSimulator(fleet(), config).run();
+  SimCheckpoint checkpoint = load_checkpoint(path_);
+  checkpoint.config.threads = kMaxSimThreads;
+  EXPECT_EQ(decode_checkpoint(encode_checkpoint(checkpoint)).config.threads,
+            kMaxSimThreads);
+  checkpoint.config.threads = std::size_t{1} << 40;
+  EXPECT_THROW(decode_checkpoint(encode_checkpoint(checkpoint)), DataError);
+
+  config.threads = kMaxSimThreads + 1;
+  EXPECT_THROW(config.validate(), ConfigError);
+}
+
 TEST_F(CheckpointTest, CorruptedCheckpointIsCleanDataError) {
   SimConfig config = base_config(4);
   config.checkpoint_every = 4;

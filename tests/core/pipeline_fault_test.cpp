@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <string>
 #include <vector>
@@ -79,21 +81,32 @@ void expect_invariants(const PipelineResult& r, std::size_t n) {
               1e-6 * (1.0 + r.total_compensation));
 }
 
+/// Doubles compared by bit pattern.
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
 void expect_identical(const PipelineResult& a, const PipelineResult& b) {
   ASSERT_EQ(a.workers.size(), b.workers.size());
-  EXPECT_EQ(a.total_requester_utility, b.total_requester_utility);
-  EXPECT_EQ(a.total_compensation, b.total_compensation);
+  EXPECT_EQ(bits(a.total_requester_utility), bits(b.total_requester_utility));
+  EXPECT_EQ(bits(a.total_compensation), bits(b.total_compensation));
   EXPECT_EQ(a.excluded_workers, b.excluded_workers);
   EXPECT_EQ(a.health.quarantined_workers, b.health.quarantined_workers);
   EXPECT_EQ(a.health.fallback_workers, b.health.fallback_workers);
-  EXPECT_EQ(a.health.events.size(), b.health.events.size());
+  ASSERT_EQ(a.health.events.size(), b.health.events.size());
+  for (std::size_t i = 0; i < a.health.events.size(); ++i) {
+    EXPECT_EQ(a.health.events[i].to_string(), b.health.events[i].to_string());
+  }
+  EXPECT_EQ(a.design_cache.lookups, b.design_cache.lookups);
+  EXPECT_EQ(a.design_cache.hits, b.design_cache.hits);
+  EXPECT_EQ(a.design_cache.misses, b.design_cache.misses);
   for (std::size_t i = 0; i < a.workers.size(); ++i) {
-    EXPECT_EQ(a.workers[i].compensation, b.workers[i].compensation)
+    EXPECT_EQ(bits(a.workers[i].compensation), bits(b.workers[i].compensation))
         << "worker " << i;
-    EXPECT_EQ(a.workers[i].requester_utility, b.workers[i].requester_utility)
+    EXPECT_EQ(bits(a.workers[i].requester_utility),
+              bits(b.workers[i].requester_utility))
         << "worker " << i;
     EXPECT_EQ(a.workers[i].quarantined, b.workers[i].quarantined)
         << "worker " << i;
+    EXPECT_EQ(a.workers[i].fallback, b.workers[i].fallback) << "worker " << i;
     EXPECT_EQ(a.workers[i].excluded, b.workers[i].excluded) << "worker " << i;
   }
 }
@@ -196,11 +209,11 @@ TEST_F(PipelineFaultTest, FailFastThrowsOnInjectedDesignFault) {
             util::FaultInjector::instance().injected("contract.design"));
 }
 
-// The lenient solve designs each subproblem on its own through the cache,
-// so the same site armed alone at rate 1.0 quarantines every subproblem
-// that reaches it, one solve event each. Under the exclude-malicious
-// strategy the suspected subproblems are designed at weight 0: they never
-// reach the site and keep their zero-contract design.
+// The lenient solve hands the batch a per-spec error sink, so the same
+// site armed alone at rate 1.0 quarantines every subproblem that reaches
+// it, one solve event each, instead of failing the run. Under the
+// exclude-malicious strategy the suspected subproblems are designed at
+// weight 0: they never reach the site and keep their zero-contract design.
 TEST_F(PipelineFaultTest, QuarantineIsolatesEveryInjectedDesignFault) {
   InjectorGuard guard;
   util::FaultInjectorConfig chaos;
@@ -344,6 +357,36 @@ TEST_F(PipelineChaosTest, RateZeroIsBitwiseIdenticalToDisabled) {
   EXPECT_EQ(util::FaultInjector::instance().total_injected(), 0u);
   EXPECT_FALSE(armed.health.degraded());
   expect_identical(off, armed);
+}
+
+// The lenient solve runs one batch with an error sink, so under faults at
+// every site a quarantine or fallback run designs the same fleet, with the
+// same events and the same cache counters, on one thread and on four.
+TEST_F(PipelineChaosTest, LenientSolveIsThreadCountInvariantUnderFaults) {
+  InjectorGuard guard;
+  for (const FaultPolicy& faults :
+       {FaultPolicy::quarantine(), FaultPolicy::fallback()}) {
+    const std::string where = faults.solve == StageMode::kQuarantine
+                                  ? "quarantine"
+                                  : "fallback";
+    PipelineConfig config;
+    config.faults = faults;
+    config.threads = 1;
+    arm_injector(0.05, /*seed=*/7);
+    const PipelineResult one = run_pipeline(*trace_, config);
+    const std::size_t fired_one =
+        util::FaultInjector::instance().total_injected();
+    config.threads = 4;
+    arm_injector(0.05, /*seed=*/7);  // reconfigure: counters reset
+    const PipelineResult four = run_pipeline(*trace_, config);
+    EXPECT_EQ(util::FaultInjector::instance().total_injected(), fired_one)
+        << where;
+    ASSERT_GT(fired_one, 0u) << where;
+    EXPECT_TRUE(one.health.degraded()) << where;
+    EXPECT_GT(one.design_cache.lookups, 0u) << where;
+    expect_invariants(one, 1000);
+    expect_identical(one, four);
+  }
 }
 
 // A community whose own fit throws inside polyfit keeps the CM class fit,

@@ -563,5 +563,34 @@ TEST(SessionRestoreTest, IngestV1CheckpointRestoresAsBip) {
                 from_v2->status().cumulative_requester_utility));
 }
 
+// A restored simulation session redesigns on the daemon's shared pool,
+// whatever thread count its blob carries: a kRestore blob written with
+// threads = 2 checkpoints (and so hands off again) with threads = 0.
+TEST(SessionRestoreTest, SimulationRestoreRunsOnTheSharedPool) {
+  const ScratchDir source("ccd_sckp_threads_from");
+  OpenParams sim_params;
+  sim_params.rounds = 4;
+  Session sim("sckp", sim_params, source.env());
+  sim.advance(1, nullptr);
+  const std::string sckp = read_bytes(sim.checkpoint_path());
+  const std::uint32_t version = frame_version(sckp, "SCKP");
+  core::SimCheckpoint checkpoint = core::decode_checkpoint(
+      sckp.substr(util::wire::kFrameHeaderSize), version);
+  checkpoint.config.threads = 2;
+  const std::string blob = util::wire::encode_frame(
+      "SCKP", version, core::encode_checkpoint(checkpoint, version));
+
+  const ScratchDir target("ccd_sckp_threads_to");
+  const std::unique_ptr<Session> restored =
+      Session::restore_blob("sckp", blob, target.env());
+  restored->checkpoint();
+  const std::string written = read_bytes(restored->checkpoint_path());
+  EXPECT_EQ(core::decode_checkpoint(
+                written.substr(util::wire::kFrameHeaderSize),
+                frame_version(written, "SCKP"))
+                .config.threads,
+            0u);
+}
+
 }  // namespace
 }  // namespace ccd::serve
