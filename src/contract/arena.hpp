@@ -38,24 +38,10 @@ class ScratchArena {
     return blocks_.back().data.get();
   }
 
-  /// Zero-initialized span of n doubles.
-  double* zeroed_doubles(std::size_t n) {
-    double* out = doubles(n);
-    std::fill(out, out + n, 0.0);
-    return out;
-  }
-
   /// Invalidates every outstanding span; retains capacity for reuse.
   void reset() {
     for (Block& block : blocks_) block.used = 0;
     active_ = 0;
-  }
-
-  /// Total doubles reserved across blocks (capacity, not live usage).
-  std::size_t capacity() const {
-    std::size_t total = 0;
-    for (const Block& block : blocks_) total += block.size;
-    return total;
   }
 
  private:

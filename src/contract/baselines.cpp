@@ -118,33 +118,18 @@ OracleOutcome OracleCache::optimal(const SubproblemSpec& spec,
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     const auto it = entries_.find(key);
-    if (it != entries_.end()) {
-      ++hits_;
-      return it->second;
-    }
+    if (it != entries_.end()) return it->second;
   }
   // Compute outside the lock; concurrent misses on the same key both sweep
   // and the first insert wins (identical values either way).
   const OracleOutcome outcome = oracle_optimal(spec, grid_points);
   const std::lock_guard<std::mutex> lock(mutex_);
-  const auto [it, inserted] = entries_.emplace(key, outcome);
-  ++misses_;
-  return it->second;
+  return entries_.emplace(key, outcome).first->second;
 }
 
 std::size_t OracleCache::size() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return entries_.size();
-}
-
-std::size_t OracleCache::hits() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return hits_;
-}
-
-std::size_t OracleCache::misses() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return misses_;
 }
 
 }  // namespace ccd::contract

@@ -65,8 +65,6 @@ class OracleCache {
                         std::size_t grid_points = 4001);
 
   std::size_t size() const;
-  std::size_t hits() const;
-  std::size_t misses() const;
 
  private:
   struct Key {
@@ -81,8 +79,6 @@ class OracleCache {
 
   mutable std::mutex mutex_;
   std::unordered_map<Key, OracleOutcome, KeyHash> entries_;
-  std::size_t hits_ = 0;
-  std::size_t misses_ = 0;
 };
 
 }  // namespace ccd::contract

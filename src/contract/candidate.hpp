@@ -48,13 +48,6 @@ struct CandidateBuildInfo {
   /// 1 where the capped Case-III window collapsed (see candidate_recurrence)
   /// and the epsilon floor was substituted for the Eq. 40 value.
   std::vector<std::uint8_t> degenerate_window;
-
-  bool any_degenerate() const {
-    for (const std::uint8_t flag : degenerate_window) {
-      if (flag != 0) return true;
-    }
-    return false;
-  }
 };
 
 /// The k-independent Eq. 39/40 recurrence evaluated for intervals

@@ -63,11 +63,6 @@ double Contract::pay(double feedback) const {
   return x[l - 1] * (1.0 - t) + x[l] * t;
 }
 
-double Contract::pay_at_effort(const effort::QuadraticEffort& psi,
-                               double y) const {
-  return pay(psi(y));
-}
-
 double Contract::slope(std::size_t l) const {
   CCD_CHECK_MSG(l >= 1 && l <= intervals(), "contract slope index out of range");
   return (payments()[l] - payments()[l - 1]) / (knots()[l] - knots()[l - 1]);

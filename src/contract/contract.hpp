@@ -63,9 +63,6 @@ class Contract {
   /// Compensation for feedback q (Eq. 1 / Eq. 6, saturating).
   double pay(double feedback) const;
 
-  /// xi(y) = pay(psi(y)) — compensation as a function of effort.
-  double pay_at_effort(const effort::QuadraticEffort& psi, double y) const;
-
   /// Contract slope alpha_l on [d_{l-1}, d_l); l in [1, intervals()].
   double slope(std::size_t l) const;
 

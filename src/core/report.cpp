@@ -36,10 +36,6 @@ std::vector<ClassSummaryRow> effort_by_class(const PipelineResult& r) {
   return by_class(r, &WorkerOutcome::effort);
 }
 
-std::vector<ClassSummaryRow> feedback_by_class(const PipelineResult& r) {
-  return by_class(r, &WorkerOutcome::feedback);
-}
-
 std::string render_class_table(const std::vector<ClassSummaryRow>& rows,
                                const std::string& value_name) {
   util::TextTable table({"class", "count", "mean " + value_name, "p5",

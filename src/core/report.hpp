@@ -15,11 +15,10 @@ struct ClassSummaryRow {
   util::Summary summary;
 };
 
-/// Compensation / effort / feedback distributions by ground-truth class
-/// (honest, NCM, CM) — the Fig. 7 / Fig. 8(b) views.
+/// Compensation / effort distributions by ground-truth class (honest, NCM,
+/// CM) — the Fig. 7 / Fig. 8(b) views.
 std::vector<ClassSummaryRow> compensation_by_class(const PipelineResult& r);
 std::vector<ClassSummaryRow> effort_by_class(const PipelineResult& r);
-std::vector<ClassSummaryRow> feedback_by_class(const PipelineResult& r);
 
 /// Render rows as an aligned table (columns: label, count, mean, p5, median,
 /// p95, max).

@@ -9,27 +9,19 @@
 
 namespace ccd::core {
 
-namespace {
-
-void require(bool ok, const char* message) {
-  if (!ok) throw ConfigError(message);
-}
-
-}  // namespace
-
 void RequesterConfig::validate() const {
-  require(rho > 0.0, "rho must be positive");
-  require(kappa >= 0.0, "kappa must be non-negative");
-  require(gamma >= 0.0, "gamma must be non-negative");
-  require(mu > 0.0, "mu must be positive");
-  require(beta > 0.0, "beta must be positive");
-  require(omega_malicious >= 0.0, "omega_malicious must be >= 0");
-  require(intervals >= 1, "intervals must be >= 1");
+  require_config(rho > 0.0, "rho must be positive");
+  require_config(kappa >= 0.0, "kappa must be non-negative");
+  require_config(gamma >= 0.0, "gamma must be non-negative");
+  require_config(mu > 0.0, "mu must be positive");
+  require_config(beta > 0.0, "beta must be positive");
+  require_config(omega_malicious >= 0.0, "omega_malicious must be >= 0");
+  require_config(intervals >= 1, "intervals must be >= 1");
   if (intervals > kMaxIntervals) {
     throw ConfigError("intervals must be <= " + std::to_string(kMaxIntervals));
   }
-  require(accuracy_floor > 0.0, "accuracy_floor must be positive");
-  require(weight_cap > 0.0, "weight_cap must be positive");
+  require_config(accuracy_floor > 0.0, "accuracy_floor must be positive");
+  require_config(weight_cap > 0.0, "weight_cap must be positive");
 }
 
 double feedback_weight(const RequesterConfig& config, double accuracy_distance,
@@ -69,12 +61,14 @@ void Requester::validate(const RequesterConfig& config, double ema_alpha,
                          const std::vector<double>& est_accuracy,
                          const std::vector<double>& est_malicious) {
   config.validate();
-  require(ema_alpha > 0.0 && ema_alpha <= 1.0, "ema_alpha must be in (0, 1]");
+  require_config(ema_alpha > 0.0 && ema_alpha <= 1.0,
+                 "ema_alpha must be in (0, 1]");
   for (const double e : est_accuracy) {
-    require(std::isfinite(e) && e >= 0.0, "est_accuracy must be finite, >= 0");
+    require_config(std::isfinite(e) && e >= 0.0,
+                   "est_accuracy must be finite, >= 0");
   }
   for (const double e : est_malicious) {
-    require(e >= 0.0 && e <= 1.0, "est_malicious must be in [0, 1]");
+    require_config(e >= 0.0 && e <= 1.0, "est_malicious must be in [0, 1]");
   }
 }
 

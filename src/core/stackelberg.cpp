@@ -83,12 +83,12 @@ WorkerPlay play_worker_round(const SimWorkerSpec& worker, std::size_t index,
 
 void SimConfig::validate() const {
   Requester::validate(requester, ema_alpha);
-  CCD_CHECK_MSG(rounds >= 1, "simulation needs at least one round");
-  CCD_CHECK_MSG(feedback_noise >= 0.0, "feedback noise must be >= 0");
-  CCD_CHECK_MSG(accuracy_noise >= 0.0, "accuracy noise must be >= 0");
-  CCD_CHECK_MSG(redesign_every >= 1, "redesign_every must be >= 1");
-  CCD_CHECK_MSG(checkpoint_every == 0 || !checkpoint_path.empty(),
-                "checkpoint_every needs a checkpoint_path");
+  require_config(rounds >= 1, "simulation needs at least one round");
+  require_config(feedback_noise >= 0.0, "feedback noise must be >= 0");
+  require_config(accuracy_noise >= 0.0, "accuracy noise must be >= 0");
+  require_config(redesign_every >= 1, "redesign_every must be >= 1");
+  require_config(checkpoint_every == 0 || !checkpoint_path.empty(),
+                 "checkpoint_every needs a checkpoint_path");
   if (threads > kMaxSimThreads) {
     throw ConfigError("threads must be <= " + std::to_string(kMaxSimThreads));
   }
@@ -102,7 +102,7 @@ namespace {
 Requester spec_requester(const SimConfig& config,
                          const std::vector<SimWorkerSpec>& workers) {
   config.validate();
-  CCD_CHECK_MSG(!workers.empty(), "simulation needs at least one worker");
+  require_config(!workers.empty(), "simulation needs at least one worker");
   Requester requester(config.requester, config.ema_alpha,
                       config.suspicion_threshold, config.policy,
                       workers.size());
@@ -307,7 +307,7 @@ StepStatus StackelbergSimulator::step(std::size_t max_rounds,
 
 std::vector<SimWorkerSpec> preset_fleet(std::size_t workers,
                                         std::size_t malicious) {
-  CCD_CHECK_MSG(malicious <= workers, "preset fleet: malicious > workers");
+  require_config(malicious <= workers, "preset fleet: malicious > workers");
   std::vector<SimWorkerSpec> fleet;
   fleet.reserve(workers);
   for (std::size_t i = 0; i < workers; ++i) {

@@ -58,39 +58,6 @@ std::vector<ProductSummary> most_inflated_products(const ReviewTrace& trace,
   return all;
 }
 
-std::vector<ReviewerSummary> reviewer_summaries(const ReviewTrace& trace,
-                                                std::size_t min_reviews) {
-  CCD_CHECK_MSG(trace.indexes_built(), "analytics requires trace indexes");
-  std::vector<ReviewerSummary> out;
-  for (const Worker& worker : trace.workers()) {
-    const auto& review_ids = trace.reviews_of_worker(worker.id);
-    if (review_ids.size() < min_reviews) continue;
-    ReviewerSummary s;
-    s.id = worker.id;
-    s.true_class = worker.true_class;
-    s.reviews = review_ids.size();
-    for (const ReviewId rid : review_ids) {
-      const Review& r = trace.review(rid);
-      s.mean_upvotes += r.upvotes;
-      s.mean_score += r.score;
-      s.mean_length += r.length_chars;
-    }
-    const double n = static_cast<double>(review_ids.size());
-    s.mean_upvotes /= n;
-    s.mean_score /= n;
-    s.mean_length /= n;
-    s.distinct_products = trace.products_of_worker(worker.id).size();
-    s.repeat_ratio = n / static_cast<double>(s.distinct_products);
-    out.push_back(s);
-  }
-  std::sort(out.begin(), out.end(),
-            [](const ReviewerSummary& a, const ReviewerSummary& b) {
-              if (a.reviews != b.reviews) return a.reviews > b.reviews;
-              return a.id < b.id;
-            });
-  return out;
-}
-
 TraceDistributions trace_distributions(const ReviewTrace& trace) {
   CCD_CHECK_MSG(trace.indexes_built(), "analytics requires trace indexes");
   std::vector<double> per_worker;

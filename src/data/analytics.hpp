@@ -1,7 +1,6 @@
 // Trace analytics: descriptive views of a review trace used by ccdctl's
 // inspect command, the examples, and exploratory analysis — per-product
-// summaries, reviewer leaderboards, and suspiciousness signals that don't
-// need the full detector.
+// summaries and suspiciousness signals that don't need the full detector.
 #pragma once
 
 #include <cstddef>
@@ -36,24 +35,6 @@ std::vector<ProductSummary> product_summaries(const ReviewTrace& trace,
 std::vector<ProductSummary> most_inflated_products(const ReviewTrace& trace,
                                                    std::size_t top = 10,
                                                    std::size_t min_reviews = 3);
-
-struct ReviewerSummary {
-  WorkerId id = 0;
-  WorkerClass true_class = WorkerClass::kHonest;
-  std::size_t reviews = 0;
-  double mean_upvotes = 0.0;
-  double mean_score = 0.0;
-  double mean_length = 0.0;
-  std::size_t distinct_products = 0;
-  /// Reviews per distinct product; > 1 means repeat reviewing (a spam
-  /// signature in review markets).
-  double repeat_ratio = 1.0;
-};
-
-/// Summaries for all reviewers with at least `min_reviews`, sorted by
-/// descending review count.
-std::vector<ReviewerSummary> reviewer_summaries(const ReviewTrace& trace,
-                                                std::size_t min_reviews = 1);
 
 /// Overall distributional stats for quick sanity checks.
 struct TraceDistributions {

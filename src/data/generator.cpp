@@ -108,12 +108,6 @@ GeneratorParams GeneratorParams::from_population(
   return p;
 }
 
-std::size_t GeneratorParams::malicious_count() const {
-  std::size_t planted = 0;
-  for (const std::size_t size : community_sizes) planted += size;
-  return n_ncm + planted + n_sybil;
-}
-
 void GeneratorParams::validate() const {
   const auto check_behaviour = [](const ClassBehaviour& b, const char* name) {
     CCD_CHECK_MSG(b.a2 < 0.0, "feedback law for " << name << " must be concave (a2 < 0)");

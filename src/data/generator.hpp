@@ -146,9 +146,6 @@ struct GeneratorParams {
                                          std::vector<std::size_t> community_sizes,
                                          std::uint64_t seed);
 
-  /// Total malicious identities this config plants (NCM + CM + sybil).
-  std::size_t malicious_count() const;
-
   /// Throws ccd::Error if inconsistent (e.g. not enough products for
   /// the private malicious pools, non-concave feedback laws).
   void validate() const;

@@ -110,22 +110,6 @@ WorkerId WorkerMetrics::class_columns(WorkerClass cls,
   return first;
 }
 
-std::vector<EffortSample> WorkerMetrics::samples_of_worker(WorkerId id) const {
-  std::vector<EffortSample> out;
-  for (const ReviewId rid : trace_.reviews_of_worker(id)) {
-    out.push_back({id, rid, effort_level(rid), feedback(rid)});
-  }
-  return out;
-}
-
-double WorkerMetrics::mean_effort_of_worker(WorkerId id) const {
-  const auto& review_ids = trace_.reviews_of_worker(id);
-  if (review_ids.empty()) return 0.0;
-  double total = 0.0;
-  for (const ReviewId rid : review_ids) total += effort_level(rid);
-  return total / static_cast<double>(review_ids.size());
-}
-
 double WorkerMetrics::mean_feedback_of_worker(WorkerId id) const {
   const auto& review_ids = trace_.reviews_of_worker(id);
   if (review_ids.empty()) return 0.0;

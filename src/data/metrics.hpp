@@ -49,9 +49,6 @@ class WorkerMetrics {
   /// Feedback (upvotes) of a review.
   double feedback(ReviewId id) const;
 
-  /// Scale factor applied to expertise x length (exposed for provenance).
-  double effort_scale() const { return effort_scale_; }
-
   /// All samples of workers in the given class.
   std::vector<EffortSample> samples_of_class(WorkerClass cls) const;
 
@@ -65,11 +62,8 @@ class WorkerMetrics {
   WorkerId class_columns(WorkerClass cls, std::span<double> effort,
                          std::span<double> feedback) const;
 
-  /// All samples of one worker.
-  std::vector<EffortSample> samples_of_worker(WorkerId id) const;
-
-  /// Per-worker mean effort / mean feedback (for Fig. 7-style comparisons).
-  double mean_effort_of_worker(WorkerId id) const;
+  /// A worker's mean feedback, summed in review order: the reference that
+  /// expertise() is tested against bit for bit.
   double mean_feedback_of_worker(WorkerId id) const;
 
  private:

@@ -91,12 +91,6 @@ std::vector<std::size_t> partition_dfs(
 
 }  // namespace
 
-std::size_t CollusionResult::collusive_worker_count() const {
-  std::size_t total = 0;
-  for (const Community& c : communities) total += c.members.size();
-  return total;
-}
-
 CollusionResult cluster_collusive_workers(
     const data::ReviewTrace& trace,
     const std::vector<data::WorkerId>& malicious_workers,

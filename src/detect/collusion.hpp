@@ -34,8 +34,6 @@ struct CollusionResult {
   std::vector<data::WorkerId> non_collusive;
   /// community_of[worker] = index into `communities`, or -1.
   std::vector<std::int32_t> community_of;
-
-  std::size_t collusive_worker_count() const;
 };
 
 enum class ClusterBackend { kUnionFind, kDfsGraph };

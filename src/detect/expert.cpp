@@ -34,10 +34,10 @@ ExpertPanel::ExpertPanel(const data::ReviewTrace& trace,
   // reviews() and products() directly.
   const std::vector<data::Review>& reviews = trace.reviews();
   const std::vector<data::Product>& products = trace.products();
-  expert_flags_.assign(trace.workers().size(), false);
+  std::vector<bool> expert(trace.workers().size(), false);
   for (const data::Worker& w : trace.workers()) {
     if (config.trust_badges && w.expert_badge) {
-      expert_flags_[w.id] = true;
+      expert[w.id] = true;
       experts_.push_back(w.id);
       continue;
     }
@@ -51,7 +51,7 @@ ExpertPanel::ExpertPanel(const data::ReviewTrace& trace,
     }
     deviation /= static_cast<double>(review_ids.size());
     if (deviation > config.max_score_deviation) continue;
-    expert_flags_[w.id] = true;
+    expert[w.id] = true;
     experts_.push_back(w.id);
   }
 
@@ -61,7 +61,7 @@ ExpertPanel::ExpertPanel(const data::ReviewTrace& trace,
   product_score_count_.assign(products.size(), 0);
   util::Accumulator global;
   for (const data::Review& r : reviews) {
-    if (!expert_flags_[r.worker]) continue;
+    if (!expert[r.worker]) continue;
     consensus_[r.product] += r.score;
     ++product_score_count_[r.product];
     global.add(r.score);
@@ -73,17 +73,6 @@ ExpertPanel::ExpertPanel(const data::ReviewTrace& trace,
                         : consensus_[p] /
                               static_cast<double>(product_score_count_[p]);
   }
-}
-
-bool ExpertPanel::is_expert(data::WorkerId id) const {
-  CCD_CHECK_MSG(id < expert_flags_.size(), "worker id out of range");
-  return expert_flags_[id];
-}
-
-std::optional<double> ExpertPanel::expert_score(data::ProductId id) const {
-  CCD_CHECK_MSG(id < product_score_count_.size(), "product id out of range");
-  if (product_score_count_[id] == 0) return std::nullopt;
-  return consensus_[id];
 }
 
 double ExpertPanel::coverage() const {

@@ -8,7 +8,6 @@
 // (Eq. 5).
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "data/metrics.hpp"
@@ -34,15 +33,12 @@ class ExpertPanel {
   ExpertPanel(const data::ReviewTrace& trace,
               const data::WorkerMetrics& metrics, ExpertConfig config = {});
 
-  bool is_expert(data::WorkerId id) const;
   const std::vector<data::WorkerId>& experts() const { return experts_; }
 
-  /// Mean expert score for a product; nullopt if no expert reviewed it.
-  std::optional<double> expert_score(data::ProductId id) const;
-
-  /// Expert consensus with fallback: products no expert covered fall back to
-  /// the global mean expert score (the requester's best prior). Inline: the
-  /// detector reads it once per review.
+  /// Expert consensus with fallback: the mean expert score of a product,
+  /// or, for products no expert covered, the global mean expert score (the
+  /// requester's best prior). Inline: the detector reads it once per
+  /// review.
   double consensus(data::ProductId id) const {
     CCD_CHECK_MSG(id < consensus_.size(), "product id out of range");
     return consensus_[id];
@@ -52,7 +48,6 @@ class ExpertPanel {
   double coverage() const;
 
  private:
-  std::vector<bool> expert_flags_;
   std::vector<data::WorkerId> experts_;
   /// consensus(p) per product: the mean expert score, or global_mean_.
   std::vector<double> consensus_;

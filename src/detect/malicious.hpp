@@ -36,8 +36,6 @@ class MaliciousDetector {
   /// Estimated probability that worker `id` is malicious.
   double probability(data::WorkerId id) const;
 
-  const std::vector<double>& probabilities() const { return probability_; }
-
   /// Mean |score - expert consensus| over worker `id`'s reviews: the
   /// accuracy distance Eq. 5 weights feedback by. A worker with no reviews
   /// brings no usable feedback and gets kNoReviewsDistance, a stand-in for

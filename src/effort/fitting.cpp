@@ -35,6 +35,22 @@ std::uint64_t fit_fault_key(data::WorkerId worker, std::size_t samples) {
   return (static_cast<std::uint64_t>(worker) << 24) ^ samples;
 }
 
+/// The concavity rule: the unconstrained quadratic `quad` of `samples`
+/// samples is the fit when it is concave and rising at zero (r2 < 0 and
+/// r1 > 0); otherwise nothing, and the caller takes
+/// fit_effort_function's projection.
+std::optional<EffortFit> concave_fit(const math::PolyFitResult& quad,
+                                     std::size_t samples) {
+  const double r2 = quad.polynomial.coefficient(2);
+  const double r1 = quad.polynomial.coefficient(1);
+  if (!(r2 < 0.0 && r1 > 0.0)) return std::nullopt;
+  EffortFit fit;
+  fit.model = QuadraticEffort(r2, r1, quad.polynomial.coefficient(0));
+  fit.norm_of_residuals = quad.norm_of_residuals;
+  fit.sample_count = samples;
+  return fit;
+}
+
 EffortFitOutcome scalar_outcome(const std::deque<data::EffortSample>& window,
                                 const FitConfig& config) {
   EffortFitOutcome outcome;
@@ -84,14 +100,8 @@ void fit_lane_group(std::span<const std::deque<data::EffortSample>> windows,
       continue;
     }
     if (lanes.fitted >> l & 1u) {
-      const math::PolyFitResult& quad = lanes.fit[l];
-      const double r0 = quad.polynomial.coefficient(0);
-      const double r1 = quad.polynomial.coefficient(1);
-      const double r2 = quad.polynomial.coefficient(2);
-      if (r2 < 0.0 && r1 > 0.0) {
-        outcome.fit.model = QuadraticEffort(r2, r1, r0);
-        outcome.fit.norm_of_residuals = quad.norm_of_residuals;
-        outcome.fit.sample_count = m;
+      if (std::optional<EffortFit> fit = concave_fit(lanes.fit[l], m)) {
+        outcome.fit = *fit;
         continue;
       }
     }
@@ -114,24 +124,15 @@ EffortFit fit_effort_function(const std::vector<data::EffortSample>& samples,
   std::vector<double> xs, ys;
   split_samples(samples, xs, ys);
 
-  EffortFit fit;
-  fit.sample_count = samples.size();
-
   const math::PolyFitResult quad = math::polyfit(xs, ys, 2);
-  double r0 = quad.polynomial.coefficient(0);
-  double r1 = quad.polynomial.coefficient(1);
-  double r2 = quad.polynomial.coefficient(2);
-
-  if (r2 < 0.0 && r1 > 0.0) {
-    fit.model = QuadraticEffort(r2, r1, r0);
-    fit.norm_of_residuals = quad.norm_of_residuals;
-    return fit;
+  if (std::optional<EffortFit> fit = concave_fit(quad, samples.size())) {
+    return *fit;
   }
 
   // Projection onto the feasible set {r2 < 0, r1 > 0}: pin r2 to a gentle
   // data-scaled curvature, then least-squares the linear part on the
   // residual, finally pin r1 if it still comes out non-positive.
-  fit.projected = true;
+  double r2 = quad.polynomial.coefficient(2);
   const double mx = std::max(1e-9, mean_of(xs));
   const double my = std::max(1e-9, mean_of(ys));
   if (!(r2 < 0.0)) {
@@ -142,8 +143,8 @@ EffortFit fit_effort_function(const std::vector<data::EffortSample>& samples,
     residual[i] = ys[i] - r2 * xs[i] * xs[i];
   }
   const math::PolyFitResult lin = math::polyfit(xs, residual, 1);
-  r0 = lin.polynomial.coefficient(0);
-  r1 = lin.polynomial.coefficient(1);
+  double r0 = lin.polynomial.coefficient(0);
+  double r1 = lin.polynomial.coefficient(1);
   if (!(r1 > 0.0)) {
     r1 = 0.1 * my / mx;
     double intercept = 0.0;
@@ -152,9 +153,12 @@ EffortFit fit_effort_function(const std::vector<data::EffortSample>& samples,
     }
     r0 = intercept / static_cast<double>(ys.size());
   }
+  EffortFit fit;
   fit.model = QuadraticEffort(r2, r1, r0);
   fit.norm_of_residuals =
       math::norm_of_residuals(fit.model.as_polynomial(), xs, ys);
+  fit.sample_count = samples.size();
+  fit.projected = true;
   CCD_LOG_DEBUG << "effort fit projected onto feasible set: "
                 << fit.model.to_string();
   return fit;
@@ -225,16 +229,7 @@ ClassFits fit_all_classes(const data::WorkerMetrics& metrics,
     if (const std::optional<math::PolyFitResult> quad =
             math::polyfit_quadratic_in_place(
                 effort, feedback, std::span<double>(block.get() + 2 * m, m))) {
-      const double r0 = quad->polynomial.coefficient(0);
-      const double r1 = quad->polynomial.coefficient(1);
-      const double r2 = quad->polynomial.coefficient(2);
-      if (r2 < 0.0 && r1 > 0.0) {
-        EffortFit fit;
-        fit.model = QuadraticEffort(r2, r1, r0);
-        fit.norm_of_residuals = quad->norm_of_residuals;
-        fit.sample_count = m;
-        return fit;
-      }
+      if (std::optional<EffortFit> fit = concave_fit(*quad, m)) return *fit;
     }
     // A flagged window, or a fit that needs the projection. Its fault
     // points did not fire above, so they do not fire here either.

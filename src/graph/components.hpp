@@ -14,8 +14,6 @@ struct ComponentResult {
   std::vector<std::size_t> component_of;
   /// members[c] lists the vertices of component c, in discovery order.
   std::vector<std::vector<std::size_t>> members;
-
-  std::size_t count() const { return members.size(); }
 };
 
 /// DFS-based connected components.

@@ -1,7 +1,5 @@
 #include "graph/graph.hpp"
 
-#include <algorithm>
-
 #include "util/error.hpp"
 
 namespace ccd::graph {
@@ -13,23 +11,11 @@ void Graph::add_edge(std::size_t u, std::size_t v) {
                 "add_edge vertex out of range");
   adjacency_[u].push_back(v);
   if (u != v) adjacency_[v].push_back(u);
-  ++edge_count_;
-}
-
-bool Graph::has_edge(std::size_t u, std::size_t v) const {
-  CCD_CHECK_MSG(u < vertex_count() && v < vertex_count(),
-                "has_edge vertex out of range");
-  const auto& smaller =
-      adjacency_[u].size() <= adjacency_[v].size() ? adjacency_[u] : adjacency_[v];
-  const std::size_t target = adjacency_[u].size() <= adjacency_[v].size() ? v : u;
-  return std::find(smaller.begin(), smaller.end(), target) != smaller.end();
 }
 
 const std::vector<std::size_t>& Graph::neighbors(std::size_t v) const {
   CCD_CHECK_MSG(v < vertex_count(), "neighbors vertex out of range");
   return adjacency_[v];
 }
-
-std::size_t Graph::degree(std::size_t v) const { return neighbors(v).size(); }
 
 }  // namespace ccd::graph

@@ -15,21 +15,15 @@ class Graph {
   explicit Graph(std::size_t vertex_count = 0);
 
   std::size_t vertex_count() const { return adjacency_.size(); }
-  std::size_t edge_count() const { return edge_count_; }
 
   /// Adds an undirected edge; self-loops and duplicate edges are allowed by
-  /// the structure (callers dedupe if needed via has_edge).
+  /// the structure (callers dedupe if needed). A self-loop is listed once.
   void add_edge(std::size_t u, std::size_t v);
-
-  bool has_edge(std::size_t u, std::size_t v) const;
 
   const std::vector<std::size_t>& neighbors(std::size_t v) const;
 
-  std::size_t degree(std::size_t v) const;
-
  private:
   std::vector<std::vector<std::size_t>> adjacency_;
-  std::size_t edge_count_ = 0;
 };
 
 }  // namespace ccd::graph

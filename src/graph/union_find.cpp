@@ -4,8 +4,7 @@
 
 namespace ccd::graph {
 
-UnionFind::UnionFind(std::size_t n)
-    : parent_(n), size_(n, 1), components_(n) {
+UnionFind::UnionFind(std::size_t n) : parent_(n), size_(n, 1) {
   for (std::size_t i = 0; i < n; ++i) parent_[i] = i;
 }
 
@@ -28,16 +27,7 @@ bool UnionFind::unite(std::size_t a, std::size_t b) {
   if (size_[ra] < size_[rb]) std::swap(ra, rb);
   parent_[rb] = ra;
   size_[ra] += size_[rb];
-  --components_;
   return true;
-}
-
-bool UnionFind::connected(std::size_t a, std::size_t b) {
-  return find(a) == find(b);
-}
-
-std::size_t UnionFind::component_size(std::size_t x) {
-  return size_[find(x)];
 }
 
 }  // namespace ccd::graph

@@ -14,26 +14,15 @@ class UnionFind {
  public:
   explicit UnionFind(std::size_t n = 0);
 
-  std::size_t size() const { return parent_.size(); }
-
   /// Representative of x's set (with path compression).
   std::size_t find(std::size_t x);
 
   /// Merge the sets of a and b; returns true if they were distinct.
   bool unite(std::size_t a, std::size_t b);
 
-  bool connected(std::size_t a, std::size_t b);
-
-  /// Number of elements in x's set.
-  std::size_t component_size(std::size_t x);
-
-  /// Number of disjoint sets.
-  std::size_t component_count() const { return components_; }
-
  private:
   std::vector<std::size_t> parent_;
   std::vector<std::size_t> size_;
-  std::size_t components_ = 0;
 };
 
 }  // namespace ccd::graph

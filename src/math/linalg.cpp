@@ -11,21 +11,6 @@ constexpr double kSingularEps = 1e-12;
 
 }  // namespace
 
-LeastSquaresResult solve_least_squares(const Matrix& a,
-                                       const std::vector<double>& b) {
-  CCD_CHECK_MSG(a.rows() >= a.cols(),
-                "least squares requires at least as many rows as columns");
-  CCD_CHECK_MSG(a.rows() == b.size(), "least squares rhs size mismatch");
-  const std::size_t m = a.rows();
-  const std::size_t n = a.cols();
-  std::vector<double> columns(m * n);
-  for (std::size_t c = 0; c < n; ++c) {
-    for (std::size_t row = 0; row < m; ++row) columns[c * m + row] = a(row, c);
-  }
-  std::vector<double> rhs = b;
-  return solve_least_squares_columns(columns, rhs, n);
-}
-
 LeastSquaresResult solve_least_squares_columns(std::span<double> columns,
                                                std::span<double> rhs,
                                                std::size_t cols) {

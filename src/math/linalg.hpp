@@ -14,8 +14,6 @@
 #include <span>
 #include <vector>
 
-#include "math/matrix.hpp"
-
 namespace ccd::math {
 
 /// Result of a least-squares solve.
@@ -24,17 +22,13 @@ struct LeastSquaresResult {
   double residual_norm = 0.0;        ///< ||A x* - b||2
 };
 
-/// Solve min_x ||A x - b||2 via Householder QR. Requires rows >= cols and
-/// full column rank (throws ccd::MathError otherwise). Copies A into
-/// columns and runs solve_least_squares_columns.
-LeastSquaresResult solve_least_squares(const Matrix& a,
-                                       const std::vector<double>& b);
-
-/// The kernel: `columns` holds an m x `cols` design column-major (column c
-/// is columns[c*m, c*m + m)) and `rhs` its m right-hand sides, m =
-/// rhs.size(). Both are overwritten: the upper triangle of `columns` with
-/// R (below the diagonal is left stale) and `rhs` with Q^T b. Same
-/// requirements and errors as solve_least_squares.
+/// Solve min_x ||A x - b||2 via Householder QR. `columns` holds the m x
+/// `cols` design A column-major (column c is columns[c*m, c*m + m)) and
+/// `rhs` its m right-hand sides b, m = rhs.size(). Both are overwritten:
+/// the upper triangle of `columns` with R (below the diagonal is left
+/// stale) and `rhs` with Q^T b. Requires m >= cols and m x cols entries
+/// in `columns` (throws ccd::Error otherwise), and full column rank
+/// (throws ccd::MathError otherwise).
 LeastSquaresResult solve_least_squares_columns(std::span<double> columns,
                                                std::span<double> rhs,
                                                std::size_t cols);

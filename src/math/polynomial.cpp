@@ -1,11 +1,7 @@
 #include "math/polynomial.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <sstream>
-
-#include "util/error.hpp"
-#include "util/string_util.hpp"
+#include <utility>
 
 namespace ccd::math {
 namespace {
@@ -32,8 +28,6 @@ Polynomial Polynomial::quadratic(double c0, double c1, double c2) {
   return Polynomial({c0, c1, c2});
 }
 
-std::size_t Polynomial::degree() const { return coefficients_.size() - 1; }
-
 double Polynomial::coefficient(std::size_t power) const {
   return power < coefficients_.size() ? coefficients_[power] : 0.0;
 }
@@ -46,38 +40,11 @@ double Polynomial::operator()(double x) const {
   return acc;
 }
 
-Polynomial Polynomial::derivative() const {
-  if (coefficients_.size() <= 1) return Polynomial::constant(0.0);
-  std::vector<double> out(coefficients_.size() - 1);
-  for (std::size_t i = 1; i < coefficients_.size(); ++i) {
-    out[i - 1] = coefficients_[i] * static_cast<double>(i);
-  }
-  return Polynomial(std::move(out));
-}
-
-Polynomial Polynomial::antiderivative(double constant) const {
-  std::vector<double> out(coefficients_.size() + 1);
-  out[0] = constant;
-  for (std::size_t i = 0; i < coefficients_.size(); ++i) {
-    out[i + 1] = coefficients_[i] / static_cast<double>(i + 1);
-  }
-  return Polynomial(std::move(out));
-}
-
 Polynomial Polynomial::operator+(const Polynomial& other) const {
   std::vector<double> out(
       std::max(coefficients_.size(), other.coefficients_.size()), 0.0);
   for (std::size_t i = 0; i < out.size(); ++i) {
     out[i] = coefficient(i) + other.coefficient(i);
-  }
-  return Polynomial(std::move(out));
-}
-
-Polynomial Polynomial::operator-(const Polynomial& other) const {
-  std::vector<double> out(
-      std::max(coefficients_.size(), other.coefficients_.size()), 0.0);
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = coefficient(i) - other.coefficient(i);
   }
   return Polynomial(std::move(out));
 }
@@ -97,47 +64,6 @@ Polynomial Polynomial::operator*(double scalar) const {
   std::vector<double> out = coefficients_;
   for (double& c : out) c *= scalar;
   return Polynomial(std::move(out));
-}
-
-std::vector<double> Polynomial::real_roots() const {
-  const std::size_t deg = degree();
-  if (deg == 0) {
-    if (coefficients_[0] == 0.0) {
-      throw MathError("real_roots: the zero polynomial has all roots");
-    }
-    return {};
-  }
-  if (deg == 1) {
-    return {-coefficients_[0] / coefficients_[1]};
-  }
-  if (deg == 2) {
-    const double a = coefficients_[2];
-    const double b = coefficients_[1];
-    const double c = coefficients_[0];
-    const double disc = b * b - 4.0 * a * c;
-    if (disc < 0.0) return {};
-    if (disc == 0.0) return {-b / (2.0 * a)};
-    // Numerically stable quadratic formula.
-    const double q = -0.5 * (b + std::copysign(std::sqrt(disc), b));
-    std::vector<double> roots = {q / a, c / q};
-    std::sort(roots.begin(), roots.end());
-    return roots;
-  }
-  throw MathError("real_roots supports degree <= 2 only");
-}
-
-std::string Polynomial::to_string(int precision) const {
-  std::ostringstream os;
-  for (std::size_t i = coefficients_.size(); i > 0; --i) {
-    const std::size_t power = i - 1;
-    const double c = coefficients_[power];
-    if (i != coefficients_.size()) os << (c >= 0.0 ? " + " : " - ");
-    else if (c < 0.0) os << '-';
-    os << util::format_double(std::abs(c), precision);
-    if (power >= 1) os << "*y";
-    if (power >= 2) os << '^' << power;
-  }
-  return os.str();
 }
 
 }  // namespace ccd::math

@@ -1,7 +1,7 @@
 // Polynomials with ascending coefficients: p(x) = c0 + c1 x + c2 x^2 + ...
 #pragma once
 
-#include <string>
+#include <cstddef>
 #include <vector>
 
 namespace ccd::math {
@@ -17,9 +17,6 @@ class Polynomial {
   static Polynomial linear(double intercept, double slope);
   static Polynomial quadratic(double c0, double c1, double c2);
 
-  /// Degree; the zero polynomial reports degree 0.
-  std::size_t degree() const;
-
   const std::vector<double>& coefficients() const { return coefficients_; }
 
   /// coefficient of x^power (0 beyond the stored degree).
@@ -28,19 +25,9 @@ class Polynomial {
   /// Horner evaluation.
   double operator()(double x) const;
 
-  Polynomial derivative() const;
-  Polynomial antiderivative(double constant = 0.0) const;
-
   Polynomial operator+(const Polynomial& other) const;
-  Polynomial operator-(const Polynomial& other) const;
   Polynomial operator*(const Polynomial& other) const;
   Polynomial operator*(double scalar) const;
-
-  /// Real roots of degree <= 2 polynomials; throws ccd::MathError for
-  /// higher degrees or the zero polynomial.
-  std::vector<double> real_roots() const;
-
-  std::string to_string(int precision = 4) const;
 
  private:
   std::vector<double> coefficients_{0.0};

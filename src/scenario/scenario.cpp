@@ -112,20 +112,25 @@ void ScenarioSpec::validate() const {
                       std::to_string(workers));
   }
   for (const std::size_t size : community_sizes) {
-    CCD_CHECK_MSG(size >= 2, "scenario '" << name
-                                          << "': a community needs >= 2 workers");
+    if (size < 2) {
+      throw ConfigError("scenario '" + name +
+                        "': a community needs >= 2 workers");
+    }
   }
-  CCD_CHECK_MSG(sybil == 0 || sybil >= 2,
-                "scenario '" << name << "': a sybil swarm needs >= 2 identities");
-  CCD_CHECK_MSG(sybil_beta > 0.0, "sybil_beta must be > 0");
-  CCD_CHECK_MSG(sybil_boost >= 0.0, "sybil_boost must be >= 0");
-  CCD_CHECK_MSG(adaptive_boost >= 0.0, "adaptive_boost must be >= 0");
-  CCD_CHECK_MSG(misreport_slack >= 0.0, "misreport_slack must be >= 0");
-  CCD_CHECK_MSG(churn_arrival_mean >= 0.0, "churn_arrival_mean must be >= 0");
-  CCD_CHECK_MSG(churn_lifetime_mean >= 0.0, "churn_lifetime_mean must be >= 0");
-  CCD_CHECK_MSG(rounds >= 1, "scenario needs at least one round");
-  CCD_CHECK_MSG(fixed_payment >= 0.0, "fixed_payment must be >= 0");
-  CCD_CHECK_MSG(fixed_effort > 0.0, "fixed_effort must be > 0");
+  if (sybil == 1) {
+    throw ConfigError("scenario '" + name +
+                      "': a sybil swarm needs >= 2 identities");
+  }
+  require_config(sybil_beta > 0.0, "sybil_beta must be > 0");
+  require_config(sybil_boost >= 0.0, "sybil_boost must be >= 0");
+  require_config(adaptive_boost >= 0.0, "adaptive_boost must be >= 0");
+  require_config(misreport_slack >= 0.0, "misreport_slack must be >= 0");
+  require_config(churn_arrival_mean >= 0.0, "churn_arrival_mean must be >= 0");
+  require_config(churn_lifetime_mean >= 0.0,
+                 "churn_lifetime_mean must be >= 0");
+  require_config(rounds >= 1, "scenario needs at least one round");
+  require_config(fixed_payment >= 0.0, "fixed_payment must be >= 0");
+  require_config(fixed_effort > 0.0, "fixed_effort must be > 0");
   requester.validate();
 }
 

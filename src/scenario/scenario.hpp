@@ -108,10 +108,6 @@ struct ScenarioSpec {
 
   /// Total planted adversarial identities (malicious + sybil).
   std::size_t planted_malicious() const { return malicious + sybil; }
-  /// Planted communities (community_sizes plus the swarm, when present).
-  std::size_t planted_communities() const {
-    return community_sizes.size() + (sybil > 0 ? 1 : 0);
-  }
 
   /// Throws ccd::ConfigError — naming the offending values — on an
   /// inconsistent spec (community sizes overrunning the malicious budget,

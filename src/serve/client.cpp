@@ -145,30 +145,6 @@ Client::AdvanceResult Client::advance(const std::string& session,
   return result;
 }
 
-Client::IngestResult Client::ingest(
-    const std::string& session,
-    const std::vector<IngestObservation>& observations,
-    std::uint32_t deadline_ms) {
-  Request request;
-  request.op = Op::kIngest;
-  request.session = session;
-  request.observations = observations;
-  request.deadline_ms = deadline_ms;
-  Response response = roundtrip(std::move(request));
-  if (response.status != Status::kDeadline &&
-      response.status != Status::kBackpressure &&
-      response.status != Status::kUnavailable) {
-    check(response);
-  }
-  IngestResult result;
-  result.session = response.session;
-  result.redesigned = response.redesigned;
-  result.deadline_expired = response.status == Status::kDeadline;
-  result.backpressure = response.status == Status::kBackpressure;
-  result.unavailable = response.status == Status::kUnavailable;
-  return result;
-}
-
 std::vector<contract::Contract> Client::contracts(const std::string& session,
                                                   std::uint32_t deadline_ms) {
   Request request;
@@ -217,19 +193,6 @@ HealthInfo Client::health() {
   Response response = roundtrip(std::move(request));
   check(response);
   return response.health;
-}
-
-SessionStatus Client::restore(const std::string& session,
-                              const std::string& checkpoint_blob,
-                              std::uint32_t deadline_ms) {
-  Request request;
-  request.op = Op::kRestore;
-  request.session = session;
-  request.checkpoint_blob = checkpoint_blob;
-  request.deadline_ms = deadline_ms;
-  Response response = roundtrip(std::move(request));
-  check(response);
-  return response.session;
 }
 
 void Client::shutdown_server() {

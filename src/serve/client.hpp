@@ -8,8 +8,8 @@
 // over the wire — e.g. a server-side deadline surfaces as
 // ccd::CancelledError (exit code 6). The two serve-specific statuses
 // (kBackpressure, kShuttingDown) are surfaced on the Response instead of
-// thrown where the caller is expected to handle them (advance/ingest/
-// call), since retrying is the client's job, not an exception.
+// thrown where the caller is expected to handle them (advance/call),
+// since retrying is the client's job, not an exception.
 //
 // Reconnect-and-reattach: the client remembers its dial target, and a
 // transport failure (daemon restarted, connection reset, stalled I/O past
@@ -90,18 +90,6 @@ class Client {
   AdvanceResult advance(const std::string& session, std::uint64_t rounds,
                         std::uint32_t deadline_ms = 0);
 
-  struct IngestResult {
-    SessionStatus session;
-    bool redesigned = false;
-    bool deadline_expired = false;
-    bool backpressure = false;
-    bool unavailable = false;
-  };
-  /// Feed one observed round into an ingest session.
-  IngestResult ingest(const std::string& session,
-                      const std::vector<IngestObservation>& observations,
-                      std::uint32_t deadline_ms = 0);
-
   /// Currently posted contracts.
   std::vector<contract::Contract> contracts(const std::string& session,
                                             std::uint32_t deadline_ms = 0);
@@ -118,12 +106,6 @@ class Client {
 
   /// Load/liveness snapshot (kHealth).
   HealthInfo health();
-
-  /// Install a session from raw checkpoint-frame bytes (kRestore) — the
-  /// gateway handoff path. Idempotent on the server side.
-  SessionStatus restore(const std::string& session,
-                        const std::string& checkpoint_blob,
-                        std::uint32_t deadline_ms = 0);
 
   /// Ask the daemon to drain and exit.
   void shutdown_server();

@@ -73,13 +73,14 @@ struct ServeMetrics {
 }  // namespace
 
 void EngineConfig::validate() const {
-  CCD_CHECK_MSG(worker_threads >= 1, "engine needs at least one executor");
-  CCD_CHECK_MSG(queue_capacity >= 1, "admission queue capacity must be >= 1");
-  CCD_CHECK_MSG(max_sessions >= 1, "max_sessions must be >= 1");
-  CCD_CHECK_MSG(checkpoint_every >= 1, "checkpoint_every must be >= 1");
-  CCD_CHECK_MSG(idle_ttl_ms == 0 || !checkpoint_dir.empty(),
-                "idle_ttl_ms requires a checkpoint_dir (evicting without "
-                "durability would discard campaign state)");
+  require_config(worker_threads >= 1, "engine needs at least one executor");
+  require_config(queue_capacity >= 1,
+                 "admission queue capacity must be >= 1");
+  require_config(max_sessions >= 1, "max_sessions must be >= 1");
+  require_config(checkpoint_every >= 1, "checkpoint_every must be >= 1");
+  require_config(idle_ttl_ms == 0 || !checkpoint_dir.empty(),
+                 "idle_ttl_ms requires a checkpoint_dir (evicting without "
+                 "durability would discard campaign state)");
 }
 
 Engine::Engine(EngineConfig config) : config_(std::move(config)) {

@@ -117,7 +117,6 @@ class Engine {
   bool shutdown_requested() const;
 
   std::size_t session_count() const;
-  const EngineConfig& config() const { return config_; }
 
  private:
   struct Job {

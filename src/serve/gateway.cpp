@@ -164,17 +164,18 @@ ShardSpec ShardSpec::from_target(const ShardTarget& target) {
 }
 
 void GatewayConfig::validate() const {
-  CCD_CHECK_MSG(!shards.empty(), "gateway needs at least one shard");
-  CCD_CHECK_MSG(!unix_socket.empty() || tcp_port >= 0,
-                "gateway needs a unix socket path or a tcp port");
-  CCD_CHECK_MSG(max_inflight >= 1, "max_inflight must be >= 1");
-  CCD_CHECK_MSG(virtual_nodes >= 1, "virtual_nodes must be >= 1");
+  require_config(!shards.empty(), "gateway needs at least one shard");
+  require_config(!unix_socket.empty() || tcp_port >= 0,
+                 "gateway needs a unix socket path or a tcp port");
+  require_config(max_inflight >= 1, "max_inflight must be >= 1");
+  require_config(virtual_nodes >= 1, "virtual_nodes must be >= 1");
   connect_retry.validate();
   std::set<std::string> names;
   for (const ShardSpec& shard : shards) {
     shard.validate();
-    CCD_CHECK_MSG(names.insert(shard.name).second,
-                  "duplicate shard name '" + shard.name + "'");
+    if (!names.insert(shard.name).second) {
+      throw ConfigError("duplicate shard name '" + shard.name + "'");
+    }
   }
 }
 

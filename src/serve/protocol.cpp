@@ -33,23 +33,6 @@ const char* to_string(Op op) {
   return "?";
 }
 
-const char* to_string(Status status) {
-  switch (status) {
-    case Status::kOk: return "ok";
-    case Status::kGenericError: return "error";
-    case Status::kConfigError: return "config-error";
-    case Status::kDataError: return "data-error";
-    case Status::kMathError: return "math-error";
-    case Status::kContractError: return "contract-error";
-    case Status::kDeadline: return "deadline";
-    case Status::kBackpressure: return "backpressure";
-    case Status::kShuttingDown: return "shutting-down";
-    case Status::kUnavailable: return "unavailable";
-    case Status::kAuth: return "auth-required";
-  }
-  return "?";
-}
-
 Status status_for(const ccd::Error& error) {
   switch (error.code()) {
     case ErrorCode::kConfig: return Status::kConfigError;

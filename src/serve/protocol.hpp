@@ -117,14 +117,7 @@ enum class Status : std::uint8_t {
   kAuth = 10,
 };
 
-const char* to_string(Status status);
 inline bool is_error(Status status) { return status != Status::kOk; }
-
-/// Statuses a client should back off and retry rather than fail on:
-/// explicit backpressure and transient membership outages.
-inline bool is_retryable(Status status) {
-  return status == Status::kBackpressure || status == Status::kUnavailable;
-}
 
 /// Status for an error escaping a handler (ErrorCode -> matching Status).
 Status status_for(const ccd::Error& error);

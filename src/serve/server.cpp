@@ -16,8 +16,8 @@ constexpr int kAcceptPollMs = 200;
 }  // namespace
 
 void ServerConfig::validate() const {
-  CCD_CHECK_MSG(!unix_socket.empty() || tcp_port >= 0,
-                "server needs a unix socket path or a tcp port");
+  require_config(!unix_socket.empty() || tcp_port >= 0,
+                 "server needs a unix socket path or a tcp port");
 }
 
 struct Server::Connection {

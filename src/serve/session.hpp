@@ -105,8 +105,6 @@ class Session {
   /// how gateways and engines recognize session checkpoints on disk.
   static const char* checkpoint_suffix(SessionMode mode);
 
-  const std::string& id() const { return id_; }
-  SessionMode mode() const { return mode_; }
   SessionStatus status() const;
 
   /// Advance a simulation session by up to `rounds` rounds. Throws

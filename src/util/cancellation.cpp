@@ -1,7 +1,5 @@
 #include "util/cancellation.hpp"
 
-#include <limits>
-
 namespace ccd::util {
 
 const char* to_string(CancelReason reason) {
@@ -24,12 +22,6 @@ Deadline Deadline::after(double seconds) {
 
 bool Deadline::expired() const {
   return active_ && std::chrono::steady_clock::now() >= at_;
-}
-
-double Deadline::remaining_s() const {
-  if (!active_) return std::numeric_limits<double>::infinity();
-  return std::chrono::duration<double>(at_ - std::chrono::steady_clock::now())
-      .count();
 }
 
 CancellationToken::CancellationToken() : state_(std::make_shared<State>()) {}

@@ -48,14 +48,9 @@ class Deadline {
 
   /// Expires `seconds` from now (negative or zero: already expired).
   static Deadline after(double seconds);
-  /// An inactive deadline (never expires); the default state, spelled out.
-  static Deadline never() { return {}; }
 
-  bool active() const { return active_; }
   /// True when active and the steady clock has passed the deadline.
   bool expired() const;
-  /// Seconds until expiry; +infinity when inactive, <= 0 once expired.
-  double remaining_s() const;
 
  private:
   bool active_ = false;
@@ -90,8 +85,6 @@ class CancellationToken {
     return static_cast<CancelReason>(
         state_->reason.load(std::memory_order_relaxed));
   }
-
-  const Deadline& deadline() const { return state_->deadline; }
 
  private:
   struct State {

@@ -61,11 +61,4 @@ void ParamMap::assert_all_consumed() const {
   }
 }
 
-std::vector<std::string> ParamMap::keys() const {
-  std::vector<std::string> out;
-  out.reserve(values_.size());
-  for (const auto& [key, _] : values_) out.push_back(key);
-  return out;
-}
-
 }  // namespace ccd::util

@@ -8,7 +8,6 @@
 #include <map>
 #include <set>
 #include <string>
-#include <vector>
 
 namespace ccd::util {
 
@@ -30,8 +29,6 @@ class ParamMap {
 
   /// Throws ConfigError if any provided key was never read.
   void assert_all_consumed() const;
-
-  std::vector<std::string> keys() const;
 
  private:
   std::map<std::string, std::string> values_;

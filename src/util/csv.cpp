@@ -108,6 +108,4 @@ void CsvWriter::write_row(const CsvRow& row) {
   if (!impl_->out) throw DataError("CSV write failed");
 }
 
-void CsvWriter::flush() { impl_->out.flush(); }
-
 }  // namespace ccd::util

@@ -49,7 +49,6 @@ class CsvWriter {
   CsvWriter& operator=(const CsvWriter&) = delete;
 
   void write_row(const CsvRow& row);
-  void flush();
 
  private:
   struct Impl;

@@ -23,6 +23,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace ccd {
 
@@ -58,8 +59,9 @@ inline const char* to_string(ErrorCode code) {
 inline int exit_code(ErrorCode code) { return static_cast<int>(code); }
 
 /// Provenance attached to an Error as it crosses recovery boundaries.
-/// Fields left unset stay out of what(); merging never overwrites a field
-/// that is already set, so the innermost (most specific) annotation wins.
+/// Fields left unset stay out of what(); a stage, worker or round
+/// annotation never overwrites one already set, so the innermost (most
+/// specific) one wins.
 struct ErrorContext {
   static constexpr std::int64_t kUnset = -1;
 
@@ -69,19 +71,6 @@ struct ErrorContext {
   /// Additional task failures beyond the rethrown first one (set by
   /// ThreadPool::parallel_for when several chunks throw).
   std::size_t suppressed_failures = 0;
-
-  bool empty() const {
-    return stage.empty() && worker == kUnset && round == kUnset &&
-           suppressed_failures == 0;
-  }
-
-  /// Fill unset fields of *this from `other` (set fields are kept).
-  void merge(const ErrorContext& other) {
-    if (stage.empty()) stage = other.stage;
-    if (worker == kUnset) worker = other.worker;
-    if (round == kUnset) round = other.round;
-    if (suppressed_failures == 0) suppressed_failures = other.suppressed_failures;
-  }
 
   /// Renders e.g. " [stage=solve worker=12 round=3]" — empty string when
   /// nothing is set. The suppressed-failure note renders separately.
@@ -146,11 +135,6 @@ class Error : public std::runtime_error {
     rebuild();
     return *this;
   }
-  Error& with_context(const ErrorContext& context) {
-    context_.merge(context);
-    rebuild();
-    return *this;
-  }
 
  private:
   void rebuild() {
@@ -173,6 +157,13 @@ class ConfigError : public Error {
   explicit ConfigError(const std::string& what)
       : Error(what, ErrorCode::kConfig) {}
 };
+
+/// Throws ConfigError(message) unless `ok`: the check for invalid
+/// user-supplied configuration, which exits 2 where a failed CCD_CHECK (a
+/// broken library invariant) exits 1.
+inline void require_config(bool ok, std::string_view message) {
+  if (!ok) throw ConfigError(std::string(message));
+}
 
 /// Malformed or inconsistent dataset / trace input.
 class DataError : public Error {

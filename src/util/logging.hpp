@@ -22,7 +22,6 @@ class Logger {
   static Logger& instance();
 
   void set_level(LogLevel level) { level_ = level; }
-  LogLevel level() const { return level_; }
   bool enabled(LogLevel level) const { return level >= level_; }
 
   /// Redirect output (tests use this); pass nullptr to restore stderr.

@@ -58,7 +58,6 @@ struct HistogramSnapshot {
   double min = 0.0;  ///< observed extrema (0 when count == 0)
   double max = 0.0;
 
-  double mean() const { return count == 0 ? 0.0 : sum / static_cast<double>(count); }
   /// Quantile estimate for q in [0, 1]: linear interpolation inside the
   /// bucket holding the rank, clamped to the observed [min, max].
   double quantile(double q) const;
@@ -115,7 +114,6 @@ class Histogram {
   /// the per-sample gate already ran when the snapshot was recorded.
   void merge(const HistogramSnapshot& snap);
   HistogramSnapshot snapshot() const;
-  std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
   void reset();
 
  private:

@@ -45,17 +45,11 @@ class Rng {
   /// Log-normal: exp(N(mu_log, sigma_log)).
   double lognormal(double mu_log, double sigma_log);
 
-  /// Exponential with the given rate (lambda > 0).
-  double exponential(double rate);
-
   /// Poisson via inversion for small means, normal approximation for large.
   std::uint64_t poisson(double mean);
 
   /// Bernoulli trial.
   bool bernoulli(double p);
-
-  /// Sample an index from unnormalized non-negative weights.
-  std::size_t discrete(const std::vector<double>& weights);
 
   /// Fisher–Yates shuffle.
   template <typename T>

@@ -55,7 +55,6 @@ class Socket {
   /// Write the whole buffer (EINTR-retrying). Throws ccd::DataError on
   /// failure (including peer reset).
   void send_all(const void* data, std::size_t size);
-  void send_all(const std::string& data) { send_all(data.data(), data.size()); }
 
   /// Read exactly `size` bytes. Returns false on a clean EOF before the
   /// first byte (peer closed between messages); throws ccd::DataError on
@@ -79,7 +78,6 @@ class Socket {
   void shutdown_both();
 
   bool valid() const { return fd_ >= 0; }
-  int fd() const { return fd_; }
 
   /// Bound port of a TCP listener (0 for Unix-domain sockets).
   int local_port() const;

@@ -1,10 +1,9 @@
-// Descriptive statistics: streaming accumulator, percentiles, histograms.
+// Descriptive statistics: streaming accumulator, percentiles, summaries.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <limits>
-#include <string>
 #include <vector>
 
 namespace ccd::util {
@@ -21,7 +20,6 @@ class Accumulator {
     min_ = std::min(min_, x);
     max_ = std::max(max_, x);
   }
-  void merge(const Accumulator& other);
 
   std::size_t count() const { return count_; }
   double mean() const;
@@ -30,7 +28,6 @@ class Accumulator {
   double stddev() const;
   double min() const;
   double max() const;
-  double sum() const { return mean_ * static_cast<double>(count_); }
 
  private:
   std::size_t count_ = 0;
@@ -46,10 +43,6 @@ class Accumulator {
 /// instead of sorting.
 double percentile(std::vector<double> values, double p);
 
-double mean(const std::vector<double>& values);
-double stddev(const std::vector<double>& values);
-double median(std::vector<double> values);
-
 /// Five-number-plus summary of a sample.
 struct Summary {
   std::size_t count = 0;
@@ -63,27 +56,5 @@ struct Summary {
 };
 
 Summary summarize(const std::vector<double>& values);
-
-/// Fixed-width histogram over [lo, hi); values outside clamp to end bins.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  std::size_t bin_count(std::size_t bin) const;
-  std::size_t total() const { return total_; }
-  std::size_t bins() const { return counts_.size(); }
-  double bin_lo(std::size_t bin) const;
-  double bin_hi(std::size_t bin) const;
-
-  /// Multi-line ASCII rendering (for example programs).
-  std::string render(std::size_t width = 50) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-};
 
 }  // namespace ccd::util

@@ -8,34 +8,6 @@
 
 namespace ccd::util {
 
-std::vector<std::string> split(std::string_view s, char delim) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t pos = s.find(delim, start);
-    if (pos == std::string_view::npos) {
-      out.emplace_back(s.substr(start));
-      break;
-    }
-    out.emplace_back(s.substr(start, pos - start));
-    start = pos + 1;
-  }
-  return out;
-}
-
-std::vector<std::string> split_ws(std::string_view s) {
-  std::vector<std::string> out;
-  std::size_t i = 0;
-  while (i < s.size()) {
-    while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i]))) ++i;
-    std::size_t j = i;
-    while (j < s.size() && !std::isspace(static_cast<unsigned char>(s[j]))) ++j;
-    if (j > i) out.emplace_back(s.substr(i, j - i));
-    i = j;
-  }
-  return out;
-}
-
 std::string_view trim(std::string_view s) {
   std::size_t b = 0;
   std::size_t e = s.size();
@@ -48,10 +20,6 @@ std::string to_lower(std::string_view s) {
   std::string out(s);
   for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
   return out;
-}
-
-bool starts_with(std::string_view s, std::string_view prefix) {
-  return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
 }
 
 double parse_double(std::string_view s) {
@@ -85,15 +53,6 @@ std::string format_double(double v, int precision) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", precision, v);
   return buf;
-}
-
-std::string join(const std::vector<std::string>& parts, std::string_view sep) {
-  std::string out;
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    if (i > 0) out += sep;
-    out += parts[i];
-  }
-  return out;
 }
 
 }  // namespace ccd::util

@@ -1,26 +1,16 @@
-// Small string helpers used across ccd (splitting, trimming, formatting).
+// Small string helpers used across ccd (trimming, parsing, formatting).
 #pragma once
 
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace ccd::util {
-
-/// Split `s` on `delim`, keeping empty fields ("a,,b" -> {"a","","b"}).
-std::vector<std::string> split(std::string_view s, char delim);
-
-/// Split on any run of whitespace, dropping empty tokens.
-std::vector<std::string> split_ws(std::string_view s);
 
 /// Strip leading/trailing ASCII whitespace.
 std::string_view trim(std::string_view s);
 
 /// ASCII lower-case copy.
 std::string to_lower(std::string_view s);
-
-/// True if `s` starts with `prefix`.
-bool starts_with(std::string_view s, std::string_view prefix);
 
 /// Parse helpers: throw ccd::ConfigError with context on failure.
 double parse_double(std::string_view s);
@@ -29,8 +19,5 @@ bool parse_bool(std::string_view s);
 
 /// printf-style double formatting with fixed precision.
 std::string format_double(double v, int precision = 4);
-
-/// Join tokens with a separator.
-std::string join(const std::vector<std::string>& parts, std::string_view sep);
 
 }  // namespace ccd::util

@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "util/error.hpp"
-#include "util/string_util.hpp"
 
 namespace ccd::util {
 
@@ -18,23 +17,6 @@ void TextTable::add_row(std::vector<std::string> cells) {
                 "row has " << cells.size() << " cells, header has "
                            << header_.size());
   rows_.push_back(std::move(cells));
-}
-
-void TextTable::add_number_row(const std::vector<double>& cells, int precision) {
-  std::vector<std::string> out;
-  out.reserve(cells.size());
-  for (const double v : cells) out.push_back(format_double(v, precision));
-  add_row(std::move(out));
-}
-
-void TextTable::add_labeled_row(const std::string& label,
-                                const std::vector<double>& cells,
-                                int precision) {
-  std::vector<std::string> out;
-  out.reserve(cells.size() + 1);
-  out.push_back(label);
-  for (const double v : cells) out.push_back(format_double(v, precision));
-  add_row(std::move(out));
 }
 
 std::string TextTable::render() const {

@@ -7,24 +7,14 @@
 namespace ccd::util {
 
 /// Builds a text table: set a header, append rows, then render with columns
-/// padded to their widest cell. Numeric convenience overloads format doubles
-/// with a fixed precision.
+/// padded to their widest cell.
 class TextTable {
  public:
   explicit TextTable(std::vector<std::string> header);
 
   void add_row(std::vector<std::string> cells);
 
-  /// Row of doubles, formatted with `precision` decimals.
-  void add_number_row(const std::vector<double>& cells, int precision = 3);
-
-  /// First cell as label, remaining as doubles.
-  void add_labeled_row(const std::string& label,
-                       const std::vector<double>& cells, int precision = 3);
-
   std::string render() const;
-
-  std::size_t rows() const { return rows_.size(); }
 
  private:
   std::vector<std::string> header_;

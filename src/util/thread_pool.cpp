@@ -230,20 +230,13 @@ ThreadPool* shared_pool_instance = nullptr;
 ThreadPool& shared_pool() {
   // Leaked on purpose: a function-local static would join its threads
   // during static destruction, racing destructors in other translation
-  // units. shutdown_shared_pool() provides the explicit teardown.
+  // units. The pool lives until the process exits.
   std::call_once(shared_pool_once, [] {
     shared_pool_instance = new ThreadPool();
     metrics::registry().gauge("ccd.pool.threads")
         .set(static_cast<double>(shared_pool_instance->thread_count()));
   });
   return *shared_pool_instance;
-}
-
-void shutdown_shared_pool() { shared_pool().shutdown(); }
-
-void parallel_for_default(std::size_t n,
-                          const std::function<void(std::size_t)>& fn) {
-  shared_pool().parallel_for(n, fn);
 }
 
 }  // namespace ccd::util

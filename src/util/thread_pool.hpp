@@ -23,9 +23,8 @@
 //    runners that can never be scheduled (deadlock once all slots are
 //    held by blocked outer tasks).
 //  * A process-wide pool is available via shared_pool(). It is created on
-//    first use and intentionally never destroyed, so no thread joins race
-//    other objects during static destruction; call shutdown_shared_pool()
-//    (or ThreadPool::shutdown()) when deterministic teardown is needed.
+//    first use and lives until the process exits: it is never destroyed,
+//    so no thread joins race other objects during static destruction.
 //  * After shutdown() a pool keeps working in degraded form: parallel_for
 //    runs inline and submit throws.
 //
@@ -135,18 +134,8 @@ class ThreadPool {
 };
 
 /// The process-wide shared pool (hardware concurrency). Constructed on
-/// first use and deliberately leaked: its threads are joined only by an
-/// explicit shutdown_shared_pool(), never during static destruction.
+/// first use and deliberately leaked: it lives until the process exits,
+/// and its threads are never joined during static destruction.
 ThreadPool& shared_pool();
-
-/// Explicitly stop the shared pool (idempotent). Afterwards parallel_for
-/// on the shared pool degrades to inline execution, so late callers still
-/// make progress.
-void shutdown_shared_pool();
-
-/// Blocked parallel_for over shared_pool(). Suitable for coarse-grained
-/// work items.
-void parallel_for_default(std::size_t n,
-                          const std::function<void(std::size_t)>& fn);
 
 }  // namespace ccd::util

@@ -62,13 +62,6 @@ TEST(ContractTest, SlopesMatchDifferences) {
   EXPECT_THROW(c.slope(3), Error);
 }
 
-TEST(ContractTest, PayAtEffortComposesPsi) {
-  const Contract c = simple_contract();
-  EXPECT_DOUBLE_EQ(c.pay_at_effort(kPsi, 1.0), 1.0);
-  EXPECT_DOUBLE_EQ(c.pay_at_effort(kPsi, 0.0), 0.0);
-  EXPECT_DOUBLE_EQ(c.pay_at_effort(kPsi, 2.0), 3.0);
-}
-
 TEST(ContractTest, MonotonicityEnforced) {
   EXPECT_THROW(Contract::on_effort_grid(kPsi, 1.0, {0.0, 2.0, 1.0}), Error);
 }

@@ -202,19 +202,18 @@ TEST(ScratchArenaTest, PointersStableAndCapacityRetained) {
   a[0] = 1.0;
   a[99] = 2.0;
   // A block-spilling allocation must not move the first span.
-  double* b = arena.zeroed_doubles(10000);
+  double* b = arena.doubles(10000);
+  b[0] = 3.0;
+  b[9999] = 4.0;
   EXPECT_EQ(a[0], 1.0);
   EXPECT_EQ(a[99], 2.0);
-  EXPECT_EQ(b[0], 0.0);
-  EXPECT_EQ(b[9999], 0.0);
-  const std::size_t capacity = arena.capacity();
-  EXPECT_GE(capacity, 10100u);
+  EXPECT_EQ(b[0], 3.0);
+  EXPECT_EQ(b[9999], 4.0);
 
   arena.reset();
-  // Same demand after reset reuses the blocks: capacity unchanged.
-  arena.doubles(100);
-  arena.doubles(10000);
-  EXPECT_EQ(arena.capacity(), capacity);
+  // Same demand after reset reuses the blocks: the same spans come back.
+  EXPECT_EQ(arena.doubles(100), a);
+  EXPECT_EQ(arena.doubles(10000), b);
   EXPECT_EQ(arena.doubles(0), nullptr);
 }
 
@@ -836,9 +835,9 @@ TEST(FleetDesignTest, SweepHistogramRecordsOneSpanPerClass) {
   options.cache = &cache;
   options.sweep_histogram = &spans;
   design_contracts_batch(specs, options);
-  EXPECT_EQ(spans.count(), with_positive);
+  EXPECT_EQ(spans.snapshot().count, with_positive);
   design_contracts_batch(specs, options);  // warm: lookups only
-  EXPECT_EQ(spans.count(), 2 * with_positive);
+  EXPECT_EQ(spans.snapshot().count, 2 * with_positive);
 }
 
 // The batch runs the "contract.design" site with the key resolve_design

@@ -294,6 +294,27 @@ TEST_F(CheckpointTest, RefusesAThreadCountPastTheCap) {
   EXPECT_THROW(config.validate(), ConfigError);
 }
 
+// SimConfig's checks throw ConfigError for user input, but a decoded
+// checkpoint that fails them is corrupt data: a DataError, like any other
+// invalid payload.
+TEST_F(CheckpointTest, ZeroRedesignEveryDecodesToDataError) {
+  SimConfig config = base_config(3);
+  config.checkpoint_every = 3;
+  config.checkpoint_path = path_;
+  StackelbergSimulator(fleet(), config).run();
+  SimCheckpoint checkpoint = load_checkpoint(path_);
+  checkpoint.config.redesign_every = 0;
+  EXPECT_THROW(checkpoint.config.validate(), ConfigError);
+  try {
+    decode_checkpoint(encode_checkpoint(checkpoint));
+    FAIL() << "expected DataError";
+  } catch (const DataError& e) {
+    EXPECT_NE(std::string(e.what()).find("redesign_every must be >= 1"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST_F(CheckpointTest, CorruptedCheckpointIsCleanDataError) {
   SimConfig config = base_config(4);
   config.checkpoint_every = 4;

@@ -268,7 +268,8 @@ TEST_F(PipelineTest, StageSpansAreDisjointAndEachRecordsOnce) {
   const auto span_count = [](const std::string& stage) {
     return metrics::registry()
         .histogram("ccd.pipeline." + stage + "_us")
-        .count();
+        .snapshot()
+        .count;
   };
   std::vector<std::uint64_t> before;
   for (const std::string& stage : stages) before.push_back(span_count(stage));
@@ -296,7 +297,8 @@ TEST_F(PipelineTest, DisarmedMetricsRecordNoSpansButKeepTimingsAndResults) {
   const auto span_count = [](const std::string& stage) {
     return metrics::registry()
         .histogram("ccd.pipeline." + stage + "_us")
-        .count();
+        .snapshot()
+        .count;
   };
   metrics::set_enabled(true);
   const PipelineResult armed = run_pipeline(*trace_, PipelineConfig{});

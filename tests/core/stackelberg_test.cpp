@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "util/error.hpp"
 
 namespace ccd::core {
@@ -36,20 +38,41 @@ SimConfig fast_config() {
   return c;
 }
 
+// Every field check is a ConfigError (exit 2) that says what is wrong,
+// not a failed CCD_CHECK.
 TEST(SimConfigTest, Validation) {
+  const auto message_of = [](const SimConfig& c) -> std::string {
+    try {
+      c.validate();
+    } catch (const ConfigError& e) {
+      return e.what();
+    }
+    return "no ConfigError";
+  };
+  EXPECT_EQ(message_of(fast_config()), "no ConfigError");
   SimConfig c = fast_config();
   c.rounds = 0;
-  EXPECT_THROW(c.validate(), Error);
+  EXPECT_EQ(message_of(c), "simulation needs at least one round");
   c = fast_config();
   c.ema_alpha = 0.0;
-  EXPECT_THROW(c.validate(), Error);
+  EXPECT_EQ(message_of(c), "ema_alpha must be in (0, 1]");
+  c = fast_config();
+  c.feedback_noise = -0.1;
+  EXPECT_EQ(message_of(c), "feedback noise must be >= 0");
+  c = fast_config();
+  c.accuracy_noise = -0.1;
+  EXPECT_EQ(message_of(c), "accuracy noise must be >= 0");
   c = fast_config();
   c.redesign_every = 0;
-  EXPECT_THROW(c.validate(), Error);
+  EXPECT_EQ(message_of(c), "redesign_every must be >= 1");
+  c = fast_config();
+  c.checkpoint_every = 5;
+  EXPECT_EQ(message_of(c), "checkpoint_every needs a checkpoint_path");
 }
 
 TEST(StackelbergTest, RequiresWorkers) {
-  EXPECT_THROW(StackelbergSimulator({}, fast_config()), Error);
+  EXPECT_THROW(StackelbergSimulator({}, fast_config()), ConfigError);
+  EXPECT_THROW(preset_fleet(2, 3), ConfigError);
 }
 
 TEST(StackelbergTest, ProducesOneRecordPerRound) {

@@ -59,37 +59,6 @@ TEST_F(AnalyticsTest, InflatedProductsAreMaliciousTargets) {
   }
 }
 
-TEST_F(AnalyticsTest, ReviewerSummariesRespectMinReviews) {
-  const auto all = reviewer_summaries(*trace_, 1);
-  EXPECT_EQ(all.size(), trace_->workers().size());
-  const auto active = reviewer_summaries(*trace_, 5);
-  EXPECT_LT(active.size(), all.size());
-  for (const ReviewerSummary& s : active) {
-    EXPECT_GE(s.reviews, 5u);
-  }
-}
-
-TEST_F(AnalyticsTest, RepeatRatioFlagsMaliciousReviewers) {
-  // Malicious workers review from small private pools, so their
-  // reviews-per-distinct-product ratio is far above honest workers'.
-  const auto all = reviewer_summaries(*trace_, 3);
-  double honest = 0.0, malicious = 0.0;
-  std::size_t hn = 0, mn = 0;
-  for (const ReviewerSummary& s : all) {
-    if (s.true_class == WorkerClass::kHonest) {
-      honest += s.repeat_ratio;
-      ++hn;
-    } else {
-      malicious += s.repeat_ratio;
-      ++mn;
-    }
-  }
-  ASSERT_GT(hn, 0u);
-  ASSERT_GT(mn, 0u);
-  EXPECT_GT(malicious / static_cast<double>(mn),
-            1.5 * honest / static_cast<double>(hn));
-}
-
 TEST_F(AnalyticsTest, DistributionsMatchTraceTotals) {
   const TraceDistributions d = trace_distributions(*trace_);
   EXPECT_EQ(d.reviews_per_worker.count, trace_->workers().size());
@@ -112,7 +81,6 @@ TEST(AnalyticsValidationTest, RequiresIndexes) {
   ReviewTrace t;
   t.add_worker({0, WorkerClass::kHonest, kNoCommunity, 1.0, false});
   EXPECT_THROW(product_summaries(t), Error);
-  EXPECT_THROW(reviewer_summaries(t), Error);
   EXPECT_THROW(trace_distributions(t), Error);
 }
 

@@ -39,7 +39,6 @@ TEST(WorkerMetricsTest, EffortIsNormalizedExpertiseTimesLength) {
   config.target_mean_effort = 3.0;
   const WorkerMetrics m(t, config);
   // Raw efforts: 600, 1200, 600 -> mean 800; scale = 3/800.
-  EXPECT_DOUBLE_EQ(m.effort_scale(), 3.0 / 800.0);
   EXPECT_DOUBLE_EQ(m.effort_level(0), 600.0 * 3.0 / 800.0);
   EXPECT_DOUBLE_EQ(m.effort_level(1), 1200.0 * 3.0 / 800.0);
   // Global mean equals the target.
@@ -134,21 +133,11 @@ TEST(WorkerMetricsTest, ExpertiseIsMeanFeedbackBitwise) {
   }
 }
 
-TEST(WorkerMetricsTest, SamplesOfWorkerMatchesIndex) {
-  const ReviewTrace t = handmade_trace();
-  const WorkerMetrics m(t);
-  const auto samples = m.samples_of_worker(0);
-  ASSERT_EQ(samples.size(), 2u);
-  EXPECT_EQ(samples[0].review, 0u);
-  EXPECT_DOUBLE_EQ(samples[0].feedback, 4.0);
-}
-
 TEST(WorkerMetricsTest, PerWorkerMeans) {
   const ReviewTrace t = handmade_trace();
   const WorkerMetrics m(t);
   EXPECT_DOUBLE_EQ(m.mean_feedback_of_worker(0), 6.0);
   EXPECT_DOUBLE_EQ(m.mean_feedback_of_worker(1), 2.0);
-  EXPECT_GT(m.mean_effort_of_worker(0), 0.0);
 }
 
 TEST(WorkerMetricsTest, RequiresIndexes) {

@@ -1,12 +1,13 @@
-// Least squares: the column-major Householder kernel, through both of its
-// callers (solve_least_squares and polyfit), and the one-window quadratic
-// kernel (polyfit(xs, ys, 2) and polyfit_quadratic_in_place), against the
-// textbook row-major loop they replaced. That loop is kept below,
-// verbatim, as the bitwise reference: every fit must match it in every
-// coefficient and in the residual norm, bit for bit, or throw the same
-// MathError message; the in-place kernel may instead flag a window. This
-// file is compiled with -ffp-contract=off (tests/CMakeLists.txt), as
-// ccd_math is, so the reference rounds the same way on FMA targets.
+// Least squares: the column-major Householder kernel, directly
+// (solve_least_squares_columns) and through polyfit, and the one-window
+// quadratic kernel (polyfit(xs, ys, 2) and polyfit_quadratic_in_place),
+// against the textbook row-major loop they replaced. That loop is kept
+// below, on a plain row-major array, as the bitwise reference: every fit
+// must match it in every coefficient and in the residual norm, bit for
+// bit, or throw the same MathError message; the in-place kernel may
+// instead flag a window. This file is compiled with -ffp-contract=off
+// (tests/CMakeLists.txt), as ccd_math is, so the reference rounds the same
+// way on FMA targets.
 #include "math/linalg.hpp"
 
 #include <gtest/gtest.h>
@@ -36,16 +37,21 @@ namespace {
 
 constexpr double kSingularEps = 1e-12;
 
-LeastSquaresResult reference_least_squares(const Matrix& a,
+/// The textbook loop on the m x n design `a`, row-major (entry (row, c) is
+/// a[row * n + c]), and its m right-hand sides `b`.
+LeastSquaresResult reference_least_squares(const std::vector<double>& a,
+                                           std::size_t n,
                                            const std::vector<double>& b) {
-  CCD_CHECK_MSG(a.rows() >= a.cols(),
+  const std::size_t m = b.size();
+  CCD_CHECK_MSG(m >= n,
                 "least squares requires at least as many rows as columns");
-  CCD_CHECK_MSG(a.rows() == b.size(), "least squares rhs size mismatch");
-  const std::size_t m = a.rows();
-  const std::size_t n = a.cols();
+  CCD_CHECK_MSG(a.size() == m * n, "least squares rhs size mismatch");
 
   // Householder QR applied in place to [R | Q^T b].
-  Matrix r = a;
+  std::vector<double> r_data = a;
+  const auto r = [&](std::size_t row, std::size_t c) -> double& {
+    return r_data[row * n + c];
+  };
   std::vector<double> qtb = b;
 
   for (std::size_t col = 0; col < n; ++col) {
@@ -126,9 +132,11 @@ Polynomial reference_unscale(const Polynomial& in_u, double shift,
   return result;
 }
 
-/// The row-major Vandermonde design polyfit solves, with its shift/scale.
-Matrix reference_design(const std::vector<double>& xs, std::size_t degree,
-                        double& shift, double& scale) {
+/// The row-major Vandermonde design polyfit solves (degree + 1 columns),
+/// with its shift/scale.
+std::vector<double> reference_design(const std::vector<double>& xs,
+                                     std::size_t degree, double& shift,
+                                     double& scale) {
   double lo = xs[0];
   double hi = xs[0];
   for (const double x : xs) {
@@ -139,12 +147,12 @@ Matrix reference_design(const std::vector<double>& xs, std::size_t degree,
   scale = 0.5 * (hi - lo);
   if (scale <= 0.0) scale = 1.0;
 
-  Matrix design(xs.size(), degree + 1);
+  std::vector<double> design(xs.size() * (degree + 1));
   for (std::size_t r = 0; r < xs.size(); ++r) {
     const double u = (xs[r] - shift) / scale;
     double power = 1.0;
     for (std::size_t c = 0; c <= degree; ++c) {
-      design(r, c) = power;
+      design[r * (degree + 1) + c] = power;
       power *= u;
     }
   }
@@ -156,8 +164,8 @@ PolyFitResult reference_polyfit(const std::vector<double>& xs,
                                 std::size_t degree) {
   double shift = 0.0;
   double scale = 0.0;
-  const Matrix design = reference_design(xs, degree, shift, scale);
-  const LeastSquaresResult ls = reference_least_squares(design, ys);
+  const std::vector<double> design = reference_design(xs, degree, shift, scale);
+  const LeastSquaresResult ls = reference_least_squares(design, degree + 1, ys);
   PolyFitResult out;
   out.polynomial = reference_unscale(Polynomial(ls.coefficients), shift, scale);
   out.norm_of_residuals = ls.residual_norm;
@@ -326,13 +334,12 @@ FitCase draw_fit_case(util::Rng& rng) {
   return c;
 }
 
-/// A general (non-Vandermonde) system, sometimes rank-deficient: a zero,
-/// duplicated, scaled or vanishingly small column.
-Matrix draw_matrix(util::Rng& rng, std::size_t rows, std::size_t cols) {
-  Matrix a(rows, cols);
-  for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t c = 0; c < cols; ++c) a(r, c) = rng.normal();
-  }
+/// A general (non-Vandermonde) row-major design, sometimes rank-deficient:
+/// a zero, duplicated, scaled or vanishingly small column.
+std::vector<double> draw_matrix(util::Rng& rng, std::size_t rows,
+                                std::size_t cols) {
+  std::vector<double> a(rows * cols);
+  for (double& entry : a) entry = rng.normal();
   if (cols < 2 || rng.bernoulli(0.5)) return a;
   const auto target = static_cast<std::size_t>(rng.uniform_int(1, cols - 1));
   const auto source = static_cast<std::size_t>(rng.uniform_int(0, target - 1));
@@ -340,22 +347,39 @@ Matrix draw_matrix(util::Rng& rng, std::size_t rows, std::size_t cols) {
   const double tiny = std::exp(rng.uniform(-40.0, -20.0));
   const auto kind = rng.uniform_int(0, 3);
   for (std::size_t r = 0; r < rows; ++r) {
+    double& entry = a[r * cols + target];
     switch (kind) {
-      case 0: a(r, target) = 0.0; break;
-      case 1: a(r, target) = a(r, source); break;
-      case 2: a(r, target) = factor * a(r, source); break;
-      default: a(r, target) = tiny * a(r, target); break;
+      case 0: entry = 0.0; break;
+      case 1: entry = a[r * cols + source]; break;
+      case 2: entry = factor * a[r * cols + source]; break;
+      default: entry = tiny * entry; break;
     }
   }
   return a;
 }
 
+/// solve_least_squares_columns on a row-major design of n columns, copied
+/// into columns.
+LeastSquaresResult solve_row_major(const std::vector<double>& a, std::size_t n,
+                                   const std::vector<double>& b) {
+  const std::size_t m = b.size();
+  std::vector<double> columns(m * n);
+  for (std::size_t c = 0; c < n; ++c) {
+    for (std::size_t row = 0; row < m; ++row) {
+      columns[c * m + row] = a[row * n + c];
+    }
+  }
+  std::vector<double> rhs = b;
+  return solve_least_squares_columns(columns, rhs, n);
+}
+
 // ---------------------------------------------------------------------------
 
 TEST(LeastSquaresTest, ExactSystemHasZeroResidual) {
-  const Matrix a{{1.0, 0.0}, {0.0, 1.0}, {1.0, 1.0}};
-  const std::vector<double> b = {2.0, 3.0, 5.0};  // consistent
-  const LeastSquaresResult r = solve_least_squares(a, b);
+  // A = [[1, 0], [0, 1], [1, 1]], column-major.
+  std::vector<double> columns = {1.0, 0.0, 1.0, 0.0, 1.0, 1.0};
+  std::vector<double> b = {2.0, 3.0, 5.0};  // consistent
+  const LeastSquaresResult r = solve_least_squares_columns(columns, b, 2);
   EXPECT_NEAR(r.coefficients[0], 2.0, 1e-12);
   EXPECT_NEAR(r.coefficients[1], 3.0, 1e-12);
   EXPECT_NEAR(r.residual_norm, 0.0, 1e-10);
@@ -363,16 +387,16 @@ TEST(LeastSquaresTest, ExactSystemHasZeroResidual) {
 
 TEST(LeastSquaresTest, MatchesNormalEquations) {
   // Overdetermined line fit: y = 2x + 1 with symmetric perturbation.
-  Matrix a(4, 2);
-  std::vector<double> b(4);
   const double xs[] = {0.0, 1.0, 2.0, 3.0};
   const double ys[] = {1.1, 2.9, 5.1, 6.9};
+  std::vector<double> columns(8);
+  std::vector<double> b(4);
   for (std::size_t i = 0; i < 4; ++i) {
-    a(i, 0) = 1.0;
-    a(i, 1) = xs[i];
+    columns[i] = 1.0;
+    columns[4 + i] = xs[i];
     b[i] = ys[i];
   }
-  const LeastSquaresResult r = solve_least_squares(a, b);
+  const LeastSquaresResult r = solve_least_squares_columns(columns, b, 2);
   EXPECT_NEAR(r.coefficients[1], 1.96, 1e-9);
   EXPECT_NEAR(r.coefficients[0], 1.06, 1e-9);
   // Residual equals direct computation.
@@ -385,23 +409,25 @@ TEST(LeastSquaresTest, MatchesNormalEquations) {
 }
 
 TEST(LeastSquaresTest, RankDeficientThrows) {
-  Matrix a(3, 2);
-  for (std::size_t i = 0; i < 3; ++i) {
-    a(i, 0) = 1.0;
-    a(i, 1) = 2.0;  // second column is a multiple of the first
-  }
-  EXPECT_THROW(solve_least_squares(a, {1.0, 2.0, 3.0}), MathError);
+  // The second column is a multiple of the first.
+  std::vector<double> columns = {1.0, 1.0, 1.0, 2.0, 2.0, 2.0};
+  std::vector<double> b = {1.0, 2.0, 3.0};
+  EXPECT_THROW(solve_least_squares_columns(columns, b, 2), MathError);
 }
 
 TEST(LeastSquaresTest, UnderdeterminedThrows) {
-  EXPECT_THROW(solve_least_squares(Matrix(2, 3), {1.0, 2.0}), Error);
+  std::vector<double> columns(6, 0.0);  // 2 rows, 3 columns
+  std::vector<double> b = {1.0, 2.0};
+  EXPECT_THROW(solve_least_squares_columns(columns, b, 3), Error);
 }
 
 // Square full-rank systems are the rows == cols case of the QR solve: the
 // solution is exact and the residual vanishes.
 TEST(LeastSquaresTest, SquareSystemSolvesExactly) {
-  const Matrix a{{2.0, 1.0}, {1.0, 3.0}};
-  const LeastSquaresResult r = solve_least_squares(a, {5.0, 10.0});
+  // A = [[2, 1], [1, 3]], column-major.
+  std::vector<double> columns = {2.0, 1.0, 1.0, 3.0};
+  std::vector<double> b = {5.0, 10.0};
+  const LeastSquaresResult r = solve_least_squares_columns(columns, b, 2);
   ASSERT_EQ(r.coefficients.size(), 2u);
   EXPECT_NEAR(r.coefficients[0], 1.0, 1e-12);
   EXPECT_NEAR(r.coefficients[1], 3.0, 1e-12);
@@ -411,21 +437,30 @@ TEST(LeastSquaresTest, SquareSystemSolvesExactly) {
 // A zero on the diagonal needs no row swap: the Householder reflection of
 // the first column handles it.
 TEST(LeastSquaresTest, ZeroLeadingEntryNeedsNoPivoting) {
-  const Matrix a{{0.0, 1.0}, {1.0, 0.0}};
-  const LeastSquaresResult r = solve_least_squares(a, {2.0, 3.0});
+  // A = [[0, 1], [1, 0]], column-major.
+  std::vector<double> columns = {0.0, 1.0, 1.0, 0.0};
+  std::vector<double> b = {2.0, 3.0};
+  const LeastSquaresResult r = solve_least_squares_columns(columns, b, 2);
   EXPECT_NEAR(r.coefficients[0], 3.0, 1e-12);
   EXPECT_NEAR(r.coefficients[1], 2.0, 1e-12);
 }
 
 TEST(LeastSquaresTest, SingularSquareSystemThrows) {
-  const Matrix a{{1.0, 2.0}, {2.0, 4.0}};
-  EXPECT_THROW(solve_least_squares(a, {1.0, 2.0}), MathError);
+  // A = [[1, 2], [2, 4]], column-major.
+  std::vector<double> columns = {1.0, 2.0, 2.0, 4.0};
+  std::vector<double> b = {1.0, 2.0};
+  EXPECT_THROW(solve_least_squares_columns(columns, b, 2), MathError);
 }
 
 TEST(LeastSquaresTest, RightHandSideLengthMustMatchRows) {
-  EXPECT_THROW(solve_least_squares(Matrix::identity(3), {1.0, 2.0}), Error);
-  EXPECT_THROW(solve_least_squares(Matrix::identity(2), {1.0, 2.0, 3.0}),
-               Error);
+  // A 3 x 3 identity against 2 right-hand sides, then a 2 x 2 one
+  // against 3.
+  std::vector<double> identity3 = {1, 0, 0, 0, 1, 0, 0, 0, 1};
+  std::vector<double> two = {1.0, 2.0};
+  EXPECT_THROW(solve_least_squares_columns(identity3, two, 3), Error);
+  std::vector<double> identity2 = {1, 0, 0, 1};
+  std::vector<double> three = {1.0, 2.0, 3.0};
+  EXPECT_THROW(solve_least_squares_columns(identity2, three, 2), Error);
 }
 
 // Random well-conditioned systems, square and tall: the solver recovers
@@ -435,14 +470,21 @@ TEST(LeastSquaresTest, RandomConsistentSystemsRoundTrip) {
   for (int trial = 0; trial < 20; ++trial) {
     const std::size_t n = static_cast<std::size_t>(rng.uniform_int(1, 6));
     const std::size_t rows = n + static_cast<std::size_t>(trial % 3);
-    Matrix a(rows, n);
+    std::vector<double> columns(rows * n);
     for (std::size_t r = 0; r < rows; ++r) {
-      for (std::size_t c = 0; c < n; ++c) a(r, c) = rng.normal();
+      for (std::size_t c = 0; c < n; ++c) columns[c * rows + r] = rng.normal();
     }
-    for (std::size_t d = 0; d < n; ++d) a(d, d) += 5.0;  // well conditioned
+    // Well conditioned.
+    for (std::size_t d = 0; d < n; ++d) columns[d * rows + d] += 5.0;
     std::vector<double> x_true(n);
     for (double& v : x_true) v = rng.normal();
-    const LeastSquaresResult r = solve_least_squares(a, a * x_true);
+    std::vector<double> b(rows, 0.0);
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (std::size_t c = 0; c < n; ++c) {
+        b[r] += columns[c * rows + r] * x_true[c];
+      }
+    }
+    const LeastSquaresResult r = solve_least_squares_columns(columns, b, n);
     ASSERT_EQ(r.coefficients.size(), n) << "trial " << trial;
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_NEAR(r.coefficients[i], x_true[i], 1e-9) << "trial " << trial;
@@ -460,7 +502,7 @@ TEST(LeastSquaresTest, ColumnKernelChecksItsBufferSizes) {
 }
 
 // The named corner cases, each through polyfit and through
-// solve_least_squares on the reference's own design.
+// solve_least_squares_columns on the reference's own design.
 TEST(LeastSquaresBitwiseTest, CornerCasesMatchRowMajorReference) {
   const std::vector<double> ramp = {0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5};
   const struct {
@@ -489,11 +531,15 @@ TEST(LeastSquaresBitwiseTest, CornerCasesMatchRowMajorReference) {
           "polyfit " + what);
       double shift = 0.0;
       double scale = 0.0;
-      const Matrix design = reference_design(c.xs, degree, shift, scale);
+      const std::vector<double> design =
+          reference_design(c.xs, degree, shift, scale);
       mismatches.compare(
-          solve_outcome([&] { return solve_least_squares(design, c.ys); }),
-          solve_outcome([&] { return reference_least_squares(design, c.ys); }),
-          "solve_least_squares " + what);
+          solve_outcome(
+              [&] { return solve_row_major(design, degree + 1, c.ys); }),
+          solve_outcome([&] {
+            return reference_least_squares(design, degree + 1, c.ys);
+          }),
+          "solve_least_squares_columns " + what);
       ++fits;
     }
   }
@@ -504,10 +550,10 @@ TEST(LeastSquaresBitwiseTest, CornerCasesMatchRowMajorReference) {
 // 10,000 seeded polyfit systems (1,250 per shard) over 3..5000 samples and
 // degrees 1..6 — random, repeated-x, -0.0-laden, all-equal-x, all-zero-y
 // and noisy-curve inputs — each through polyfit and through
-// solve_least_squares on the reference's design, plus 500 general systems
-// of 2..12 columns per shard (some with a zero, duplicated, scaled or tiny
-// column). Every one must match the reference bit for bit or throw its
-// message.
+// solve_least_squares_columns on the reference's design, plus 500 general
+// systems of 2..12 columns per shard (some with a zero, duplicated, scaled
+// or tiny column). Every one must match the reference bit for bit or throw
+// its message.
 class LeastSquaresShardTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(LeastSquaresShardTest, SeededSystemsMatchRowMajorReferenceBitwise) {
@@ -527,26 +573,29 @@ TEST_P(LeastSquaresShardTest, SeededSystemsMatchRowMajorReferenceBitwise) {
         "polyfit " + what);
     double shift = 0.0;
     double scale = 0.0;
-    const Matrix design = reference_design(c.xs, c.degree, shift, scale);
+    const std::vector<double> design =
+        reference_design(c.xs, c.degree, shift, scale);
     mismatches.compare(
-        solve_outcome([&] { return solve_least_squares(design, c.ys); }),
-        solve_outcome([&] { return reference_least_squares(design, c.ys); }),
-        "solve_least_squares " + what);
+        solve_outcome(
+            [&] { return solve_row_major(design, c.degree + 1, c.ys); }),
+        solve_outcome([&] {
+          return reference_least_squares(design, c.degree + 1, c.ys);
+        }),
+        "solve_least_squares_columns " + what);
   }
   for (int i = 0; i < 500; ++i) {
     const auto cols = static_cast<std::size_t>(rng.uniform_int(2, 12));
     const std::size_t rows = draw_rows(rng, std::max<std::size_t>(3, cols));
-    const Matrix a = draw_matrix(rng, rows, cols);
+    const std::vector<double> a = draw_matrix(rng, rows, cols);
     std::vector<double> b(rows);
     for (double& v : b) v = rng.bernoulli(0.1) ? 0.0 : rng.normal();
     const Outcome reference =
-        solve_outcome([&] { return reference_least_squares(a, b); });
+        solve_outcome([&] { return reference_least_squares(a, cols, b); });
     if (!reference.error.empty()) ++threw;
-    mismatches.compare(solve_outcome([&] { return solve_least_squares(a, b); }),
-                       reference,
-                       "general system " + std::to_string(i) + " (" +
-                           std::to_string(rows) + " x " +
-                           std::to_string(cols) + ")");
+    mismatches.compare(
+        solve_outcome([&] { return solve_row_major(a, cols, b); }), reference,
+        "general system " + std::to_string(i) + " (" + std::to_string(rows) +
+            " x " + std::to_string(cols) + ")");
   }
   // Both outcomes occur in every shard: full-rank fits and rank-deficient
   // ones that throw.

@@ -100,7 +100,48 @@ TEST(ScenarioSpecTest, ApplyParamsParsesOverrides) {
   EXPECT_EQ(spec.rounds, 10u);
   EXPECT_TRUE(spec.adaptive);
   EXPECT_EQ(spec.planted_malicious(), 9u);
-  EXPECT_EQ(spec.planted_communities(), 3u);  // {2,4} + the swarm
+}
+
+// Every range check is a ConfigError (exit 2), like the budget checks
+// above, not a failed CCD_CHECK.
+TEST(ScenarioSpecTest, RangeChecksThrowConfigError) {
+  const auto expect_config_error = [](ScenarioSpec spec, const char* what) {
+    EXPECT_THROW(spec.validate(), ConfigError) << what;
+  };
+  ScenarioSpec spec = small_spec();
+  spec.community_sizes = {1};
+  expect_config_error(spec, "one-member community");
+  spec = small_spec();
+  spec.sybil = 1;
+  expect_config_error(spec, "one-identity swarm");
+  spec = small_spec();
+  spec.sybil_beta = 0.0;
+  expect_config_error(spec, "sybil_beta");
+  spec = small_spec();
+  spec.sybil_boost = -1.0;
+  expect_config_error(spec, "sybil_boost");
+  spec = small_spec();
+  spec.adaptive_boost = -1.0;
+  expect_config_error(spec, "adaptive_boost");
+  spec = small_spec();
+  spec.misreport_slack = -1.0;
+  expect_config_error(spec, "misreport_slack");
+  spec = small_spec();
+  spec.churn_arrival_mean = -1.0;
+  expect_config_error(spec, "churn_arrival_mean");
+  spec = small_spec();
+  spec.churn_lifetime_mean = -1.0;
+  expect_config_error(spec, "churn_lifetime_mean");
+  spec = small_spec();
+  spec.rounds = 0;
+  expect_config_error(spec, "rounds");
+  spec = small_spec();
+  spec.fixed_payment = -1.0;
+  expect_config_error(spec, "fixed_payment");
+  spec = small_spec();
+  spec.fixed_effort = 0.0;
+  expect_config_error(spec, "fixed_effort");
+  EXPECT_NO_THROW(small_spec().validate());
 }
 
 TEST(ScenarioSpecTest, ApplyParamsRejectsBadCommunityCsv) {

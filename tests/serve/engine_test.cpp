@@ -113,6 +113,30 @@ class EngineTest : public ::testing::Test {
   std::filesystem::path dir_;
 };
 
+// Each EngineConfig check is a ConfigError (ccdd exits 2), thrown before
+// any executor thread starts.
+TEST(EngineConfigTest, ChecksThrowConfigError) {
+  EXPECT_NO_THROW(EngineConfig{}.validate());
+  EngineConfig c;
+  c.worker_threads = 0;
+  EXPECT_THROW(c.validate(), ConfigError);
+  EXPECT_THROW(Engine{c}, ConfigError);
+  c = EngineConfig{};
+  c.queue_capacity = 0;
+  EXPECT_THROW(c.validate(), ConfigError);
+  c = EngineConfig{};
+  c.max_sessions = 0;
+  EXPECT_THROW(c.validate(), ConfigError);
+  c = EngineConfig{};
+  c.checkpoint_every = 0;
+  EXPECT_THROW(c.validate(), ConfigError);
+  c = EngineConfig{};
+  c.idle_ttl_ms = 5;
+  EXPECT_THROW(c.validate(), ConfigError);
+  c.checkpoint_dir = "ckpt";
+  EXPECT_NO_THROW(c.validate());
+}
+
 TEST_F(EngineTest, SessionDrivenPerRoundMatchesSimulatorRunBitwise) {
   constexpr std::uint64_t kRounds = 12;
   constexpr std::uint64_t kSeed = 3;

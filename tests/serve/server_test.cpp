@@ -117,6 +117,18 @@ TEST(ProtocolCodecTest, ResponseRoundTripsContractsBitwise) {
   EXPECT_EQ(got.contracts[1].payment(2), 1.0);
 }
 
+// A server with no listener to bind is a ConfigError, thrown before any
+// socket is created.
+TEST(ServerConfigTest, NeedsAListenerOrThrowsConfigError) {
+  EXPECT_THROW(ServerConfig{}.validate(), ConfigError);
+  ServerConfig tcp;
+  tcp.tcp_port = 0;
+  EXPECT_NO_THROW(tcp.validate());
+  ServerConfig unix_domain;
+  unix_domain.unix_socket = "s.sock";
+  EXPECT_NO_THROW(unix_domain.validate());
+}
+
 TEST(ProtocolCodecTest, MalformedPayloadsThrowDataError) {
   const std::string encoded = encode_request(Request{});
   EXPECT_THROW(decode_request(encoded.substr(0, encoded.size() / 2)),
@@ -260,7 +272,8 @@ TEST_F(ServerTest, CorruptFrameDropsOnlyThatConnection) {
 
   // A garbage blob instead of a frame: the server closes this connection.
   util::Socket raw = util::Socket::connect_unix(socket_path_);
-  raw.send_all(std::string(64, 'x'));
+  const std::string garbage(64, 'x');
+  raw.send_all(garbage.data(), garbage.size());
   char byte = 0;
   EXPECT_FALSE(raw.recv_exact(&byte, 1));  // clean close, no response
 

@@ -13,24 +13,17 @@ namespace {
 
 TEST(DeadlineTest, DefaultIsInactive) {
   const Deadline d;
-  EXPECT_FALSE(d.active());
   EXPECT_FALSE(d.expired());
-  EXPECT_GT(d.remaining_s(), 1e18);
-  EXPECT_FALSE(Deadline::never().active());
 }
 
 TEST(DeadlineTest, ZeroBudgetIsAlreadyExpired) {
   const Deadline d = Deadline::after(0.0);
-  EXPECT_TRUE(d.active());
   EXPECT_TRUE(d.expired());
-  EXPECT_LE(d.remaining_s(), 0.0);
 }
 
 TEST(DeadlineTest, GenerousBudgetIsNotExpired) {
   const Deadline d = Deadline::after(3600.0);
-  EXPECT_TRUE(d.active());
   EXPECT_FALSE(d.expired());
-  EXPECT_GT(d.remaining_s(), 3000.0);
 }
 
 TEST(CancellationTokenTest, FreshTokenIsNotCancelled) {

@@ -306,17 +306,18 @@ TEST(SharedPoolTest, IsAProcessWideSingleton) {
   EXPECT_GE(shared_pool().thread_count(), 1u);
 }
 
-TEST(ParallelForDefaultTest, Works) {
+TEST(SharedPoolTest, ParallelForCoversEveryIndex) {
   std::vector<std::atomic<int>> hits(256);
-  parallel_for_default(hits.size(),
-                       [&](std::size_t i) { hits[i].fetch_add(1); });
+  shared_pool().parallel_for(hits.size(),
+                             [&](std::size_t i) { hits[i].fetch_add(1); });
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(ParallelForDefaultTest, NestedThroughSharedPool) {
+TEST(SharedPoolTest, NestedParallelFor) {
   std::atomic<int> counter{0};
-  parallel_for_default(3, [&](std::size_t) {
-    parallel_for_default(5, [&](std::size_t) { counter.fetch_add(1); });
+  shared_pool().parallel_for(3, [&](std::size_t) {
+    shared_pool().parallel_for(5,
+                               [&](std::size_t) { counter.fetch_add(1); });
   });
   EXPECT_EQ(counter.load(), 15);
 }
