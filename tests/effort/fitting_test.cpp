@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "data/generator.hpp"
+#include "math/polyfit.hpp"
 #include "util/error.hpp"
 #include "util/fault_injection.hpp"
 #include "util/rng.hpp"
@@ -41,6 +42,32 @@ TEST(FitEffortFunctionTest, RecoversCleanQuadratic) {
   EXPECT_NEAR(fit.model.r0(), 2.0, 1e-6);
   EXPECT_NEAR(fit.norm_of_residuals, 0.0, 1e-6);
   EXPECT_EQ(fit.sample_count, 200u);
+}
+
+// The concavity rule's keep side: a concave fit rising at zero is the
+// unconstrained least-squares quadratic itself, bit for bit.
+TEST(FitEffortFunctionTest, ConcaveRisingFitIsTheUnconstrainedQuadratic) {
+  const auto samples = samples_from_curve(-0.8, 6.0, 1.5, 0.3, 500, 13);
+  std::vector<double> xs;
+  std::vector<double> ys;
+  for (const data::EffortSample& s : samples) {
+    xs.push_back(s.effort);
+    ys.push_back(s.feedback);
+  }
+  const math::PolyFitResult quad = math::polyfit(xs, ys, 2);
+  ASSERT_LT(quad.polynomial.coefficient(2), 0.0);
+  ASSERT_GT(quad.polynomial.coefficient(1), 0.0);
+  const EffortFit fit = fit_effort_function(samples);
+  EXPECT_FALSE(fit.projected);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(fit.model.r2()),
+            std::bit_cast<std::uint64_t>(quad.polynomial.coefficient(2)));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(fit.model.r1()),
+            std::bit_cast<std::uint64_t>(quad.polynomial.coefficient(1)));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(fit.model.r0()),
+            std::bit_cast<std::uint64_t>(quad.polynomial.coefficient(0)));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(fit.norm_of_residuals),
+            std::bit_cast<std::uint64_t>(quad.norm_of_residuals));
+  EXPECT_EQ(fit.sample_count, samples.size());
 }
 
 TEST(FitEffortFunctionTest, NoisyFitStaysClose) {
