@@ -22,9 +22,11 @@
 #include <string>
 #include <vector>
 
+#include "contract/arena.hpp"
 #include "contract/design_cache.hpp"
 #include "contract/designer.hpp"
 #include "contract/fleet_soa.hpp"
+#include "contract/ksweep.hpp"
 #include "core/pipeline.hpp"
 #include "data/generator.hpp"
 #include "data/metrics.hpp"
@@ -58,6 +60,25 @@ const ccd::data::ReviewTrace& amazon2015_trace() {
     return ccd::data::generate_trace(params);
   }();
   return trace;
+}
+
+/// run_pipeline on amazon2015_trace() on one solve thread, as design_full
+/// runs it: 19,608 subproblems in 20 classes, arriving in long runs of one
+/// class.
+const ccd::core::PipelineResult& amazon2015_result() {
+  static const ccd::core::PipelineResult result = [] {
+    ccd::core::PipelineConfig config;
+    config.threads = 1;
+    return ccd::core::run_pipeline(amazon2015_trace(), config);
+  }();
+  return result;
+}
+
+/// Minor page faults of the process so far.
+long minor_faults() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_minflt;
 }
 
 void BM_DesignContract(benchmark::State& state) {
@@ -219,17 +240,12 @@ std::vector<ccd::contract::SubproblemSpec> fleet_specs(std::size_t n) {
 }
 
 // The solve stage's grouping of a design_full run: FleetSoA::from_specs on
-// the subproblem specs of the pipeline on the amazon2015-sized trace (seed
-// 1; 19,608 specs in 20 classes, arriving in long runs of one class).
+// the subproblem specs of amazon2015_result().
 void BM_FleetFromSpecs(benchmark::State& state) {
   static const std::vector<ccd::contract::SubproblemSpec> specs = [] {
-    ccd::core::PipelineConfig config;
-    config.threads = 1;
-    const ccd::core::PipelineResult r =
-        ccd::core::run_pipeline(amazon2015_trace(), config);
     std::vector<ccd::contract::SubproblemSpec> out;
-    out.reserve(r.subproblems.size());
-    for (const ccd::core::SubproblemOutcome& s : r.subproblems) {
+    for (const ccd::core::SubproblemOutcome& s :
+         amazon2015_result().subproblems) {
       out.push_back(s.spec);
     }
     return out;
@@ -242,6 +258,76 @@ void BM_FleetFromSpecs(benchmark::State& state) {
   state.counters["specs"] = static_cast<double>(specs.size());
 }
 BENCHMARK(BM_FleetFromSpecs)->MeasureProcessCPUTime()
+    ->Unit(benchmark::kMicrosecond);
+
+// The solve stage of a design_full run: the subproblems of
+// amazon2015_result() designed where they live, through
+// design_contracts_in_place with their weights in one array, on a
+// one-thread pool without a cache (process CPU time, which counts the pool
+// thread). minflt_per_call counts the minor page faults per call.
+void BM_SolveStage(benchmark::State& state) {
+  std::vector<ccd::core::SubproblemOutcome> subproblems =
+      amazon2015_result().subproblems;
+  std::vector<double> weights;
+  for (const ccd::core::SubproblemOutcome& s : subproblems) {
+    weights.push_back(s.spec.weight);
+  }
+  ccd::contract::BatchView view = ccd::contract::BatchView::over(
+      subproblems.data(), subproblems.size(),
+      &ccd::core::SubproblemOutcome::spec,
+      &ccd::core::SubproblemOutcome::design);
+  view.weights = weights.data();
+  ccd::util::ThreadPool pool(1);
+  ccd::contract::BatchOptions options;
+  options.pool = &pool;
+  ccd::contract::DesignCacheStats stats;
+  const long faults = minor_faults();
+  for (auto _ : state) {
+    ccd::contract::design_contracts_in_place(view, options, &stats);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations() * subproblems.size()));
+  state.counters["minflt_per_call"] =
+      static_cast<double>(minor_faults() - faults) /
+      static_cast<double>(state.iterations());
+  state.counters["ksweeps"] = static_cast<double>(stats.misses);
+}
+BENCHMARK(BM_SolveStage)->MeasureProcessCPUTime()
+    ->Unit(benchmark::kMicrosecond);
+
+// The resolve kernel alone: resolve_class (each worker's Eq. 43 argmax over
+// k and its Theorem 4.1 upper bound) against the tableau of the first
+// subproblem's class in amazon2015_result() (m = 20), over the first n
+// subproblem weights: one 16-worker pass, and all 19,608 against one
+// class. Process CPU time; the label names the kernel this CPU runs.
+void BM_ResolveClass(benchmark::State& state) {
+  const std::vector<ccd::core::SubproblemOutcome>& subproblems =
+      amazon2015_result().subproblems;
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const ccd::contract::SubproblemSpec& spec = subproblems.front().spec;
+  const ccd::contract::DesignTable table =
+      ccd::contract::build_design_table(spec);
+  ccd::contract::ScratchArena arena;
+  const ccd::contract::ClassTableau tableau =
+      ccd::contract::build_class_tableau(spec, table, arena);
+  std::vector<double> weights;
+  for (std::size_t i = 0; i < n; ++i) {
+    weights.push_back(subproblems[i].spec.weight);
+  }
+  std::vector<std::size_t> k_opt(n);
+  std::vector<double> utility(n);
+  std::vector<double> upper(n);
+  for (auto _ : state) {
+    ccd::contract::resolve_class(
+        tableau, weights.data(), n,
+        ccd::contract::ResolveOut{k_opt.data(), utility.data(), upper.data()});
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * n));
+  state.SetLabel(ccd::contract::simd_kernel_name());
+}
+BENCHMARK(BM_ResolveClass)->Arg(16)->Arg(19608)->MeasureProcessCPUTime()
     ->Unit(benchmark::kMicrosecond);
 
 // Solve-stage throughput, batched + cached: one k-sweep per distinct spec,
@@ -319,6 +405,19 @@ std::vector<ccd::contract::SubproblemSpec> refit_specs(std::size_t n) {
   return specs;
 }
 
+// An ingest refit's grouping: FleetSoA::from_specs on 200 one-worker
+// classes (process CPU time).
+void BM_FleetFromRefitSpecs(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const std::vector<ccd::contract::SubproblemSpec> specs = refit_specs(n);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ccd::contract::FleetSoA::from_specs(specs));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * n));
+}
+BENCHMARK(BM_FleetFromRefitSpecs)->Arg(200)->MeasureProcessCPUTime()
+    ->Unit(benchmark::kMicrosecond);
+
 void run_refit_batch(benchmark::State& state, ccd::util::ThreadPool& pool) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const std::vector<ccd::contract::SubproblemSpec> specs = refit_specs(n);
@@ -366,13 +465,6 @@ void BM_ParallelForDispatch(benchmark::State& state) {
 }
 BENCHMARK(BM_ParallelForDispatch)->Arg(200)->MeasureProcessCPUTime()
     ->UseRealTime()->Unit(benchmark::kMicrosecond);
-
-/// Minor page faults of the process so far.
-long minor_faults() {
-  rusage usage{};
-  getrusage(RUSAGE_SELF, &usage);
-  return usage.ru_minflt;
-}
 
 // minflt_per_call counts the process's minor page faults per pipeline call:
 // 0 once the allocator reuses the previous call's memory, thousands when

@@ -47,6 +47,7 @@ ccd::contract::DesignCache::design( per-spec reference the design_contracts_batc
 ccd::contract::DesignCache::stats( the batch tests check a shared cache's hit and miss accounting
 ccd::contract::DesignCache::size( the batch tests check how many tables a shared cache holds
 ccd::contract::DesignCache::clear( the cache tests empty a shared cache between batches
+ccd::contract::FleetSoA::workers() the grouping tests check how many workers a fleet holds
 ccd::contract::allocate_budget_exact( exact reference the greedy budget allocator is tested against
 ccd::graph::connected_components_bfs( reference the DFS connected_components is tested against
 ccd::serve::Engine::call( synchronous entry the engine tests drive sessions through

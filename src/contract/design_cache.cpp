@@ -201,6 +201,7 @@ void record_cache_counters(const DesignCacheStats& delta, std::size_t evicted) {
   cm.evictions.add(evicted);
 }
 
-// design_contracts_batch lives in fleet_soa.cpp, on the FleetSoA grouping.
+// design_contracts_in_place and its vector form live in fleet_soa.cpp, on
+// the FleetSoA grouping.
 
 }  // namespace ccd::contract

@@ -119,9 +119,9 @@ class DesignCache {
   void clear();
 
  private:
-  friend std::vector<DesignResult> design_contracts_batch(
-      const std::vector<SubproblemSpec>&, const struct BatchOptions&,
-      DesignCacheStats*);
+  friend void design_contracts_in_place(const struct BatchView&,
+                                        const struct BatchOptions&,
+                                        DesignCacheStats*);
 
   void record(const DesignCacheStats& delta);
 
@@ -138,6 +138,58 @@ class DesignCache {
 /// without a cache, so the counters read as if a private cache had held
 /// them.
 void record_cache_counters(const DesignCacheStats& delta, std::size_t evicted);
+
+/// Where one design_contracts_in_place call reads its specs and writes its
+/// results: `count` entries in the caller's own storage. Entry i's spec is
+/// the SubproblemSpec `i * spec_stride` bytes past `specs` and its result
+/// the DesignResult `i * result_stride` bytes past `results`, so specs and
+/// results may be members of larger records (the pipeline's subproblems)
+/// and are designed where they live, without a copy.
+struct BatchView {
+  std::size_t count = 0;
+  const SubproblemSpec* specs = nullptr;
+  std::size_t spec_stride = sizeof(SubproblemSpec);
+  DesignResult* results = nullptr;
+  std::size_t result_stride = sizeof(DesignResult);
+  /// When non-null, weights[i] is the weight entry i is designed with, in
+  /// place of its spec's own: exclusion and the "contract.design" fault key
+  /// read it, so a 0 here is the §V exclusion with no fault point at any
+  /// spec weight. The other spec fields never depend on the weight.
+  const double* weights = nullptr;
+
+  /// A view over the `spec` and `result` members of `count` records.
+  template <typename Record>
+  static BatchView over(Record* records, std::size_t count,
+                        SubproblemSpec Record::*spec,
+                        DesignResult Record::*result) {
+    BatchView view;
+    view.count = count;
+    if (count == 0) return view;
+    view.specs = &(records->*spec);
+    view.spec_stride = sizeof(Record);
+    view.results = &(records->*result);
+    view.result_stride = sizeof(Record);
+    return view;
+  }
+
+  const SubproblemSpec& spec(std::size_t i) const {
+    return *reinterpret_cast<const SubproblemSpec*>(
+        reinterpret_cast<const char*>(specs) + i * spec_stride);
+  }
+  DesignResult& result(std::size_t i) const {
+    return *reinterpret_cast<DesignResult*>(reinterpret_cast<char*>(results) +
+                                            i * result_stride);
+  }
+  double weight(std::size_t i) const {
+    return weights != nullptr ? weights[i] : spec(i).weight;
+  }
+  /// Entry i's spec as the batch designs it: its own fields, weight(i).
+  SubproblemSpec priced(std::size_t i) const {
+    SubproblemSpec out = spec(i);
+    out.weight = weight(i);
+    return out;
+  }
+};
 
 struct BatchOptions {
   /// Pool for the fan-out; null uses util::shared_pool().
@@ -157,32 +209,42 @@ struct BatchOptions {
   /// Cooperative cancellation (null runs to completion). Polled between
   /// classes: a class is designed whole (table and every worker) or not
   /// at all, and after cancellation the batch returns with the remaining
-  /// results left default-constructed. Callers use `resolved` to tell
-  /// completed entries apart.
+  /// results left as they were. Callers use `resolved` to tell completed
+  /// entries apart.
   const util::CancellationToken* cancel = nullptr;
-  /// When non-null, resized to specs.size(); (*resolved)[i] is 1 iff
-  /// results[i] was actually designed (always all-ones unless cancelled
-  /// or, with `errors`, failed).
+  /// When non-null, resized to the entry count; (*resolved)[i] is 1 iff
+  /// result i was actually designed (always all-ones unless cancelled or,
+  /// with `errors`, failed).
   std::vector<std::uint8_t>* resolved = nullptr;
   /// Per-spec error sink. Null: the first failure propagates. Non-null:
-  /// resized to specs.size(); a spec whose design_contract(spec) would
-  /// throw gets that error here, a default result and resolved 0, and the
-  /// other specs are still designed. Validation fails a whole class, its
+  /// resized to the entry count; a spec whose design_contract(spec) would
+  /// throw gets that error here, its result untouched and resolved 0, and
+  /// the other specs are still designed. Validation fails a whole class, its
   /// k-sweep every positive-weight member, the "contract.design" fault
   /// point one spec.
   std::vector<std::exception_ptr>* errors = nullptr;
 };
 
-/// Design contracts for a whole fleet — the one fleet-design path every
-/// caller uses: one pool task per distinct spec class, in parallel, that
-/// gets the class's k-sweep (from the cache or a fresh sweep) and then
-/// runs one vectorized resolve_class pass over its workers (see
-/// ksweep.hpp and fleet_soa.hpp). Output order matches `specs`, and
-/// results[i] is bitwise-identical to design_contract(specs[i]) regardless
-/// of thread count, cache state, or which kernel the CPU runs. Runs the
-/// "contract.design" fault point once per positive-weight spec. `stats`,
+/// Design contracts for a whole fleet, in place — the one fleet-design
+/// path every caller uses: one pool task per distinct spec class, in
+/// parallel, that gets the class's k-sweep (from the cache or a fresh
+/// sweep) and then runs one vectorized resolve_class pass over its workers
+/// (see ksweep.hpp and fleet_soa.hpp). Each designed entry's result is
+/// overwritten whole and is bitwise-identical to
+/// design_contract(view.priced(i)) regardless of thread count, cache state,
+/// or which kernel the CPU runs; an entry left unresolved (cancelled, or
+/// failed into the error sink) keeps what its result held. Runs the
+/// "contract.design" fault point once per positive-weight entry. `stats`,
 /// when non-null, receives this call's counters (prior contents
 /// overwritten).
+void design_contracts_in_place(const BatchView& view,
+                               const BatchOptions& options = {},
+                               DesignCacheStats* stats = nullptr);
+
+/// design_contracts_in_place over a vector of specs, into a vector of
+/// default-constructed results in the same order: results[i] is
+/// bitwise-identical to design_contract(specs[i]), and an unresolved entry
+/// stays default-constructed.
 std::vector<DesignResult> design_contracts_batch(
     const std::vector<SubproblemSpec>& specs,
     const BatchOptions& options = {}, DesignCacheStats* stats = nullptr);

@@ -1,9 +1,9 @@
 #include "contract/fleet_soa.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 
 #include "contract/arena.hpp"
@@ -15,64 +15,125 @@
 
 namespace ccd::contract {
 
+namespace {
+
+// The classes of one grouping, found by canonical key: open addressing with
+// linear probing over DesignCacheKeyHash, bitwise key equality, at most
+// half the slots full. A slot holds its class id + 1 (0: empty), and the
+// classes' keys and hashes sit in one flat array, so a new class costs no
+// node of its own.
+class ClassIndex {
+ public:
+  struct Entry {
+    DesignCacheKey key;
+    std::size_t hash = 0;
+    std::size_t count = 0;  ///< workers of the class
+    std::size_t first_positive = FleetSoA::npos;
+  };
+
+  /// The class of `key`, added as the next id if it is new.
+  std::size_t find_or_add(const DesignCacheKey& key) {
+    if (2 * (entries_.size() + 1) > slots_.size()) grow();
+    const std::size_t hash = DesignCacheKeyHash{}(key);
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t slot = hash & mask;
+    for (; slots_[slot] != 0; slot = (slot + 1) & mask) {
+      const std::size_t cls = slots_[slot] - 1;
+      if (entries_[cls].hash == hash && entries_[cls].key == key) return cls;
+    }
+    slots_[slot] = entries_.size() + 1;
+    entries_.push_back(Entry{key, hash});
+    return entries_.size() - 1;
+  }
+
+  Entry& operator[](std::size_t cls) { return entries_[cls]; }
+  const std::vector<Entry>& entries() const { return entries_; }
+
+ private:
+  void grow() {
+    slots_.assign(std::max<std::size_t>(16, 2 * slots_.size()), 0);
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t cls = 0; cls < entries_.size(); ++cls) {
+      std::size_t slot = entries_[cls].hash & mask;
+      while (slots_[slot] != 0) slot = (slot + 1) & mask;
+      slots_[slot] = cls + 1;
+    }
+  }
+
+  std::vector<std::size_t> slots_;  // size a power of two
+  std::vector<Entry> entries_;
+};
+
+}  // namespace
+
 FleetSoA FleetSoA::from_specs(const std::vector<SubproblemSpec>& specs,
                               std::vector<std::exception_ptr>* errors) {
+  BatchView view;
+  view.count = specs.size();
+  view.specs = specs.data();
+  return from_specs(view, errors);
+}
+
+FleetSoA FleetSoA::from_specs(const BatchView& view,
+                              std::vector<std::exception_ptr>* errors) {
   FleetSoA fleet;
-  const std::size_t n = specs.size();
-  fleet.weight.resize(n);
+  const std::size_t n = view.count;
   fleet.class_of.resize(n);
   if (errors) errors->assign(n, nullptr);
 
-  std::unordered_map<DesignCacheKey, std::size_t, DesignCacheKeyHash>
-      class_of_key;
-  std::vector<std::size_t> counts;
+  ClassIndex index;
   // Specs arrive in runs of one class (the pipeline's workers of a detected
   // class share its fit), so a spec whose key is bitwise-equal to the
-  // previous spec's takes that spec's class without a lookup, and
-  // try_emplace allocates a map node only for a new class.
+  // previous spec's takes that spec's class without a lookup.
   DesignCacheKey previous_key;
   std::size_t cls = npos;
   for (std::size_t i = 0; i < n; ++i) {
+    const SubproblemSpec& spec = view.spec(i);
     bool valid = true;
     try {
-      specs[i].validate();
+      spec.validate();
     } catch (...) {
       if (!errors) throw;
       (*errors)[i] = std::current_exception();
       valid = false;
     }
-    const DesignCacheKey key = DesignCacheKey::of(specs[i]);
+    const DesignCacheKey key = DesignCacheKey::of(spec);
     if (cls == npos || key != previous_key) {
-      const auto [it, inserted] =
-          class_of_key.try_emplace(key, fleet.classes());
-      if (inserted) {
-        fleet.r2.push_back(key.r2);
-        fleet.r1.push_back(key.r1);
-        fleet.r0.push_back(key.r0);
-        fleet.beta.push_back(key.beta);
-        fleet.omega.push_back(key.omega);
-        fleet.mu.push_back(key.mu);
-        fleet.intervals.push_back(static_cast<std::size_t>(key.intervals));
-        fleet.domain.push_back(key.domain);
-        fleet.first_positive.push_back(npos);
-        counts.push_back(0);
-      }
-      cls = it->second;
+      cls = index.find_or_add(key);
       previous_key = key;
     }
     fleet.class_of[i] = cls;
-    fleet.weight[i] = specs[i].weight;
-    ++counts[cls];
-    if (valid && specs[i].weight > 0.0 && fleet.first_positive[cls] == npos) {
-      fleet.first_positive[cls] = i;
+    ClassIndex::Entry& entry = index[cls];
+    ++entry.count;
+    if (valid && view.weight(i) > 0.0 && entry.first_positive == npos) {
+      entry.first_positive = i;
     }
   }
 
-  const std::size_t classes = fleet.classes();
+  const std::vector<ClassIndex::Entry>& entries = index.entries();
+  const std::size_t classes = entries.size();
+  for (std::vector<double>* column :
+       {&fleet.r2, &fleet.r1, &fleet.r0, &fleet.beta, &fleet.omega, &fleet.mu,
+        &fleet.domain}) {
+    column->resize(classes);
+  }
+  fleet.intervals.resize(classes);
+  fleet.first_positive.resize(classes);
   fleet.class_begin.assign(classes + 1, 0);
   for (std::size_t c = 0; c < classes; ++c) {
-    fleet.class_begin[c + 1] = fleet.class_begin[c] + counts[c];
+    const DesignCacheKey& key = entries[c].key;
+    fleet.r2[c] = key.r2;
+    fleet.r1[c] = key.r1;
+    fleet.r0[c] = key.r0;
+    fleet.beta[c] = key.beta;
+    fleet.omega[c] = key.omega;
+    fleet.mu[c] = key.mu;
+    fleet.intervals[c] = static_cast<std::size_t>(key.intervals);
+    fleet.domain[c] = key.domain;
+    fleet.first_positive[c] = entries[c].first_positive;
+    fleet.class_begin[c + 1] = fleet.class_begin[c] + entries[c].count;
   }
+
   fleet.order.resize(n);
   fleet.grouped_weight.resize(n);
   std::vector<std::size_t> cursor(fleet.class_begin.begin(),
@@ -80,7 +141,7 @@ FleetSoA FleetSoA::from_specs(const std::vector<SubproblemSpec>& specs,
   for (std::size_t i = 0; i < n; ++i) {
     const std::size_t pos = cursor[fleet.class_of[i]]++;
     fleet.order[pos] = i;
-    fleet.grouped_weight[pos] = fleet.weight[i];
+    fleet.grouped_weight[pos] = view.weight(i);
   }
   return fleet;
 }
@@ -116,10 +177,18 @@ FleetCallStats fleet_call_stats(const FleetSoA& fleet,
                                 std::uint64_t sweep_steps_computed) {
   std::size_t cacheable = 0;
   std::size_t cacheable_steps = 0;
-  for (std::size_t i = 0; i < fleet.workers(); ++i) {
-    if (fleet.weight[i] <= 0.0 || !acquired[fleet.class_of[i]]) continue;
-    ++cacheable;
-    cacheable_steps += fleet.intervals[fleet.class_of[i]];
+  std::size_t classes_ran = 0;
+  std::size_t classes_ran_steps = 0;
+  for (std::size_t c = 0; c < fleet.classes(); ++c) {
+    if (!acquired[c]) continue;
+    ++classes_ran;
+    classes_ran_steps += fleet.intervals[c];
+    for (std::size_t pos = fleet.class_begin[c]; pos < fleet.class_begin[c + 1];
+         ++pos) {
+      if (fleet.grouped_weight[pos] <= 0.0) continue;
+      ++cacheable;
+      cacheable_steps += fleet.intervals[c];
+    }
   }
 
   FleetCallStats out;
@@ -133,13 +202,6 @@ FleetCallStats fleet_call_stats(const FleetSoA& fleet,
       cacheable_steps > out.call.sweep_steps_computed
           ? cacheable_steps - out.call.sweep_steps_computed : 0;
 
-  std::size_t classes_ran = 0;
-  std::size_t classes_ran_steps = 0;
-  for (std::size_t c = 0; c < fleet.classes(); ++c) {
-    if (!acquired[c]) continue;
-    ++classes_ran;
-    classes_ran_steps += fleet.intervals[c];
-  }
   out.extra.lookups = cacheable > classes_ran ? cacheable - classes_ran : 0;
   out.extra.hits = out.extra.lookups;
   out.extra.sweep_steps_avoided =
@@ -172,14 +234,13 @@ struct ResolveScratch {
 
 }  // namespace
 
-std::vector<DesignResult> design_contracts_batch(
-    const std::vector<SubproblemSpec>& specs, const BatchOptions& options,
-    DesignCacheStats* stats) {
+void design_contracts_in_place(const BatchView& view,
+                               const BatchOptions& options,
+                               DesignCacheStats* stats) {
   util::ThreadPool& pool = options.pool ? *options.pool : util::shared_pool();
   DesignCache* const cache = options.cache;
 
-  const std::size_t n = specs.size();
-  std::vector<DesignResult> results(n);
+  const std::size_t n = view.count;
   std::vector<std::uint8_t> resolved_local;
   std::vector<std::uint8_t>& resolved =
       options.resolved ? *options.resolved : resolved_local;
@@ -191,7 +252,7 @@ std::vector<DesignResult> design_contracts_batch(
   // contiguous CSR slice. Validates every spec in input order; with the
   // sink, an invalid spec's error lands there (validation reads only the
   // class key, so its whole class fails) and it is never designed.
-  const FleetSoA fleet = FleetSoA::from_specs(specs, errors);
+  const FleetSoA fleet = FleetSoA::from_specs(view, errors);
   // Classes whose table was acquired (written by their own task only).
   std::vector<std::uint8_t> acquired(fleet.classes(), 0);
 
@@ -210,30 +271,34 @@ std::vector<DesignResult> design_contracts_batch(
   };
 
   // One task per class: acquire its table, then one kernel pass over its
-  // workers, written out as plain per-worker fields plus the winning
-  // candidate's Contract, built once per (class, k) and shared by the
-  // class's workers that select it. Classes write disjoint results, so
-  // they parallelize freely.
+  // workers, written straight into each worker's result: plain fields plus
+  // the winning candidate's Contract, built once per (class, k) and shared
+  // by the class's workers that select it. Classes write disjoint results,
+  // so they parallelize freely.
   const auto design_class = [&](std::size_t c) {
     const std::size_t begin = fleet.class_begin[c];
     const std::size_t count = fleet.class_begin[c + 1] - begin;
+    const double* const weights = fleet.grouped_weight.data() + begin;
     const SubproblemSpec cls = fleet.class_spec(c);
 
-    // The §V zero-contract response is weight-independent: computed once
-    // per class, and only when a member is excluded.
-    std::optional<BestResponse> zero;
+    // The §V zero-contract result is weight-independent: computed once per
+    // class, and only when a member is excluded.
+    std::optional<DesignResult> zero;
     const auto exclude = [&](DesignResult& result) {
-      if (!zero) zero = best_response(Contract(), cls.psi, cls.incentives);
-      result.excluded = true;
-      result.response = *zero;
+      if (!zero) {
+        zero.emplace();
+        zero->excluded = true;
+        zero->response = best_response(Contract(), cls.psi, cls.incentives);
+      }
+      result = *zero;
     };
     // Only weight-excluded members remain to design (every member is one,
     // or the class's k-sweep failed): no table.
     const auto exclude_only = [&] {
       for (std::size_t j = 0; j < count; ++j) {
         const std::size_t i = fleet.order[begin + j];
-        if (fleet.weight[i] > 0.0 || (errors && (*errors)[i])) continue;
-        exclude(results[i]);
+        if (weights[j] > 0.0 || (errors && (*errors)[i])) continue;
+        exclude(view.result(i));
         resolved[i] = 1;
       }
     };
@@ -246,9 +311,9 @@ std::vector<DesignResult> design_contracts_batch(
     // (FleetSoA::from_specs already made the classes distinct, so a
     // per-call cache could never hit). The representative is the caller's
     // own spec object, so what reaches the cache (or the sweep) is the
-    // exact bit pattern the caller passed.
+    // exact bit pattern the caller passed; neither reads its weight.
     thread_local ResolveScratch scratch;
-    const SubproblemSpec& spec = specs[fleet.first_positive[c]];
+    const SubproblemSpec& spec = view.spec(fleet.first_positive[c]);
     std::shared_ptr<const DesignTable> cached;
     const DesignTable* table = &scratch.table;
     bool was_hit = false;
@@ -268,8 +333,7 @@ std::vector<DesignResult> design_contracts_batch(
       // design_contract would.
       const std::exception_ptr error = std::current_exception();
       for (std::size_t j = 0; j < count; ++j) {
-        const std::size_t i = fleet.order[begin + j];
-        if (fleet.weight[i] > 0.0) (*errors)[i] = error;
+        if (weights[j] > 0.0) (*errors)[fleet.order[begin + j]] = error;
       }
       exclude_only();
       return;
@@ -287,21 +351,21 @@ std::vector<DesignResult> design_contracts_batch(
     double* utility = scratch.arena.doubles(count);
     double* upper = scratch.arena.doubles(count);
     scratch.k_opt.resize(count);
-    resolve_class(tableau, fleet.grouped_weight.data() + begin, count,
+    resolve_class(tableau, weights, count,
                   ResolveOut{scratch.k_opt.data(), utility, upper});
 
     const double delta = cls.delta();
     for (std::size_t j = 0; j < count; ++j) {
       const std::size_t i = fleet.order[begin + j];
-      const double w = fleet.grouped_weight[begin + j];
-      DesignResult& result = results[i];
+      const double w = weights[j];
+      DesignResult& result = view.result(i);
       if (w <= 0.0) {
         exclude(result);
         resolved[i] = 1;
         continue;
       }
       try {
-        CCD_FAULT_POINT("contract.design", fault_key(specs[i]),
+        CCD_FAULT_POINT("contract.design", fault_key(view.priced(i)),
                         ContractError);
       } catch (...) {
         if (!errors) throw;
@@ -313,12 +377,13 @@ std::vector<DesignResult> design_contracts_batch(
       } else {
         const std::size_t k = scratch.k_opt[j];
         result.contract = scratch.contract_for(*table, k);
-        result.response = table->responses[k - 1];
         result.k_opt = k;
+        result.response = table->responses[k - 1];
         result.requester_utility = utility[j];
         result.upper_bound = upper[j];
         result.lower_bound = theorem41_lower_bound(
             cls.psi, w, cls.mu, cls.incentives.beta, delta, k);
+        result.excluded = false;
       }
       resolved[i] = 1;
     }
@@ -340,6 +405,17 @@ std::vector<DesignResult> design_contracts_batch(
   } else {
     record_cache_counters(fcs.extra, 0);
   }
+}
+
+std::vector<DesignResult> design_contracts_batch(
+    const std::vector<SubproblemSpec>& specs, const BatchOptions& options,
+    DesignCacheStats* stats) {
+  std::vector<DesignResult> results(specs.size());
+  BatchView view;
+  view.count = specs.size();
+  view.specs = specs.data();
+  view.results = results.data();
+  design_contracts_in_place(view, options, stats);
   return results;
 }
 

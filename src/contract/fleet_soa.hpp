@@ -1,11 +1,13 @@
-// Structure-of-arrays fleet layout behind design_contracts_batch.
+// Structure-of-arrays fleet layout behind design_contracts_in_place.
 //
 // Workers are bucketed by spec class (the weight-excluded DesignCacheKey —
 // same canonicalization, so a class is exactly a cache entry) with the
 // per-class scalar fields in contiguous arrays and the per-worker weights
 // gathered contiguously per class (CSR). One class then designs with a
 // single k-sweep and one vectorized resolve_class pass over its weight
-// slice (see ksweep.hpp).
+// slice (see ksweep.hpp). Classes are found through a flat open-addressing
+// index over the canonical keys, so a new class allocates nothing of its
+// own.
 #pragma once
 
 #include <cstddef>
@@ -15,6 +17,8 @@
 #include "contract/designer.hpp"
 
 namespace ccd::contract {
+
+struct BatchView;
 
 /// Fleet of design subproblems grouped by spec class, stored as contiguous
 /// arrays. Build with from_specs(); all invariants below hold afterwards.
@@ -45,11 +49,10 @@ struct FleetSoA {
   /// contiguous slice the SIMD resolve reads.
   std::vector<double> grouped_weight;
 
-  // Per-worker fields in original order (length = workers()).
-  std::vector<double> weight;
+  /// Class of each worker, in original order (length = workers()).
   std::vector<std::size_t> class_of;
 
-  std::size_t workers() const { return weight.size(); }
+  std::size_t workers() const { return class_of.size(); }
   std::size_t classes() const { return intervals.size(); }
 
   /// Validate and group specs. Without `errors`, throws what
@@ -58,6 +61,11 @@ struct FleetSoA {
   /// spec's exception lands at its index instead; the spec is still
   /// grouped, but never as its class's first positive member.
   static FleetSoA from_specs(const std::vector<SubproblemSpec>& specs,
+                             std::vector<std::exception_ptr>* errors = nullptr);
+
+  /// The same over a view's entries, read where they live; worker i's
+  /// weight is view.weight(i).
+  static FleetSoA from_specs(const BatchView& view,
                              std::vector<std::exception_ptr>* errors = nullptr);
 
   /// Reconstruct the class's spec with weight 1. Equal (as values) to any

@@ -5,9 +5,10 @@
 // class's tables — the Eq. 43 argmax of w * feedback_k - mu * pay_k and the
 // Theorem 4.1 upper-bound max. With the class's per-k columns laid out
 // contiguously (ClassTableau) and the workers' weights contiguous
-// (FleetSoA), one SIMD pass resolves four workers per instruction on AVX2;
-// a portable scalar loop with identical semantics serves every other build
-// (the compiler autovectorizes it where it can) and the AVX2 tail.
+// (FleetSoA), the AVX2 kernel resolves 16 workers per pass in four
+// independent vectors, then what is left four at a time; a portable scalar
+// loop with identical semantics serves every other build (the compiler
+// autovectorizes it where it can) and a class's last one to three workers.
 //
 // The CPU picks the kernel: the AVX2 kernel is only compiled on x86-64
 // GCC/Clang (per-function target attributes — no global -mavx2, so the rest

@@ -445,7 +445,7 @@ PipelineResult run_pipeline(const data::ReviewTrace& trace,
 
   // ---- Strategy-specific solve (batched, cache-aware) --------------------
   // All workers of one detected class share the same weight-independent
-  // spec, so the contract strategies go through design_contracts_batch:
+  // spec, so the contract strategies go through design_contracts_in_place:
   // one k-sweep per distinct spec, then a cheap per-worker resolve. Every
   // StageMode makes the same call; the lenient modes give it a per-spec
   // error sink and absorb each failed subproblem in the post-pass below.
@@ -470,14 +470,17 @@ PipelineResult run_pipeline(const data::ReviewTrace& trace,
     return sub.community >= 0 ||
            result.workers[sub.worker].detected_class != DetectedClass::kHonest;
   };
-  // The spec a subproblem is priced with: the exclusion strategy gives
+  // The weight a subproblem is priced with: the exclusion strategy gives
   // every suspect weight 0, the zero contract.
+  const auto priced_weight = [&](const SubproblemOutcome& sub) {
+    return config.strategy == PricingStrategy::kExcludeMalicious &&
+                   suspected_malicious(sub)
+               ? 0.0
+               : sub.spec.weight;
+  };
   const auto priced_spec = [&](const SubproblemOutcome& sub) {
     contract::SubproblemSpec spec = sub.spec;
-    if (config.strategy == PricingStrategy::kExcludeMalicious &&
-        suspected_malicious(sub)) {
-      spec.weight = 0.0;
-    }
+    spec.weight = priced_weight(sub);
     return spec;
   };
   const auto fixed_design = [&](const contract::SubproblemSpec& spec) {
@@ -528,13 +531,19 @@ PipelineResult run_pipeline(const data::ReviewTrace& trace,
           }
         }, cancel);
       } else {
-        // Skipped subproblems (fit-quarantined, or elected by the fault
-        // site) take the zero-weight shortcut: no k-sweep, no fault point.
-        std::vector<contract::SubproblemSpec> specs(nsub);
+        // The batch designs each subproblem where it lives: it reads
+        // sub.spec with the priced weight and writes sub.design (left
+        // default where it resolves nothing). Skipped subproblems
+        // (fit-quarantined, or elected by the fault site) take the
+        // zero-weight shortcut: no k-sweep, no fault point.
+        std::vector<double> weights(nsub);
         for (std::size_t i = 0; i < nsub; ++i) {
-          specs[i] = priced_spec(result.subproblems[i]);
-          if (skipped(i)) specs[i].weight = 0.0;
+          weights[i] = skipped(i) ? 0.0 : priced_weight(result.subproblems[i]);
         }
+        contract::BatchView view = contract::BatchView::over(
+            result.subproblems.data(), nsub, &SubproblemOutcome::spec,
+            &SubproblemOutcome::design);
+        view.weights = weights.data();
         std::vector<std::exception_ptr> design_errors;
         contract::BatchOptions batch;
         batch.pool = pool;
@@ -542,14 +551,9 @@ PipelineResult run_pipeline(const data::ReviewTrace& trace,
         batch.cancel = cancel;
         batch.resolved = &task_done;
         if (lenient) batch.errors = &design_errors;
-        std::vector<contract::DesignResult> designs =
-            contract::design_contracts_batch(specs, batch,
-                                             &result.design_cache);
-        for (std::size_t i = 0; i < nsub; ++i) {
-          if (lenient && !skipped(i)) failures[i] = design_errors[i];
-          if (task_done[i]) {
-            result.subproblems[i].design = std::move(designs[i]);
-          }
+        contract::design_contracts_in_place(view, batch, &result.design_cache);
+        for (std::size_t i = 0; lenient && i < nsub; ++i) {
+          if (!skipped(i)) failures[i] = design_errors[i];
         }
       }
     } catch (Error& e) {

@@ -359,6 +359,41 @@ TEST(FleetSoATest, RunsAndInterleavingGroupAsReference) {
   }
 }
 
+// A grouping with hundreds of classes and no runs: the flat class index
+// grows several times and probes past taken slots, and must still number
+// the classes in first-occurrence order, as the reference does, with each
+// class's sign-of-zero twin in the class of its first member.
+TEST(FleetSoATest, ManyInterleavedClassesGroupAsReference) {
+  const std::vector<SubproblemSpec> distinct = one_worker_per_class(700, 63);
+  util::Rng rng(64);
+  std::vector<SubproblemSpec> specs;
+  for (std::size_t i = 0; i < 3000; ++i) {
+    // Mostly new classes early, mostly returning ones later.
+    const std::size_t limit = std::min(distinct.size(), i / 3 + 1);
+    SubproblemSpec spec = distinct[rng.next_u64() % limit];
+    if (spec.incentives.omega == 0.0 && rng.bernoulli(0.3)) {
+      spec.incentives.omega = -0.0;
+    }
+    spec.weight = rng.bernoulli(0.2) ? 0.0 : rng.uniform(0.1, 3.0);
+    specs.push_back(spec);
+  }
+  const FleetSoA fleet = FleetSoA::from_specs(specs);
+  const ReferenceGrouping want = reference_grouping(specs);
+  EXPECT_GT(fleet.classes(), 600u);
+  EXPECT_EQ(fleet.class_of, want.class_of);
+  EXPECT_EQ(fleet.order, want.order);
+  EXPECT_EQ(fleet.class_begin, want.class_begin);
+  EXPECT_EQ(fleet.first_positive, want.first_positive);
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const std::size_t c = fleet.class_of[i];
+    const DesignCacheKey key = DesignCacheKey::of(specs[i]);
+    EXPECT_TRUE(same_bits(fleet.r2[c], key.r2) &&
+                same_bits(fleet.omega[c], key.omega) &&
+                fleet.intervals[c] == key.intervals)
+        << "worker " << i;
+  }
+}
+
 // The one fleet-design path against the reference, field by field and bit
 // for bit: cold and warm cache, one and four threads, cached per-spec
 // design too. The vectorized kernels use only mul/sub/compare and
@@ -1012,6 +1047,188 @@ TEST(FleetDesignTest, WeightExcludedWorkersNeverReachTheFaultSite) {
   EXPECT_GT(util::FaultInjector::instance().injected("contract.design"), 0u);
 }
 
+// A record holding its spec and its result among other fields, as the
+// pipeline's SubproblemOutcome does.
+struct Embedded {
+  std::uint32_t tag = 0;
+  SubproblemSpec spec;
+  double before = 0.0;
+  DesignResult result;
+  bool flag = false;
+};
+
+// The same error, or none: same type and message.
+void expect_same_error(const std::exception_ptr& got,
+                       const std::exception_ptr& want,
+                       const std::string& where) {
+  ASSERT_EQ(got == nullptr, want == nullptr) << where;
+  if (!want) return;
+  try {
+    std::rethrow_exception(want);
+  } catch (const Error& w) {
+    try {
+      std::rethrow_exception(got);
+    } catch (const Error& g) {
+      EXPECT_EQ(typeid(g), typeid(w)) << where;
+      EXPECT_EQ(g.message(), w.message()) << where;
+    }
+  }
+}
+
+// design_contracts_in_place over specs and results that live inside larger
+// records, with the weights in their own array, designs exactly what the
+// vector form designs for copies of the specs carrying those weights: the
+// same results bit for bit, the same resolved flags, errors and counters,
+// with and without an error sink, the "contract.design" site at 0.3,
+// cache and no cache, one and four threads, and a pre-cancelled token.
+// Some positive-weight specs are designed at weight 0 from the array. An
+// entry left unresolved keeps what its result held, and no other field of
+// a record changes.
+TEST(FleetDesignTest, InPlaceEntryMatchesVectorFormBitwise) {
+  InjectorGuard guard;
+  std::vector<SubproblemSpec> clean = random_fleet(120, 62);
+  const std::vector<SubproblemSpec> tricky = tricky_specs();
+  clean.insert(clean.end(), tricky.begin(), tricky.end());
+  SubproblemSpec idle = clean[6];  // a §V class: no candidate pays off
+  idle.psi = effort::QuadraticEffort(-1.0, 7.0, 0.0);
+  idle.incentives = {1.0, 0.0};
+  idle.weight = 1e-4;
+  clean.push_back(idle);
+  // With a sink, an invalid class too (without one it fails the call).
+  std::vector<SubproblemSpec> with_invalid = clean;
+  SubproblemSpec invalid = clean[4];  // beta = 0: fails validation
+  invalid.incentives.beta = 0.0;
+  with_invalid.insert(with_invalid.begin() + 60, invalid);
+
+  DesignResult sentinel;
+  sentinel.k_opt = 77;
+  sentinel.requester_utility = -3.5;
+  sentinel.excluded = true;
+
+  util::ThreadPool one(1);
+  util::ThreadPool four(4);
+  util::CancellationToken cancelled;
+  cancelled.request_cancel();
+  std::size_t compared = 0;
+  for (const int mode : {0, 1, 2}) {  // no sink; sink; sink and faults
+    const bool sink = mode > 0;
+    const std::vector<SubproblemSpec>& specs = sink ? with_invalid : clean;
+    const std::size_t n = specs.size();
+    // Every fifth positive-weight spec is designed at weight 0.
+    std::vector<double> weights(n);
+    std::vector<SubproblemSpec> priced = specs;
+    std::size_t overridden = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      weights[i] = specs[i].weight;
+      if (specs[i].weight > 0.0 && i % 5 == 0) {
+        weights[i] = 0.0;
+        ++overridden;
+      }
+      priced[i].weight = weights[i];
+    }
+    ASSERT_GT(overridden, 10u);
+    if (mode == 2) arm_design_site(0.3, 19);
+    for (util::ThreadPool* pool : {&one, &four}) {
+      for (const bool cached : {false, true}) {
+        for (const bool cancel : {false, true}) {
+          const std::string where =
+              "mode " + std::to_string(mode) +
+              (pool == &one ? ", 1 thread" : ", 4 threads") +
+              (cached ? ", cached" : ", uncached") +
+              (cancel ? ", cancelled" : "");
+          DesignCache cache_vector;
+          DesignCache cache_view;
+          BatchOptions options;
+          options.pool = pool;
+          options.cancel = cancel ? &cancelled : nullptr;
+
+          std::vector<std::uint8_t> resolved_vector;
+          std::vector<std::exception_ptr> errors_vector;
+          options.cache = cached ? &cache_vector : nullptr;
+          options.resolved = &resolved_vector;
+          options.errors = sink ? &errors_vector : nullptr;
+          DesignCacheStats stats_vector;
+          const std::vector<DesignResult> want =
+              design_contracts_batch(priced, options, &stats_vector);
+
+          std::vector<Embedded> records(n);
+          for (std::size_t i = 0; i < n; ++i) {
+            records[i].tag = static_cast<std::uint32_t>(i);
+            records[i].spec = specs[i];
+            records[i].before = 0.25 * static_cast<double>(i);
+            records[i].result = sentinel;
+            records[i].flag = i % 2 == 0;
+          }
+          BatchView view = BatchView::over(records.data(), n, &Embedded::spec,
+                                           &Embedded::result);
+          view.weights = weights.data();
+          std::vector<std::uint8_t> resolved_view;
+          std::vector<std::exception_ptr> errors_view;
+          options.cache = cached ? &cache_view : nullptr;
+          options.resolved = &resolved_view;
+          options.errors = sink ? &errors_view : nullptr;
+          DesignCacheStats stats_view;
+          design_contracts_in_place(view, options, &stats_view);
+
+          EXPECT_EQ(resolved_view, resolved_vector) << where;
+          expect_same_stats(stats_view, stats_vector, where.c_str());
+          EXPECT_EQ(cache_view.size(), cache_vector.size()) << where;
+          if (sink) {
+            ASSERT_EQ(errors_view.size(), n) << where;
+          }
+          for (std::size_t i = 0; i < n; ++i) {
+            const std::string at = where + ", entry " + std::to_string(i);
+            const Embedded& record = records[i];
+            EXPECT_EQ(record.tag, i) << at;
+            EXPECT_TRUE(same_bits(record.spec.weight, specs[i].weight)) << at;
+            EXPECT_TRUE(
+                same_bits(record.before, 0.25 * static_cast<double>(i)))
+                << at;
+            EXPECT_EQ(record.flag, i % 2 == 0) << at;
+            if (sink) expect_same_error(errors_view[i], errors_vector[i], at);
+            if (resolved_view[i]) {
+              expect_bitwise(record.result, want[i], at);
+              ++compared;
+            } else {
+              expect_bitwise(record.result, sentinel, at + " (unresolved)");
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(compared, 3 * with_invalid.size());
+}
+
+// A 0 in the weight array excludes its entry without reaching the
+// "contract.design" site, whatever the spec's own weight: armed at rate
+// 1.0, a fleet of positive-weight specs designed at weight 0 designs
+// cleanly, each entry equal to design_contract at weight 0.
+TEST(FleetDesignTest, ZeroWeightOverrideNeverReachesTheFaultSite) {
+  InjectorGuard guard;
+  arm_design_site(1.0, 23);
+  std::vector<SubproblemSpec> specs = random_fleet(40, 65);
+  for (SubproblemSpec& spec : specs) spec.weight = std::abs(spec.weight) + 0.1;
+  const std::vector<double> zeros(specs.size(), 0.0);
+  std::vector<DesignResult> results(specs.size());
+  BatchView view;
+  view.count = specs.size();
+  view.specs = specs.data();
+  view.results = results.data();
+  view.weights = zeros.data();
+  design_contracts_in_place(view);
+  EXPECT_EQ(util::FaultInjector::instance().injected("contract.design"), 0u);
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    SubproblemSpec excluded = specs[i];
+    excluded.weight = 0.0;
+    EXPECT_TRUE(results[i].excluded) << "worker " << i;
+    expect_bitwise(results[i], design_contract(excluded),
+                   "worker " + std::to_string(i));
+  }
+  view.weights = nullptr;  // the specs' own weights reach the site
+  EXPECT_THROW(design_contracts_in_place(view), ContractError);
+}
+
 TEST(KSweepTest, ResolveClassMatchesResolveDesign) {
   // Direct kernel-level check on one class: portable and AVX2 (when this
   // CPU has it) against resolve_design over a weight sweep that crosses
@@ -1102,6 +1319,78 @@ TEST(KSweepTest, EverySliceLengthAndOffsetMatchesPortable) {
   EXPECT_EQ(k_sentinel, 77u);
   EXPECT_EQ(u_sentinel, 1.5);
   EXPECT_EQ(ub_sentinel, 2.5);
+}
+
+// The AVX2 kernel resolves 16 workers per pass in four vectors, then four
+// at a time, then the portable loop. Every count from 0 to 64 (up to four
+// full passes, with every remainder) at start offsets 0..3 must match the
+// portable loop bit for bit: on a design table's tableau, and on a
+// hand-made one whose columns tie exactly (equal (feedback, pay) pairs,
+// utilities that tie at w = 1, and zero columns whose utilities are +0.0
+// or -0.0 by the weight's sign), over weights that include ±0.0, negatives
+// and the tying weight.
+TEST(KSweepTest, EveryCountToSixtyFourAtEveryOffsetMatchesPortable) {
+  SubproblemSpec spec;
+  spec.psi = effort::QuadraticEffort(-0.9, 7.0, 1.0);
+  spec.incentives = {1.0, 0.3};
+  spec.mu = 0.8;
+  spec.intervals = 20;
+  const DesignTable table = build_design_table(spec);
+  ScratchArena arena;
+  const ClassTableau from_table = build_class_tableau(spec, table, arena);
+
+  // At mu = 1, every k but 1 and 7 has feedback - pay = 1.
+  const std::vector<double> feedback = {0.0, 1.0, 3.0, 3.0, 2.0,
+                                        5.0, 0.0, 4.0, 4.5, 6.0};
+  const std::vector<double> pay = {0.0, 0.0, 2.0, 2.0, 1.0,
+                                   4.0, 0.0, 3.0, 3.5, 5.0};
+  ClassTableau tied;
+  tied.m = feedback.size();
+  tied.mu = 1.0;
+  tied.feedback = feedback.data();
+  tied.pay = pay.data();
+  tied.ub_feedback = feedback.data();
+  tied.ub_pay = pay.data();
+  tied.has_free_ride = true;
+  tied.free_ride_feedback = 1.0;
+
+  const double special[] = {0.0, -0.0, 1.0, -1.0, 0.5, -0.25, 2.0,
+                            std::numeric_limits<double>::denorm_min()};
+  util::Rng rng(61);
+  std::vector<double> weights;
+  for (std::size_t i = 0; i < 67; ++i) {
+    weights.push_back(i % 3 == 0 ? special[(i / 3) % std::size(special)]
+                                 : rng.uniform(-0.5, 3.0));
+  }
+  const ClassTableau* const tableaus[] = {&from_table, &tied};
+  for (const ClassTableau* tableau : tableaus) {
+    for (std::size_t offset = 0; offset < 4; ++offset) {
+      for (std::size_t count = 0; count <= 64; ++count) {
+        const double* slice = weights.data() + offset;
+        expect_same_resolve(
+            run_kernel(resolve_class, *tableau, slice, count),
+            run_kernel(detail::resolve_class_portable, *tableau, slice, count),
+            std::string(tableau == &tied ? "tied" : "table") + " offset " +
+                std::to_string(offset) + " count " + std::to_string(count));
+      }
+    }
+  }
+
+  // The ties are real: in a full 16-worker pass at w = 1 the first maximum
+  // (k = 2) wins, and at w = ±0.0 the zero columns give +0.0 and -0.0.
+  const std::vector<double> ones(16, 1.0);
+  const Resolved at_one = run_kernel(resolve_class, tied, ones.data(), 16);
+  for (std::size_t j = 0; j < 16; ++j) {
+    EXPECT_EQ(at_one.k_opt[j], 2u) << "worker " << j;
+    EXPECT_EQ(at_one.utility[j], 1.0) << "worker " << j;
+  }
+  std::vector<double> zeros(16, 0.0);
+  for (std::size_t j = 1; j < 16; j += 2) zeros[j] = -0.0;
+  const Resolved at_zero = run_kernel(resolve_class, tied, zeros.data(), 16);
+  for (std::size_t j = 0; j < 16; ++j) {
+    EXPECT_EQ(at_zero.k_opt[j], 1u) << "worker " << j;
+    EXPECT_EQ(std::signbit(at_zero.utility[j]), j % 2 == 1) << "worker " << j;
+  }
 }
 
 // The tableau holds the design table's per-k responses verbatim, the

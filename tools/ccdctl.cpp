@@ -538,16 +538,23 @@ int cmd_simulate(const util::ParamMap& params) {
   }
 
   core::SimResult result;
+  std::string checkpoint_file = checkpoint_path;  // where the run writes
   if (!resume_path.empty()) {
     core::SimCheckpoint checkpoint = core::load_checkpoint(resume_path);
     // Fleet/seed params are baked into the checkpoint; rounds= may extend
-    // the run, and checkpoint/threads knobs may be overridden.
+    // the run, and checkpoint/threads knobs may be overridden. Without
+    // checkpoint=, the run checkpoints into the file it resumed from at the
+    // stored cadence, never into the path stored inside it: that may name
+    // the run the file was copied from.
     if (has_rounds) checkpoint.config.rounds = rounds;
     if (!checkpoint_path.empty()) {
       checkpoint.config.checkpoint_path = checkpoint_path;
       checkpoint.config.checkpoint_every =
           checkpoint_every > 0 ? checkpoint_every
                                : checkpoint.config.checkpoint_every;
+    } else {
+      checkpoint.config.checkpoint_path = resume_path;
+      checkpoint_file = resume_path;
     }
     if (threads > 0) checkpoint.config.threads = threads;
     std::printf("resuming from %s: %zu/%zu round(s) done\n",
@@ -592,7 +599,7 @@ int cmd_simulate(const util::ParamMap& params) {
               result.cumulative_requester_utility);
   if (result.cancelled) {
     const std::string where =
-        checkpoint_path.empty() ? "" : "; checkpoint: " + checkpoint_path;
+        checkpoint_file.empty() ? "" : "; checkpoint: " + checkpoint_file;
     std::printf("simulation cancelled (%s) after %zu round(s)%s\n",
                 util::to_string(result.cancel_reason), done, where.c_str());
     return ccd::exit_code(ccd::ErrorCode::kDeadline);
